@@ -15,12 +15,9 @@ from .adnn import (
     PipelineResult,
     active_inputs,
     adnn_cost,
-    adnn_forward,
-    adnn_subgradient,
     construct_sufficient_features,
     cross_validate_adnn,
     default_grid,
-    feature_forward,
     fit_adnn,
     residual_independence_pvalue,
     select_feature_dimension,
@@ -30,10 +27,10 @@ from .core import (
     CsvSchema,
     DataValidationError,
     TrajectoryDataset,
-    Transition,
+    Transitions,
+    config_from_jsonable,
     flatten_transitions,
     load_dataset_csv,
-    regroup_transitions,
     save_dataset_csv,
 )
 from .dcov import (

@@ -6,6 +6,9 @@ feature vector; one regression head per action predicts the response
 actions: each outer iteration takes, for every action in turn, one
 subgradient descent step on (shared network, that action's head) using a
 minibatch of that action's transitions, leaving the other heads untouched.
+Fitting works on the row-stacked steps of ``core.flatten_transitions``, and
+the shared network and a head run forward and backward as one network
+through ``features.mlp_forward`` and ``features.mlp_backward``.
 
 The fit criterion is penalized least squares
 
@@ -25,15 +28,23 @@ restriction to the active variables until nothing shrinks.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TrajectoryDataset, Transition
+from .core import TrajectoryDataset, Transitions, config_from_jsonable, flatten_transitions
 from .dcov import TestReport, stratified_pooled_test
-from .features import ACTIVATIONS, NetworkFeatureMap
+from .features import (
+    ACTIVATIONS,
+    NetworkFeatureMap,
+    layers_from_jsonable,
+    layers_to_jsonable,
+    mlp_backward,
+    mlp_forward,
+)
 from .rng import derive_seed, substream
 from .screening import ScreenResult, screen
 
@@ -42,10 +53,7 @@ __all__ = [
     "Architecture",
     "FitConfig",
     "AdnnModel",
-    "feature_forward",
-    "adnn_forward",
     "adnn_cost",
-    "adnn_subgradient",
     "fit_adnn",
     "default_grid",
     "CrossValidationResult",
@@ -92,22 +100,21 @@ class Architecture:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
+    @classmethod
+    def for_dataset(cls, ds: TrajectoryDataset, feature_dim: int, hidden_width: int,
+                    depth: int, activation: str = "sigmoid") -> "Architecture":
+        """Shapes taking ``ds``'s state to ``feature_dim`` features and ``(U, S')``."""
+        return cls(
+            input_dim=ds.state_dim, feature_dim=feature_dim, output_dim=ds.state_dim + 1,
+            hidden_width=hidden_width, depth=depth, n_actions=ds.n_actions,
+            activation=activation,
+        )
+
     def feature_widths(self) -> list:
         return [self.input_dim] + [self.hidden_width] * (self.depth - 1) + [self.feature_dim]
 
     def head_widths(self) -> list:
         return [self.feature_dim] + [self.hidden_width] * (self.depth - 1) + [self.output_dim]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "feature_dim": self.feature_dim,
-            "output_dim": self.output_dim,
-            "hidden_width": self.hidden_width,
-            "depth": self.depth,
-            "n_actions": self.n_actions,
-            "activation": self.activation,
-        }
 
 
 @dataclass(frozen=True)
@@ -182,11 +189,8 @@ class AdnnModel:
         )
 
     def features(self, states: np.ndarray) -> np.ndarray:
-        x = np.asarray(states, dtype=np.float64)
-        act = ACTIVATIONS[self.activation][0]
-        for w, b in self.feature_layers:
-            x = act(x @ w.T + b)
-        return x
+        return mlp_forward(np.asarray(states, dtype=np.float64), self.feature_layers,
+                           self.activation)
 
     def predict(self, states: np.ndarray, action: int) -> np.ndarray:
         """Predicted response ``(U, next-state)`` rows under one action."""
@@ -195,60 +199,24 @@ class AdnnModel:
     def _head_forward(self, feats: np.ndarray, action: int) -> np.ndarray:
         if action not in self.heads:
             raise ValueError(f"unknown action {action}; model has {self.actions}")
-        act = ACTIVATIONS[self.activation][0]
-        layers = self.heads[action]
-        x = feats
-        for i, (w, b) in enumerate(layers):
-            z = x @ w.T + b
-            x = act(z) if i < len(layers) - 1 else z
-        return x
+        return mlp_forward(feats, self.heads[action], self.activation, affine_last=True)
 
     def to_jsonable(self) -> dict:
         return {
-            "architecture": self.architecture.to_jsonable(),
-            "feature_layers": [
-                {"weights": w.tolist(), "bias": b.tolist()}
-                for w, b in self.feature_layers
-            ],
-            "heads": {
-                str(a): [
-                    {"weights": w.tolist(), "bias": b.tolist()} for w, b in layers
-                ]
-                for a, layers in self.heads.items()
-            },
+            "architecture": dataclasses.asdict(self.architecture),
+            "feature_layers": layers_to_jsonable(self.feature_layers),
+            "heads": {str(a): layers_to_jsonable(ls) for a, ls in self.heads.items()},
             "trace": [{str(a): c for a, c in entry.items()} for entry in self.trace],
         }
 
     @staticmethod
     def from_jsonable(data: dict) -> "AdnnModel":
-        def load_layers(entries):
-            return [
-                (np.asarray(e["weights"], dtype=np.float64),
-                 np.asarray(e["bias"], dtype=np.float64))
-                for e in entries
-            ]
-
         return AdnnModel(
-            architecture=Architecture(**data["architecture"]),
-            feature_layers=load_layers(data["feature_layers"]),
-            heads={int(a): load_layers(ls) for a, ls in data["heads"].items()},
+            architecture=config_from_jsonable(Architecture, data["architecture"]),
+            feature_layers=layers_from_jsonable(data["feature_layers"]),
+            heads={int(a): layers_from_jsonable(ls) for a, ls in data["heads"].items()},
             trace=[{int(a): c for a, c in e.items()} for e in data.get("trace", [])],
         )
-
-
-def feature_forward(states, feature_map) -> np.ndarray:
-    """Apply a feature map (or a model's feature network) to states."""
-    one = np.asarray(states).ndim == 1
-    x = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    out = feature_map.features(x) if isinstance(feature_map, AdnnModel) else feature_map.transform(x)
-    return out[0] if one else out
-
-
-def adnn_forward(states, action: int, model: AdnnModel) -> np.ndarray:
-    """Predicted response for states under one action."""
-    one = np.asarray(states).ndim == 1
-    out = model.predict(np.atleast_2d(np.asarray(states, dtype=np.float64)), action)
-    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------
@@ -276,77 +244,46 @@ def _penalty(model: AdnnModel, lam: float) -> float:
     return lam * float(np.sqrt(np.square(model.first_layer).sum(axis=0)).sum())
 
 
-def _flatten_dataset(ds: TrajectoryDataset):
-    """Row-stacked transitions: states, responses (U, S'), actions."""
-    n, horizon, p = ds.n_subjects, ds.horizon, ds.state_dim
-    s = ds.states[:, :horizon].reshape(n * horizon, p)
-    y = np.empty((n * horizon, p + 1))
-    y[:, 0] = ds.utilities.reshape(-1)
-    y[:, 1:] = ds.states[:, 1:].reshape(n * horizon, p)
-    a = ds.actions.reshape(-1)
-    return s, y, a
+def _squared_errors(tr: Transitions, y: np.ndarray, model: AdnnModel, actions) -> dict:
+    """Per-action summed squared error of the predicted responses ``y``."""
+    feats = model.features(tr.states)
+    errors = {}
+    for a in actions:
+        idx = tr.actions == a
+        pred = model._head_forward(feats[idx], a)
+        errors[a] = float(np.square(pred - y[idx]).sum())
+    return errors
 
 
-def _costs_by_action(sflat, yflat, aflat, n_subjects, model, lam, actions):
+def _costs_by_action(tr, y, n_subjects, model, lam, actions):
     """Per-action cost: that action's squared-error share plus the penalty."""
     pen = _penalty(model, lam)
-    feats = model.features(sflat)
-    costs = {}
-    for a in actions:
-        idx = aflat == a
-        pred = model._head_forward(feats[idx], a)
-        err = float(np.square(pred - yflat[idx]).sum())
-        costs[a] = err / n_subjects + pen
-    return costs
+    errors = _squared_errors(tr, y, model, actions)
+    return {a: err / n_subjects + pen for a, err in errors.items()}
 
 
 def adnn_cost(ds: TrajectoryDataset, model: AdnnModel, lam: float) -> float:
     """Penalized least-squares criterion over a whole dataset."""
-    sflat, yflat, aflat = _flatten_dataset(ds)
-    costs = _costs_by_action(sflat, yflat, aflat, ds.n_subjects, model, lam, model.actions)
-    pen = _penalty(model, lam)
-    return sum(c - pen for c in costs.values()) + pen
+    tr = flatten_transitions(ds)
+    errors = _squared_errors(tr, tr.responses, model, model.actions)
+    return sum(errors.values()) / ds.n_subjects + _penalty(model, lam)
 
 
 def _batch_gradients(s, y, model, lam, action):
     """Gradients of the batch-mean squared error plus penalty subgradient.
 
-    Returns ``(feature_grads, head_grads)`` shaped like the parameters.
-    The group-lasso subgradient on the first feature layer is
+    The feature layers and the action's head run as one network whose last
+    layer is affine.  Returns ``(feature_grads, head_grads)`` shaped like
+    the parameters.  The group-lasso subgradient on the first feature layer is
     ``lam * column / ||column||`` for nonzero columns and zero otherwise.
     """
-    m = s.shape[0]
-    act, dact = ACTIVATIONS[model.activation]
-
-    f_in = [s]
-    f_pre = []
-    x = s
-    for w, b in model.feature_layers:
-        z = x @ w.T + b
-        f_pre.append(z)
-        x = act(z)
-        f_in.append(x)
-
-    head = model.heads[action]
-    h_in = [x]
-    h_pre = []
-    for i, (w, b) in enumerate(head):
-        z = h_in[-1] @ w.T + b
-        h_pre.append(z)
-        h_in.append(act(z) if i < len(head) - 1 else z)
-
-    delta = 2.0 * (h_in[-1] - y) / m
-    head_grads = [None] * len(head)
-    for i in range(len(head) - 1, -1, -1):
-        dz = delta if i == len(head) - 1 else delta * dact(h_pre[i], h_in[i + 1])
-        head_grads[i] = (dz.T @ h_in[i], dz.sum(axis=0))
-        delta = dz @ head[i][0]
-
-    feature_grads = [None] * len(model.feature_layers)
-    for i in range(len(model.feature_layers) - 1, -1, -1):
-        dz = delta * dact(f_pre[i], f_in[i + 1])
-        feature_grads[i] = (dz.T @ f_in[i], dz.sum(axis=0))
-        delta = dz @ model.feature_layers[i][0]
+    layers = model.feature_layers + model.heads[action]
+    cache = []
+    out = mlp_forward(s, layers, model.activation, affine_last=True, cache=cache)
+    grads = mlp_backward(cache, layers, 2.0 * (out - y) / s.shape[0], model.activation,
+                         affine_last=True)
+    k = len(model.feature_layers)
+    feature_grads, head_grads = grads[:k], grads[k:]
 
     if lam > 0.0:
         w1 = model.feature_layers[0][0]
@@ -355,25 +292,6 @@ def _batch_gradients(s, y, model, lam, action):
         dw1, db1 = feature_grads[0]
         feature_grads[0] = (dw1 + w1 * scale[None, :], db1)
     return feature_grads, head_grads
-
-
-def adnn_subgradient(batch: Sequence[Transition], model: AdnnModel, lam: float, action: int):
-    """Subgradient of the batch cost for one action's alternation step.
-
-    Every transition in the batch must carry ``action``; the result pairs
-    gradients for the shared feature layers with gradients for that
-    action's head only.
-    """
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    if any(tr.action != action for tr in batch):
-        raise ValueError(f"batch contains transitions with action != {action}")
-    s = np.stack([tr.state for tr in batch])
-    y = np.hstack([
-        np.array([[tr.utility] for tr in batch]),
-        np.stack([tr.next_state for tr in batch]),
-    ])
-    return _batch_gradients(s, y, model, lam, action)
 
 
 def fit_adnn(
@@ -404,10 +322,11 @@ def fit_adnn(
     actions = sorted(actions_subset) if actions_subset is not None else list(
         range(1, ds.n_actions + 1)
     )
-    sflat, yflat, aflat = _flatten_dataset(ds)
+    tr = flatten_transitions(ds)
+    y = tr.responses
     action_rows = {}
     for a in actions:
-        rows = np.flatnonzero(aflat == a)
+        rows = np.flatnonzero(tr.actions == a)
         if rows.size == 0:
             raise ValueError(f"action {a} is absent from the data")
         if int(cfg.batch_fraction * rows.size) == 0:
@@ -420,7 +339,7 @@ def fit_adnn(
     rng = substream(cfg.seed)
     model = _init_model(arch, actions, rng)
     n = ds.n_subjects
-    costs = _costs_by_action(sflat, yflat, aflat, n, model, cfg.lam, actions)
+    costs = _costs_by_action(tr, y, n, model, cfg.lam, actions)
     model.trace = [costs]
     for b in range(1, cfg.n_max + 1):
         alpha = cfg.step_size(b)
@@ -429,7 +348,7 @@ def fit_adnn(
             take = int(cfg.batch_fraction * rows.size)
             batch = rows[rng.choice(rows.size, size=take, replace=False)]
             f_grads, h_grads = _batch_gradients(
-                sflat[batch], yflat[batch], model, cfg.lam, a
+                tr.states[batch], y[batch], model, cfg.lam, a
             )
             model.feature_layers = [
                 (w - alpha * dw, bias - alpha * db)
@@ -441,7 +360,7 @@ def fit_adnn(
             ]
         if b % cfg.check_every != 0 and b != cfg.n_max:
             continue
-        new_costs = _costs_by_action(sflat, yflat, aflat, n, model, cfg.lam, actions)
+        new_costs = _costs_by_action(tr, y, n, model, cfg.lam, actions)
         model.trace.append(new_costs)
         if not all(np.isfinite(c) for c in new_costs.values()):
             raise ConvergenceError(
@@ -507,15 +426,7 @@ def cross_validate_adnn(
 
     scores = []
     for width, depth, lam in cells:
-        arch = Architecture(
-            input_dim=ds.state_dim,
-            feature_dim=feature_dim,
-            output_dim=ds.state_dim + 1,
-            hidden_width=width,
-            depth=depth,
-            n_actions=ds.n_actions,
-            activation=activation,
-        )
+        arch = Architecture.for_dataset(ds, feature_dim, width, depth, activation)
         # seeds keyed by (width, depth, fold), not lam: penalties at one shape
         # share initialisation and minibatch streams, duplicate cells score
         # identically and scores do not depend on grid order
@@ -527,25 +438,13 @@ def cross_validate_adnn(
                 cfg, lam=lam, seed=derive_seed(cfg.seed, width, depth, fi)
             )
             model = fit_adnn(train, arch, fit_cfg, actions_subset=actions_subset)
-            fold_errors.append(_validation_error(valid, model, actions_subset))
+            tr = flatten_transitions(valid)
+            errors = _squared_errors(tr, tr.responses, model, model.actions)
+            fold_errors.append(sum(errors.values()) / valid.n_subjects)
         scores.append(((width, depth, lam), float(np.mean(fold_errors))))
 
     best = min(scores, key=lambda item: (item[1], item[0][1], item[0][0], -item[0][2]))
     return CrossValidationResult(best=best[0], scores=scores)
-
-
-def _validation_error(ds: TrajectoryDataset, model: AdnnModel, actions_subset) -> float:
-    sflat, yflat, aflat = _flatten_dataset(ds)
-    actions = sorted(actions_subset) if actions_subset is not None else model.actions
-    feats = model.features(sflat)
-    err = 0.0
-    for a in actions:
-        idx = aflat == a
-        if not np.any(idx):
-            continue
-        pred = model._head_forward(feats[idx], a)
-        err += float(np.square(pred - yflat[idx]).sum())
-    return err / ds.n_subjects
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +474,12 @@ def residual_independence_pvalue(
     actions = sorted(actions_subset) if actions_subset is not None else list(
         range(1, ds.n_actions + 1)
     )
-    sflat, yflat, aflat = _flatten_dataset(ds)
-    resid = np.full((n * horizon, p + 1), np.nan)
+    tr = flatten_transitions(ds)
+    y = tr.responses
+    resid = np.full((len(tr), p + 1), np.nan)
     for a in actions:
-        idx = aflat == a
-        resid[idx] = yflat[idx] - model.predict(sflat[idx], a)
+        idx = tr.actions == a
+        resid[idx] = y[idx] - model.predict(tr.states[idx], a)
     resid = resid.reshape(n, horizon, p + 1)
 
     return stratified_pooled_test(
@@ -646,15 +546,7 @@ def select_feature_dimension(
             actions_subset=actions_subset,
         )
         width, depth, lam = cv.best
-        arch = Architecture(
-            input_dim=ds.state_dim,
-            feature_dim=r,
-            output_dim=ds.state_dim + 1,
-            hidden_width=width,
-            depth=depth,
-            n_actions=ds.n_actions,
-            activation=activation,
-        )
+        arch = Architecture.for_dataset(ds, r, width, depth, activation)
         model = fit_adnn(
             ds,
             arch,
@@ -732,59 +624,6 @@ class PipelineConfig:
     max_iterations: int = 10
     screen_n_max: Optional[int] = None
 
-    def to_jsonable(self) -> dict:
-        def fit_dict(fit):
-            return None if fit is None else {
-                "lam": fit.lam,
-                "batch_fraction": fit.batch_fraction,
-                "alpha0": fit.alpha0,
-                "beta": fit.beta,
-                "tolerance": fit.tolerance,
-                "n_max": fit.n_max,
-                "seed": fit.seed,
-                "check_every": fit.check_every,
-            }
-
-        return {
-            "tau": self.tau,
-            "tau_dim": self.tau_dim,
-            "dims": None if self.dims is None else list(self.dims),
-            "grid": None if self.grid is None else [list(c) for c in self.grid],
-            "folds": self.folds,
-            "n_permutations": self.n_permutations,
-            "min_stratum": self.min_stratum,
-            "col_tol": self.col_tol,
-            "activation": self.activation,
-            "seed": self.seed,
-            "max_iterations": self.max_iterations,
-            "screen_n_max": self.screen_n_max,
-            "fit": fit_dict(self.fit),
-            "cv_fit": fit_dict(self.cv_fit),
-        }
-
-    @staticmethod
-    def from_jsonable(data: dict) -> "PipelineConfig":
-        fit = FitConfig(**data["fit"]) if data.get("fit") else FitConfig()
-        cv_fit = FitConfig(**data["cv_fit"]) if data.get("cv_fit") else None
-        return PipelineConfig(
-            tau=data.get("tau", 0.1),
-            tau_dim=data.get("tau_dim", 0.05),
-            dims=None if data.get("dims") is None else tuple(data["dims"]),
-            grid=None if data.get("grid") is None else tuple(
-                tuple(c) for c in data["grid"]
-            ),
-            folds=data.get("folds", 5),
-            fit=fit,
-            cv_fit=cv_fit,
-            n_permutations=data.get("n_permutations", 999),
-            min_stratum=data.get("min_stratum", 5),
-            col_tol=data.get("col_tol", 0.05),
-            activation=data.get("activation", "sigmoid"),
-            seed=data.get("seed", 0),
-            max_iterations=data.get("max_iterations", 10),
-            screen_n_max=data.get("screen_n_max"),
-        )
-
 
 @dataclass(frozen=True)
 class PipelineIteration:
@@ -825,15 +664,7 @@ class PipelineResult:
             "feature_dim": self.feature_dim,
             "flags": list(self.flags),
             "screen": self.screen_result.to_jsonable(),
-            "iterations": [
-                {
-                    "variables": it.variables,
-                    "feature_dim": it.feature_dim,
-                    "active": it.active,
-                    "none_sufficient": it.none_sufficient,
-                }
-                for it in self.iterations
-            ],
+            "iterations": [dataclasses.asdict(it) for it in self.iterations],
             "feature_map": None
             if self.feature_map is None
             else self.feature_map.to_jsonable(),

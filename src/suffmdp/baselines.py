@@ -20,7 +20,7 @@ import numpy as np
 
 from .adnn import PipelineConfig, active_inputs, default_dims, select_feature_dimension
 from .core import TrajectoryDataset
-from .features import ConcatFeatureMap, LinearFeatureMap, NetworkFeatureMap
+from .features import ConcatFeatureMap, LinearFeatureMap
 from .rng import derive_seed
 
 __all__ = ["pca_feature_map", "TnnResult", "fit_tnn"]
@@ -108,12 +108,7 @@ def fit_tnn(ds: TrajectoryDataset, config: PipelineConfig = PipelineConfig()) ->
         per_action[a] = (selection.model, selection.feature_dim, active)
         union.update(active)
         total_dim += selection.feature_dim
-        parts.append(
-            NetworkFeatureMap(
-                layers=[(w.copy(), b.copy()) for w, b in selection.model.feature_layers],
-                activation=config.activation,
-            )
-        )
+        parts.append(selection.model.feature_map())
     return TnnResult(
         per_action=per_action,
         variables=sorted(union),

@@ -24,6 +24,8 @@ from . import experiment as experiment_mod
 from .adnn import PipelineConfig, construct_sufficient_features, default_grid
 from .core import (
     DataValidationError,
+    config_from_jsonable,
+    flatten_transitions,
     format_float,
     load_dataset_csv,
     save_dataset_csv,
@@ -120,20 +122,18 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_grid_file(path: Optional[str]):
+def _load_grid_file(path: Optional[str]) -> dict:
     """Tuning grid and optional pipeline overrides from a JSON file."""
     if path is None:
-        return None, {}
+        return {}
     data = _load_json(path)
     if "cells" in data:
-        grid = tuple(tuple(cell) for cell in data["cells"])
+        grid = data["cells"]
     elif {"hidden_widths", "depths", "lams"} & set(data):
-        grid = tuple(
-            default_grid(
-                hidden_widths=data.get("hidden_widths", (2, 4, 8)),
-                depths=data.get("depths", (1, 2)),
-                lams=data.get("lams", (0.001, 0.01, 0.1, 1.0)),
-            )
+        grid = default_grid(
+            hidden_widths=data.get("hidden_widths", (2, 4, 8)),
+            depths=data.get("depths", (1, 2)),
+            lams=data.get("lams", (0.001, 0.01, 0.1, 1.0)),
         )
     else:
         grid = None
@@ -143,7 +143,7 @@ def _load_grid_file(path: Optional[str]):
                   "max_iterations", "fit")
         if k in data
     }
-    return grid, overrides
+    return {"grid": grid, **overrides}
 
 
 def _cmd_simulate(args) -> int:
@@ -168,19 +168,10 @@ def _cmd_screen(args) -> int:
 
 def _cmd_construct(args) -> int:
     ds = load_dataset_csv(args.data)
-    grid, overrides = _load_grid_file(args.grid_file)
-    fit_overrides = overrides.pop("fit", None)
-    config = PipelineConfig(
-        tau=args.tau,
-        grid=grid,
-        n_permutations=args.perms,
-        seed=args.seed,
-        **{k: tuple(v) if k == "dims" else v for k, v in overrides.items()},
-    )
-    if fit_overrides:
-        config = dataclasses.replace(
-            config, fit=dataclasses.replace(config.fit, **fit_overrides)
-        )
+    config = config_from_jsonable(PipelineConfig, {
+        "tau": args.tau, "n_permutations": args.perms, "seed": args.seed,
+        **_load_grid_file(args.grid_file),
+    })
     result = construct_sufficient_features(ds, config)
     if result.feature_map is None:
         _write_json(args.out_report, result.to_jsonable())
@@ -205,8 +196,6 @@ def _write_weights_csv(path: str, result) -> None:
 
 
 def _cmd_qlearn(args) -> int:
-    from .core import flatten_transitions
-
     ds = load_dataset_csv(args.data)
     fmap = feature_map_from_jsonable(_load_json(args.model))
     transitions = flatten_transitions(ds)
@@ -229,12 +218,12 @@ def _cmd_evaluate(args) -> int:
         n_rollouts=args.rollouts, horizon=args.horizon,
         seed=args.seed, definition=args.definition,
     )
-    _write_json(args.out, value.to_jsonable())
+    _write_json(args.out, dataclasses.asdict(value))
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    cfg = experiment_mod.ExperimentConfig.from_jsonable(_load_json(args.config))
+    cfg = config_from_jsonable(experiment_mod.ExperimentConfig, _load_json(args.config))
     updates = {}
     if args.threads is not None:
         updates["threads"] = args.threads

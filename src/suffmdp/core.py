@@ -1,4 +1,4 @@
-"""Trajectory data model: batch trajectories, transition views, CSV I/O.
+"""Trajectory data model: batch trajectories, the transition array view, CSV I/O.
 
 A dataset holds ``n`` independent subject trajectories observed over a
 common horizon ``T``: states ``S^1..S^{T+1}`` in ``R^p``, actions
@@ -8,26 +8,33 @@ in ``S^{t+1}``, so the terminal row of a trajectory carries no action or
 utility.
 
 Datasets are immutable after construction (backing arrays are marked
-read-only) and safe to share across threads.
+read-only) and safe to share across threads.  ``flatten_transitions`` stacks
+the steps of all subjects into one read-only array view, which model
+fitting, the residual test and Q-learning share.
+
+Config dataclasses serialize with ``dataclasses.asdict`` and load back
+through ``config_from_jsonable``.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+import dataclasses
+import typing
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "DataValidationError",
     "TrajectoryDataset",
-    "Transition",
+    "Transitions",
     "CsvSchema",
     "load_dataset_csv",
     "save_dataset_csv",
     "flatten_transitions",
-    "regroup_transitions",
+    "config_from_jsonable",
 ]
 
 # Decimal text with 17 significant digits round-trips IEEE-754 doubles.
@@ -40,6 +47,31 @@ class DataValidationError(ValueError):
 
 def format_float(x: float) -> str:
     return FLOAT_FORMAT % float(x)
+
+
+def config_from_jsonable(cls, data: dict):
+    """Config dataclass ``cls`` from its ``dataclasses.asdict`` form.
+
+    Nested config dataclasses load recursively, and JSON lists come back as
+    tuples, nested ones too, so grid cells stay usable as dict keys.
+    Missing keys take the field defaults; an unknown key raises ValueError.
+    """
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in data:
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} for {cls.__name__}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _from_json_value(hints[k], v) for k, v in data.items()})
+
+
+def _from_json_value(hint, value):
+    if isinstance(value, list):
+        return tuple(_from_json_value(None, v) for v in value)
+    if isinstance(value, dict):
+        for t in (hint, *typing.get_args(hint)):
+            if dataclasses.is_dataclass(t):
+                return config_from_jsonable(t, value)
+    return value
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -158,66 +190,38 @@ class TrajectoryDataset:
 
 
 @dataclass(frozen=True)
-class Transition:
-    """One ``(S^t, A^t, U^t, S^{t+1})`` step of a trajectory."""
+class Transitions:
+    """Row-stacked ``(S^t, A^t, U^t, S^{t+1})`` steps of a dataset.
 
-    subject_id: int
-    t: int  # 1-based time of the step, in 1..T
-    state: np.ndarray
-    action: int
-    utility: float
-    next_state: np.ndarray
+    Row ``i * T + (t - 1)`` is subject ``i``'s step at time ``t``.  The
+    arrays are read-only; ``len()`` is the number of steps ``n * T``.
+    """
 
+    states: np.ndarray  # (N, p)
+    actions: np.ndarray  # (N,)
+    utilities: np.ndarray  # (N,)
+    next_states: np.ndarray  # (N, p)
 
-def flatten_transitions(
-    ds: TrajectoryDataset, action_filter: Optional[int] = None
-) -> list[Transition]:
-    """All per-step transitions, optionally restricted to one action level."""
-    if action_filter is not None and not 1 <= action_filter <= ds.n_actions:
-        raise DataValidationError(
-            f"action_filter {action_filter} outside 1..{ds.n_actions}"
-        )
-    out = []
-    for i in range(ds.n_subjects):
-        for t in range(ds.horizon):
-            a = int(ds.actions[i, t])
-            if action_filter is not None and a != action_filter:
-                continue
-            out.append(
-                Transition(
-                    subject_id=i,
-                    t=t + 1,
-                    state=ds.states[i, t],
-                    action=a,
-                    utility=float(ds.utilities[i, t]),
-                    next_state=ds.states[i, t + 1],
-                )
-            )
-    return out
+    def __len__(self) -> int:
+        return self.actions.shape[0]
+
+    @property
+    def responses(self) -> np.ndarray:
+        """``(U^t, S^{t+1})`` rows, shape (N, p + 1)."""
+        return np.column_stack([self.utilities, self.next_states])
 
 
-def regroup_transitions(
-    transitions: Iterable[Transition], n_actions: int, utility_bound: float = 1e6
-) -> TrajectoryDataset:
-    """Inverse of unfiltered :func:`flatten_transitions`."""
-    by_subject: dict[int, list[Transition]] = {}
-    for tr in transitions:
-        by_subject.setdefault(tr.subject_id, []).append(tr)
-    subjects = sorted(by_subject)
-    states, actions, utilities = [], [], []
-    for i in subjects:
-        steps = sorted(by_subject[i], key=lambda tr: tr.t)
-        if [tr.t for tr in steps] != list(range(1, len(steps) + 1)):
-            raise DataValidationError(f"subject {i} has missing or duplicate steps")
-        states.append([tr.state for tr in steps] + [steps[-1].next_state])
-        actions.append([tr.action for tr in steps])
-        utilities.append([tr.utility for tr in steps])
-    return TrajectoryDataset(
-        states=np.asarray(states, dtype=np.float64),
-        actions=np.asarray(actions, dtype=np.int64),
-        utilities=np.asarray(utilities, dtype=np.float64),
-        n_actions=n_actions,
-        utility_bound=utility_bound,
+def flatten_transitions(ds: TrajectoryDataset) -> Transitions:
+    """All steps of a dataset as one array view."""
+    rows, p = ds.n_subjects * ds.horizon, ds.state_dim
+    states = ds.states[:, :-1].reshape(rows, p)
+    next_states = ds.states[:, 1:].reshape(rows, p)
+    states.flags.writeable = next_states.flags.writeable = False
+    return Transitions(
+        states=states,
+        actions=ds.actions.reshape(rows),
+        utilities=ds.utilities.reshape(rows),
+        next_states=next_states,
     )
 
 

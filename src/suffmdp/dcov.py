@@ -24,6 +24,7 @@ and the default is ``u = floor(T/20) + 1``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -87,16 +88,7 @@ class TestReport:
         return {
             "statistic": self.statistic,
             "p_value": self.p_value,
-            "strata": [
-                {
-                    "t": s.t,
-                    "action": s.action,
-                    "sample_size": s.sample_size,
-                    "statistic": s.statistic,
-                    "p_value": s.p_value,
-                }
-                for s in self.strata
-            ],
+            "strata": [dataclasses.asdict(s) for s in self.strata],
             "u": self.pooled_u,
             "B": self.n_permutations,
             "seed": self.seed,

@@ -14,10 +14,11 @@ a halved step size, then excluded and counted.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -49,6 +50,8 @@ def resolve_threads(threads: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Harness settings; method names are matched case-insensitively."""
+
     models: tuple = ("linear",)
     noise_counts: tuple = (0,)
     n_subjects: int = 30
@@ -74,56 +77,14 @@ class ExperimentConfig:
     output_json: Optional[str] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "feature_methods", tuple(m.lower() for m in self.feature_methods))
+        object.__setattr__(self, "q_methods", tuple(m.lower() for m in self.q_methods))
         for m in self.feature_methods:
             if m not in FEATURE_METHODS:
                 raise ValueError(f"unknown feature method {m!r}")
         for m in self.q_methods:
             if m not in Q_METHODS:
                 raise ValueError(f"unknown Q method {m!r}")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "models": list(self.models),
-            "noise_counts": list(self.noise_counts),
-            "n_subjects": self.n_subjects,
-            "horizon": self.horizon,
-            "replicates": self.replicates,
-            "feature_methods": list(self.feature_methods),
-            "q_methods": list(self.q_methods),
-            "master_seed": self.master_seed,
-            "n_rollouts": self.n_rollouts,
-            "eval_horizon": self.eval_horizon,
-            "gamma": self.gamma,
-            "oracle_variant": self.oracle_variant,
-            "pca_var_explained": self.pca_var_explained,
-            "pipeline": self.pipeline.to_jsonable(),
-            "q_epochs_linear": self.q_epochs_linear,
-            "q_epochs_nn": self.q_epochs_nn,
-            "q_hidden_width": self.q_hidden_width,
-            "q_alpha0_linear": self.q_alpha0_linear,
-            "q_alpha0_nn": self.q_alpha0_nn,
-            "q_beta": self.q_beta,
-            "threads": self.threads,
-            "output_csv": self.output_csv,
-            "output_json": self.output_json,
-        }
-
-    @staticmethod
-    def from_jsonable(data: dict) -> "ExperimentConfig":
-        kwargs = dict(data)
-        if "models" in kwargs:
-            kwargs["models"] = tuple(kwargs["models"])
-        if "noise_counts" in kwargs:
-            kwargs["noise_counts"] = tuple(kwargs["noise_counts"])
-        if "feature_methods" in kwargs:
-            kwargs["feature_methods"] = tuple(
-                m.lower() for m in kwargs["feature_methods"]
-            )
-        if "q_methods" in kwargs:
-            kwargs["q_methods"] = tuple(m.lower() for m in kwargs["q_methods"])
-        if "pipeline" in kwargs:
-            kwargs["pipeline"] = PipelineConfig.from_jsonable(kwargs["pipeline"])
-        return ExperimentConfig(**kwargs)
 
 
 @dataclass
@@ -169,7 +130,7 @@ class ExperimentResult:
 
     def to_jsonable(self) -> dict:
         return {
-            "config": self.config.to_jsonable(),
+            "config": dataclasses.asdict(self.config),
             "replicates": self.detail,
             "failures": self.failures,
         }

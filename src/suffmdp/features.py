@@ -15,6 +15,10 @@ from scipy.special import expit
 
 __all__ = [
     "ACTIVATIONS",
+    "mlp_forward",
+    "mlp_backward",
+    "layers_to_jsonable",
+    "layers_from_jsonable",
     "FeatureMap",
     "IdentityFeatureMap",
     "CoordinateFeatureMap",
@@ -48,6 +52,59 @@ ACTIVATIONS = {
     "sigmoid": (_sigmoid, _sigmoid_deriv),
     "arctan": (_arctan, _arctan_deriv),
 }
+
+
+def mlp_forward(x, layers, activation="sigmoid", affine_last=False, cache=None):
+    """Apply ``(W, b)`` layers, ``x -> act(x @ W.T + b)``, to row-stacked inputs
+    (or to one 1-D input).
+
+    With ``affine_last`` the final layer skips the activation; a 1-D final
+    weight then gives one value per row.  When ``cache`` is a list, each
+    layer appends its ``(input, pre-activation, output)`` for
+    :func:`mlp_backward`.
+    """
+    act = ACTIVATIONS[activation][0]
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        z = x @ w.T + b
+        out = z if affine_last and i == last else act(z)
+        if cache is not None:
+            cache.append((x, z, out))
+        x = out
+    return x
+
+
+def mlp_backward(cache, layers, delta, activation="sigmoid", affine_last=False):
+    """Parameter gradients ``[(dW, db)]`` of a loss through a cached forward pass.
+
+    ``delta`` is the loss gradient with respect to the network output;
+    ``cache``, ``activation`` and ``affine_last`` are those of the
+    :func:`mlp_forward` call.
+    """
+    dact = ACTIVATIONS[activation][1]
+    last = len(layers) - 1
+    grads = [None] * len(layers)
+    for i in range(last, -1, -1):
+        x, z, out = cache[i]
+        dz = delta if affine_last and i == last else delta * dact(z, out)
+        grads[i] = (dz.T @ x, dz.sum(axis=0))
+        if i:
+            delta = dz @ layers[i][0]
+    return grads
+
+
+def layers_to_jsonable(layers) -> list:
+    return [
+        {"weights": np.asarray(w).tolist(), "bias": np.asarray(b).tolist()}
+        for w, b in layers
+    ]
+
+
+def layers_from_jsonable(entries) -> list:
+    return [
+        (np.asarray(e["weights"], dtype=np.float64), np.asarray(e["bias"], dtype=np.float64))
+        for e in entries
+    ]
 
 
 class FeatureMap(ABC):
@@ -181,10 +238,7 @@ class NetworkFeatureMap(FeatureMap):
         x = np.asarray(states, dtype=np.float64)
         if self.input_indices is not None:
             x = x[:, self.input_indices]
-        act = ACTIVATIONS[self.activation][0]
-        for w, b in self.layers:
-            x = act(x @ w.T + b)
-        return x
+        return mlp_forward(x, self.layers, self.activation)
 
     def to_jsonable(self):
         return {
@@ -192,9 +246,7 @@ class NetworkFeatureMap(FeatureMap):
             "activation": self.activation,
             "input_dim": self.input_dim,
             "input_indices": self.input_indices,
-            "layers": [
-                {"weights": w.tolist(), "bias": b.tolist()} for w, b in self.layers
-            ],
+            "layers": layers_to_jsonable(self.layers),
         }
 
 
@@ -256,10 +308,7 @@ def feature_map_from_jsonable(data: dict) -> FeatureMap:
         return LinearFeatureMap(np.asarray(data["weights"]), np.asarray(data["offset"]))
     if kind == "network":
         return NetworkFeatureMap(
-            layers=[
-                (np.asarray(e["weights"]), np.asarray(e["bias"]))
-                for e in data["layers"]
-            ],
+            layers=layers_from_jsonable(data["layers"]),
             activation=data["activation"],
             input_indices=data.get("input_indices"),
             input_dim=data.get("input_dim"),

@@ -2,7 +2,7 @@
 
 Both approximators learn ``Q(s, a)`` as a function of ``phi(s)`` by
 stochastic semi-gradient updates over shuffled passes through the batch of
-transitions:
+transitions (the array view of ``core.flatten_transitions``):
 
     theta <- theta + alpha * (u + gamma * max_b F(s', b) - F(s, a)) * dF/dtheta
 
@@ -20,12 +20,12 @@ discounted sum per rollout ("discounted_sum").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Transition
-from .features import ACTIVATIONS, FeatureMap
+from .core import Transitions
+from .features import FeatureMap, layers_from_jsonable, layers_to_jsonable, mlp_forward
 from .rng import substream
 from .simgen import GenerativeModelSpec, step_process
 
@@ -40,8 +40,6 @@ __all__ = [
     "greedy_actions",
     "evaluate_policy",
 ]
-
-_sigmoid = ACTIVATIONS["sigmoid"][0]
 
 
 @dataclass
@@ -67,13 +65,6 @@ class LinearQ:
             "weights": {str(a): w.tolist() for a, w in self.weights.items()},
         }
 
-    @staticmethod
-    def from_jsonable(data: dict) -> "LinearQ":
-        return LinearQ(
-            weights={int(a): np.asarray(w) for a, w in data["weights"].items()},
-            gamma=data["gamma"],
-        )
-
 
 @dataclass
 class NeuralQ:
@@ -88,38 +79,16 @@ class NeuralQ:
         return sorted(self.nets)
 
     def action_values(self, feats: np.ndarray) -> np.ndarray:
-        cols = []
-        for a in self.actions:
-            (w1, b1), (w2, b2) = self.nets[a]
-            hidden = _sigmoid(feats @ w1.T + b1)
-            cols.append(hidden @ w2 + b2)
-        return np.column_stack(cols)
+        return np.column_stack(
+            [mlp_forward(feats, self.nets[a], affine_last=True) for a in self.actions]
+        )
 
     def to_jsonable(self) -> dict:
         return {
             "kind": self.kind,
             "gamma": self.gamma,
-            "nets": {
-                str(a): [
-                    {"weights": w.tolist(), "bias": np.asarray(b).tolist()}
-                    for w, b in layers
-                ]
-                for a, layers in self.nets.items()
-            },
+            "nets": {str(a): layers_to_jsonable(ls) for a, ls in self.nets.items()},
         }
-
-    @staticmethod
-    def from_jsonable(data: dict) -> "NeuralQ":
-        return NeuralQ(
-            nets={
-                int(a): [
-                    (np.asarray(e["weights"]), np.asarray(e["bias"]))
-                    for e in layers
-                ]
-                for a, layers in data["nets"].items()
-            },
-            gamma=data["gamma"],
-        )
 
 
 QApproximator = Union[LinearQ, NeuralQ]
@@ -127,9 +96,10 @@ QApproximator = Union[LinearQ, NeuralQ]
 
 def q_approximator_from_jsonable(data: dict) -> QApproximator:
     if data.get("kind") == "linear":
-        return LinearQ.from_jsonable(data)
+        return LinearQ({int(a): np.asarray(w) for a, w in data["weights"].items()}, data["gamma"])
     if data.get("kind") == "neural":
-        return NeuralQ.from_jsonable(data)
+        return NeuralQ({int(a): layers_from_jsonable(ls) for a, ls in data["nets"].items()},
+                       data["gamma"])
     raise ValueError(f"unknown Q approximator kind {data.get('kind')!r}")
 
 
@@ -149,24 +119,19 @@ def _default_schedule(alpha0: float, beta: float) -> Callable[[int], float]:
     return lambda k: alpha0 / (1.0 + k / beta)
 
 
-def _prepare(transitions: Sequence[Transition], feature_map: FeatureMap,
-             n_actions: Optional[int]):
-    if not transitions:
+def _prepare(transitions: Transitions, feature_map: FeatureMap, n_actions: Optional[int]):
+    if not len(transitions):
         raise ValueError("transitions must be nonempty")
     if feature_map.dim == 0:
         raise ValueError("feature map has empty output; nothing to regress on")
-    states = np.stack([tr.state for tr in transitions])
-    next_states = np.stack([tr.next_state for tr in transitions])
-    feats = feature_map.transform(states)
-    feats_next = feature_map.transform(next_states)
-    actions = np.array([tr.action for tr in transitions], dtype=np.int64)
-    utilities = np.array([tr.utility for tr in transitions])
-    k = n_actions if n_actions is not None else int(actions.max())
-    return feats, feats_next, actions, utilities, k
+    feats = feature_map.transform(transitions.states)
+    feats_next = feature_map.transform(transitions.next_states)
+    k = n_actions if n_actions is not None else int(transitions.actions.max())
+    return feats, feats_next, transitions.actions, transitions.utilities, k
 
 
 def fit_q_linear(
-    transitions: Sequence[Transition],
+    transitions: Transitions,
     feature_map: FeatureMap,
     gamma: float = 0.9,
     epochs: int = 20,
@@ -205,7 +170,7 @@ def fit_q_linear(
 
 
 def fit_q_nn(
-    transitions: Sequence[Transition],
+    transitions: Transitions,
     feature_map: FeatureMap,
     gamma: float = 0.9,
     hidden_width: int = 10,
@@ -240,17 +205,14 @@ def fit_q_nn(
         nets[a] = [(w1, np.zeros(hidden_width)), (w2, 0.0)]
     acts = sorted(nets)
 
-    def value(a, phi):
-        (w1, b1), (w2, b2) = nets[a]
-        hidden = _sigmoid(w1 @ phi + b1)
-        return hidden @ w2 + b2, hidden
-
     k = 0
     for _ in range(epochs):
         for i in rng.permutation(len(feats)):
             a = int(actions[i])
-            best_next = max(value(b, feats_next[i])[0] for b in acts)
-            v, hidden = value(a, feats[i])
+            best_next = max(mlp_forward(feats_next[i], nets[b], affine_last=True) for b in acts)
+            cache = []
+            v = mlp_forward(feats[i], nets[a], affine_last=True, cache=cache)
+            hidden = cache[0][2]
             delta = utilities[i] + gamma * best_next - v
             alpha = schedule(k)
             (w1, b1), (w2, b2) = nets[a]
@@ -273,16 +235,6 @@ class PolicyValue:
     horizon: int
     definition: str  # "per_step_mean" or "discounted_sum"
     seed: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "mean_outcome": self.mean_outcome,
-            "std_error": self.std_error,
-            "n_rollouts": self.n_rollouts,
-            "horizon": self.horizon,
-            "definition": self.definition,
-            "seed": self.seed,
-        }
 
 
 def evaluate_policy(

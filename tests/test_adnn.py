@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,20 +9,18 @@ from suffmdp.adnn import (
     Architecture,
     ConvergenceError,
     FitConfig,
+    _batch_gradients,
     active_inputs,
     adnn_cost,
-    adnn_forward,
-    adnn_subgradient,
     construct_sufficient_features,
     cross_validate_adnn,
     default_dims,
-    feature_forward,
     fit_adnn,
     residual_independence_pvalue,
     select_feature_dimension,
     PipelineConfig,
 )
-from suffmdp.core import TrajectoryDataset, flatten_transitions
+from suffmdp.core import TrajectoryDataset, config_from_jsonable, flatten_transitions
 from suffmdp.features import NetworkFeatureMap
 from suffmdp.rng import substream
 
@@ -56,10 +55,18 @@ def linear_response_dataset(n=40, horizon=8, slope=2.0, noise=0.1, seed=0):
     return TrajectoryDataset(states, actions, utilities, n_actions=1)
 
 
+def features_of(s, model):
+    return model.features(np.asarray(s)[None, :])[0]
+
+
+def predict_one(s, action, model):
+    return model.predict(np.asarray(s)[None, :], action)[0]
+
+
 class TestForward:
     def test_zero_parameters_give_half(self):
         m = make_model(scale=0.0)
-        out = feature_forward(np.array([0.3, -1.0, 5.0]), m)
+        out = features_of(np.array([0.3, -1.0, 5.0]), m)
         assert np.allclose(out, 0.5)
 
     def test_zero_column_makes_output_invariant(self):
@@ -70,7 +77,7 @@ class TestForward:
         m.feature_layers[0] = (w0, b0)
         s = np.array([0.7, 2.0, -0.4])
         bumped = s + np.array([0.0, 123.0, 0.0])
-        assert np.array_equal(feature_forward(s, m), feature_forward(bumped, m))
+        assert np.array_equal(features_of(s, m), features_of(bumped, m))
 
     def test_single_layer_selection_is_activation_of_coordinate(self):
         arch = Architecture(input_dim=3, feature_dim=1, output_dim=4, depth=1)
@@ -81,14 +88,14 @@ class TestForward:
         )
         s = np.array([0.8, -3.0, 9.0])
         expected = 1.0 / (1.0 + np.exp(-0.8))
-        assert feature_forward(s, model)[0] == pytest.approx(expected)
+        assert features_of(s, model)[0] == pytest.approx(expected)
 
     def test_heads_differ_when_parameters_differ(self):
         m = make_model(seed=4)
         s = np.array([0.1, 0.2, 0.3])
-        assert not np.allclose(adnn_forward(s, 1, m), adnn_forward(s, 2, m))
+        assert not np.allclose(predict_one(s, 1, m), predict_one(s, 2, m))
         m.heads[2] = [(w.copy(), b.copy()) for w, b in m.heads[1]]
-        assert np.allclose(adnn_forward(s, 1, m), adnn_forward(s, 2, m))
+        assert np.allclose(predict_one(s, 1, m), predict_one(s, 2, m))
 
     def test_affine_head_with_zero_weights_returns_bias(self):
         arch = Architecture(input_dim=2, feature_dim=2, output_dim=3, depth=1)
@@ -98,17 +105,17 @@ class TestForward:
             feature_layers=[(np.eye(2), np.zeros(2))],
             heads={1: [(np.zeros((3, 2)), bias)]},
         )
-        assert np.array_equal(adnn_forward(np.array([4.0, 5.0]), 1, model), bias)
+        assert np.array_equal(predict_one(np.array([4.0, 5.0]), 1, model), bias)
 
     def test_output_dimension(self):
         m = make_model(input_dim=5, seed=5)
-        out = adnn_forward(substream(1).normal(size=(7, 5)), 2, m)
+        out = m.predict(substream(1).normal(size=(7, 5)), 2)
         assert out.shape == (7, 6)
 
     def test_unknown_action_rejected(self):
         m = make_model()
         with pytest.raises(ValueError):
-            adnn_forward(np.zeros(3), 9, m)
+            predict_one(np.zeros(3), 9, m)
 
 
 class TestCost:
@@ -116,9 +123,10 @@ class TestCost:
         ds = linear_response_dataset(n=6, horizon=3)
         m = make_model(input_dim=1, n_actions=1, seed=6)
         manual = 0.0
-        for tr in flatten_transitions(ds):
-            pred = adnn_forward(tr.state, tr.action, m)
-            y = np.concatenate([[tr.utility], tr.next_state])
+        tr = flatten_transitions(ds)
+        for i in range(len(tr)):
+            pred = predict_one(tr.states[i], int(tr.actions[i]), m)
+            y = np.concatenate([[tr.utilities[i]], tr.next_states[i]])
             manual += float(np.sum((pred - y) ** 2))
         assert adnn_cost(ds, m, 0.0) == pytest.approx(manual / ds.n_subjects)
 
@@ -155,15 +163,17 @@ class TestCost:
         assert adnn_cost(ds, model, 0.0) == 0.0
 
 
-def finite_difference_grads(batch, model, lam, action, step=1e-5):
+def action_batch(ds, action, size=None):
+    """States and responses ``(U, S')`` of the first steps taking ``action``."""
+    tr = flatten_transitions(ds)
+    rows = np.flatnonzero(tr.actions == action)[:size]
+    return tr.states[rows], tr.responses[rows]
+
+
+def finite_difference_grads(s, y, model, lam, action, step=1e-5):
     """Central differences of the batch objective through parameter copies."""
 
     def objective(m):
-        s = np.stack([tr.state for tr in batch])
-        y = np.hstack([
-            np.array([[tr.utility] for tr in batch]),
-            np.stack([tr.next_state for tr in batch]),
-        ])
         pred = m.predict(s, action)
         err = float(np.mean(np.sum((pred - y) ** 2, axis=1)))
         w1 = m.feature_layers[0][0]
@@ -226,10 +236,10 @@ class TestSubgradient:
                 scale=0.7,
             )
             ds = _random_dataset(model.architecture.input_dim, seed=case)
-            batch = [tr for tr in flatten_transitions(ds) if tr.action == 1][:6]
+            s, y = action_batch(ds, 1, size=6)
             lam = 0.05
-            f_g, h_g = adnn_subgradient(batch, model, lam, 1)
-            f_fd, h_fd = finite_difference_grads(batch, model, lam, 1)
+            f_g, h_g = _batch_gradients(s, y, model, lam, 1)
+            f_fd, h_fd = finite_difference_grads(s, y, model, lam, 1)
             for (dw, db), (dw2, db2) in zip(f_g + h_g, f_fd + h_fd):
                 assert relative_error(dw, dw2).max() < 1e-4
                 assert relative_error(db, db2).max() < 1e-4
@@ -245,22 +255,19 @@ class TestSubgradient:
             feature_layers=[(np.zeros((1, 1)), np.zeros(1))],
             heads={1: [(np.zeros((2, 1)), np.array([1.0, 0.0]))]},
         )
-        f_g, h_g = adnn_subgradient(flatten_transitions(ds), model, 0.0, 1)
+        f_g, h_g = _batch_gradients(*action_batch(ds, 1), model, 0.0, 1)
         for dw, db in f_g + h_g:
             assert np.allclose(dw, 0.0) and np.allclose(db, 0.0)
 
     def test_only_requested_head_gets_gradients(self):
         model = make_model(seed=9)
         ds = _random_dataset(3, seed=5, n_actions=2)
-        batch = [tr for tr in flatten_transitions(ds) if tr.action == 1]
-        f_g, h_g = adnn_subgradient(batch, model, 0.1, 1)
+        f_g, h_g = _batch_gradients(*action_batch(ds, 1), model, 0.1, 1)
         assert len(h_g) == len(model.heads[1])
-        with pytest.raises(ValueError):
-            adnn_subgradient(batch, model, 0.1, 2)  # actions mismatch
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            adnn_subgradient([], make_model(), 0.0, 1)
+        for (dw, db), (w, b) in zip(f_g + h_g, model.feature_layers + model.heads[1]):
+            assert dw.shape == w.shape and db.shape == b.shape
+        with pytest.raises(KeyError):
+            _batch_gradients(*action_batch(ds, 1), model, 0.1, 3)  # no such head
 
 
 def _random_dataset(p, seed=0, n=8, horizon=4, n_actions=1):
@@ -509,5 +516,13 @@ class TestPipeline:
             tau=0.2, tau_dim=0.07, dims=(1, 2), grid=((4, 1, 0.01),),
             cv_fit=FitConfig(n_max=10), seed=3,
         )
-        again = PipelineConfig.from_jsonable(cfg.to_jsonable())
+        again = config_from_jsonable(
+            PipelineConfig, json.loads(json.dumps(dataclasses.asdict(cfg)))
+        )
         assert again == cfg
+
+    def test_config_loader_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="'folds_' for PipelineConfig"):
+            config_from_jsonable(PipelineConfig, {"folds_": 3})
+        with pytest.raises(ValueError, match="'nmax' for FitConfig"):
+            config_from_jsonable(PipelineConfig, {"fit": {"nmax": 3}})

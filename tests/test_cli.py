@@ -116,6 +116,16 @@ class TestExitCodes:
     def test_missing_file_gives_1(self, inputs):
         assert run("screen --data absent.csv", inputs) == 1
 
+    @pytest.mark.parametrize("section", ["top", "pipeline", "fit"])
+    def test_misspelled_config_key_gives_1(self, inputs, section, capsys):
+        config = json.loads(json.dumps(EXPERIMENT))
+        target = {"top": config, "pipeline": config["pipeline"],
+                  "fit": config["pipeline"]["fit"]}[section]
+        target["replicatez"] = 1
+        (inputs / "bad.json").write_text(json.dumps(config))
+        assert run("experiment --config {in}/bad.json", inputs) == 1
+        assert "'replicatez'" in capsys.readouterr().err
+
     def test_runtime_failure_gives_2(self, inputs, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")

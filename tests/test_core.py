@@ -7,7 +7,6 @@ from suffmdp.core import (
     TrajectoryDataset,
     flatten_transitions,
     load_dataset_csv,
-    regroup_transitions,
     save_dataset_csv,
 )
 from suffmdp.rng import substream
@@ -76,7 +75,8 @@ class TestFlatten:
 
     def test_filtered_counts_partition_total(self):
         ds = sample_trajectories(GenerativeModelSpec("linear", 0, seed=2), 30, 90)
-        counts = {a: len(flatten_transitions(ds, action_filter=a)) for a in (1, 2)}
+        actions = flatten_transitions(ds).actions
+        counts = {a: int(np.sum(actions == a)) for a in (1, 2)}
         assert counts[1] + counts[2] == 30 * 90
         assert counts[1] == int(np.sum(ds.actions == 1))
         # Bernoulli(0.5) actions: realized count should be near half
@@ -84,16 +84,34 @@ class TestFlatten:
 
     def test_single_transition(self):
         ds = small_dataset(n=1, horizon=1, p=1)
-        transitions = flatten_transitions(ds)
-        assert len(transitions) == 1
-        tr = transitions[0]
-        assert tr.t == 1
-        assert tr.state.shape == (1,)
+        tr = flatten_transitions(ds)
+        assert len(tr) == 1
+        assert tr.states.shape == tr.next_states.shape == (1, 1)
+        assert tr.states[0, 0] == ds.states[0, 0, 0]
+        assert tr.next_states[0, 0] == ds.states[0, 1, 0]
 
-    def test_flatten_regroup_round_trip(self):
+    def test_rows_rebuild_the_dataset(self):
+        # row i * T + (t - 1) is subject i's step at time t
         ds = small_dataset(n=4, horizon=5, p=3, seed=9)
-        rebuilt = regroup_transitions(flatten_transitions(ds), n_actions=2)
+        tr = flatten_transitions(ds)
+        n, horizon, p = ds.n_subjects, ds.horizon, ds.state_dim
+        rebuilt = TrajectoryDataset(
+            states=np.concatenate(
+                [tr.states.reshape(n, horizon, p), tr.next_states.reshape(n, horizon, p)[:, -1:]],
+                axis=1,
+            ),
+            actions=tr.actions.reshape(n, horizon),
+            utilities=tr.utilities.reshape(n, horizon),
+            n_actions=2,
+        )
         assert rebuilt.equals(ds)
+        assert np.array_equal(tr.next_states.reshape(n, horizon, p), ds.states[:, 1:])
+
+    def test_view_is_read_only(self):
+        tr = flatten_transitions(small_dataset())
+        for a in (tr.states, tr.actions, tr.utilities, tr.next_states):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestCsvRoundTrip:
