@@ -681,7 +681,10 @@ def construct_sufficient_features(
     restricted data and keeps only the active inputs of the fitted map;
     iteration stops when the variable set stops shrinking (further passes
     would see identical inputs).  The returned feature map composes the
-    final network with the raw-variable selection.
+    final network with the raw-variable selection.  When ``max_iterations``
+    passes end with a shrunk set, the result keeps the variables the final
+    network was fitted on, flags ``iteration-limit-reached``, and the shrunk
+    set stays in ``iterations[-1].active``.
     """
     scr = screen(
         ds,
@@ -743,9 +746,10 @@ def construct_sufficient_features(
             break
         if set(active_abs) == set(variables):
             break
+        if it == config.max_iterations:
+            flags += ("iteration-limit-reached",)
+            break
         variables = active_abs
-    else:
-        flags += ("iteration-limit-reached",)
 
     fmap = selection.model.feature_map(
         input_indices=variables, input_dim=ds.state_dim

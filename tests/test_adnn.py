@@ -23,6 +23,7 @@ from suffmdp.adnn import (
 from suffmdp.core import TrajectoryDataset, config_from_jsonable, flatten_transitions
 from suffmdp.features import NetworkFeatureMap
 from suffmdp.rng import substream
+from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
 
 
 def make_model(input_dim=3, feature_dim=2, hidden=4, depth=2, n_actions=2,
@@ -510,6 +511,22 @@ class TestPipeline:
         assert result.variables == []
         assert result.feature_map is None
         assert "utility-independent-of-state" in result.flags
+
+    def test_iteration_limit_keeps_fitted_variables(self):
+        ds = sample_trajectories(GenerativeModelSpec("linear", signal_dim=16), 30, 4, rng=1)
+        cfg = PipelineConfig(
+            n_permutations=199, grid=((4, 1, 0.1),), folds=2,
+            cv_fit=FitConfig(n_max=20), fit=FitConfig(n_max=50), dims=(1,),
+            col_tol=0.6, screen_n_max=2, seed=1, max_iterations=1,
+        )
+        result = construct_sufficient_features(ds, cfg)
+        assert "iteration-limit-reached" in result.flags
+        last = result.iterations[-1]
+        assert set(last.active) < set(last.variables)  # the set shrank
+        assert result.variables == last.variables
+        assert result.feature_map.input_indices == result.variables
+        feats = result.feature_map.transform(ds.states[:, 0])
+        assert feats.shape == (ds.n_subjects, result.feature_dim)
 
     def test_pipeline_config_json_round_trip(self):
         cfg = PipelineConfig(
