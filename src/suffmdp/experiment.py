@@ -9,7 +9,9 @@ Carlo standard errors, mirroring a results-table layout.
 Every random quantity derives from the master seed and the replicate's
 coordinates, so the emitted tables are byte-identical across runs and
 across worker counts.  A replicate whose fit diverges is retried once with
-a halved step size, then excluded and counted.
+a halved step size, then excluded and counted.  One whose screening selects
+no variable is excluded at once, because screening does not depend on the
+step size; its failure entry has the outcome ``utility-independent-of-state``.
 """
 
 from __future__ import annotations
@@ -142,7 +144,10 @@ class ExperimentResult:
 
 def _build_feature_map(method, ds, gen_spec, cfg: ExperimentConfig, seed: int,
                        alpha_scale: float = 1.0):
-    """Returns (feature_map, n_var, n_dim) for one method on one dataset."""
+    """Returns (feature_map, n_var, n_dim) for one method on one dataset.
+
+    The adnn map is None when screening selects no variable.
+    """
     p = ds.state_dim
     if method == "raw":
         return IdentityFeatureMap(p), p, p
@@ -160,8 +165,6 @@ def _build_feature_map(method, ds, gen_spec, cfg: ExperimentConfig, seed: int,
     )
     if method == "adnn":
         result = construct_sufficient_features(ds, pipe)
-        if result.feature_map is None:
-            raise ConvergenceError("pipeline selected no variables")
         return result.feature_map, result.n_var, result.n_dim
     if method == "tnn":
         result = fit_tnn(ds, pipe)
@@ -183,11 +186,16 @@ def _run_replicate(cfg: ExperimentConfig, mi: int, ni: int, rep: int) -> dict:
         feat_seed = derive_seed(cfg.master_seed, mi, ni, rep, 1, fi)
         entry = None
         err_msgs = []
+        outcome = "diverged"
         for attempt, alpha_scale in enumerate((1.0, 0.5)):
             try:
                 fmap, n_var, n_dim = _build_feature_map(
                     method, ds, gen_spec, cfg, feat_seed, alpha_scale
                 )
+                if fmap is None:
+                    outcome = "utility-independent-of-state"
+                    err_msgs.append("screening selected no variables")
+                    break
                 entry = {"n_var": n_var, "n_dim": n_dim}
                 for qi, q_method in enumerate(cfg.q_methods):
                     fit_seed = derive_seed(cfg.master_seed, mi, ni, rep, 2, fi, qi)
@@ -223,7 +231,7 @@ def _run_replicate(cfg: ExperimentConfig, mi: int, ni: int, rep: int) -> dict:
             failures.append(
                 {
                     "model": model, "n_noise": noise, "replicate": rep,
-                    "feature_method": method, "errors": err_msgs,
+                    "feature_method": method, "outcome": outcome, "errors": err_msgs,
                 }
             )
         else:
