@@ -280,8 +280,7 @@ def _batch_gradients(s, y, model, lam, action):
     layers = model.feature_layers + model.heads[action]
     cache = []
     out = mlp_forward(s, layers, model.activation, affine_last=True, cache=cache)
-    grads = mlp_backward(cache, layers, 2.0 * (out - y) / s.shape[0], model.activation,
-                         affine_last=True)
+    grads = mlp_backward(cache, layers, 2.0 * (out - y) / s.shape[0], model.activation)
     k = len(model.feature_layers)
     feature_grads, head_grads = grads[:k], grads[k:]
 

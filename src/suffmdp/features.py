@@ -74,19 +74,18 @@ def mlp_forward(x, layers, activation="sigmoid", affine_last=False, cache=None):
     return x
 
 
-def mlp_backward(cache, layers, delta, activation="sigmoid", affine_last=False):
+def mlp_backward(cache, layers, delta, activation="sigmoid"):
     """Parameter gradients ``[(dW, db)]`` of a loss through a cached forward pass.
 
     ``delta`` is the loss gradient with respect to the network output;
-    ``cache``, ``activation`` and ``affine_last`` are those of the
-    :func:`mlp_forward` call.
+    ``cache`` and ``activation`` are those of the :func:`mlp_forward` call.
     """
     dact = ACTIVATIONS[activation][1]
-    last = len(layers) - 1
     grads = [None] * len(layers)
-    for i in range(last, -1, -1):
+    for i in range(len(layers) - 1, -1, -1):
         x, z, out = cache[i]
-        dz = delta if affine_last and i == last else delta * dact(z, out)
+        # an affine layer cached its pre-activation as its output
+        dz = delta if out is z else delta * dact(z, out)
         grads[i] = (dz.T @ x, dz.sum(axis=0))
         if i:
             delta = dz @ layers[i][0]
