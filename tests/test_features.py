@@ -9,6 +9,7 @@ from suffmdp.features import (
     NetworkFeatureMap,
     TruncatedGFeatureMap,
     feature_map_from_jsonable,
+    mlp_forward,
 )
 from suffmdp.rng import substream
 
@@ -47,6 +48,17 @@ class TestNetworkMap:
     def test_index_count_must_match_first_layer(self):
         with pytest.raises(ValueError):
             random_network(input_indices=[0, 1], full_dim=8)
+
+
+def test_mlp_one_dimensional_last_weight_gives_one_value_per_row():
+    rng = substream(8)
+    w1, b1, w2 = rng.normal(size=(3, 2)), rng.normal(size=3), rng.normal(size=3)
+    x = rng.normal(size=(5, 2))
+    out = mlp_forward(x, [(w1, b1), (w2, 0.5)], affine_last=True)
+    assert out.shape == (5,)
+    hidden = 1.0 / (1.0 + np.exp(-(x @ w1.T + b1)))
+    assert np.allclose(out, hidden @ w2 + 0.5)
+    assert np.allclose(mlp_forward(x[0], [(w1, b1), (w2, 0.5)], affine_last=True), out[0])
 
 
 class TestOtherMaps:
