@@ -39,7 +39,6 @@ from .dcov import (
     dcov_permutation_pvalue,
     dcov_statistic,
     default_pool_order,
-    lrt_independence_pvalue,
     pooled_pvalue,
     stratified_pooled_test,
 )

@@ -469,22 +469,18 @@ def residual_independence_pvalue(
     model's features as capturing all state information relevant to the
     response.
     """
-    n, horizon, p = ds.n_subjects, ds.horizon, ds.state_dim
-    actions = sorted(actions_subset) if actions_subset is not None else list(
-        range(1, ds.n_actions + 1)
-    )
+    actions = sorted(range(1, ds.n_actions + 1) if actions_subset is None else actions_subset)
     tr = flatten_transitions(ds)
     y = tr.responses
-    resid = np.full((len(tr), p + 1), np.nan)
+    resid = np.full(y.shape, np.nan)
     for a in actions:
         idx = tr.actions == a
         resid[idx] = y[idx] - model.predict(tr.states[idx], a)
-    resid = resid.reshape(n, horizon, p + 1)
-
+    # rows of untested actions stay NaN; the test never reads them
     return stratified_pooled_test(
-        extract_g=lambda d, t: resid[:, t - 1],
-        extract_h=lambda d, t: d.states[:, t - 1],
-        ds=ds,
+        resid.reshape(ds.actions.shape + (-1,)),
+        ds.states[:, :-1],
+        ds,
         tau=tau,
         n_permutations=n_permutations,
         seed=seed,

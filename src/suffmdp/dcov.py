@@ -1,7 +1,7 @@
-"""Independence testing: distance covariance, permutation and likelihood-ratio
-tests, within-action stratification, and order-statistic p-value pooling.
+"""Independence testing: distance-covariance permutation tests, within-action
+stratification, and order-statistic p-value pooling.
 
-The main statistic is the empirical squared distance covariance
+The statistic is the empirical squared distance covariance
 
     V2(X, Y) = (1/m^2) * sum_{j,k} A_jk * B_jk,
 
@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import chi2
 
 from .core import TrajectoryDataset
 from .rng import substream
@@ -41,7 +40,6 @@ __all__ = [
     "TestReport",
     "dcov_statistic",
     "dcov_permutation_pvalue",
-    "lrt_independence_pvalue",
     "pooled_pvalue",
     "default_pool_order",
     "stratified_pooled_test",
@@ -82,7 +80,6 @@ class TestReport:
     n_permutations: int = 0
     seed: Optional[int] = None
     reject: Optional[bool] = None
-    flags: tuple = ()
 
     def to_jsonable(self) -> dict:
         return {
@@ -93,7 +90,6 @@ class TestReport:
             "B": self.n_permutations,
             "seed": self.seed,
             "reject": self.reject,
-            "flags": list(self.flags),
         }
 
 
@@ -110,49 +106,55 @@ def _as_sample(x, name: str) -> np.ndarray:
     return x
 
 
-def _double_center(d: np.ndarray) -> np.ndarray:
-    row = d.mean(axis=1, keepdims=True)
-    col = d.mean(axis=0, keepdims=True)
-    return d - row - col + d.mean()
-
-
-def _centered_distances(x: np.ndarray) -> np.ndarray:
-    return _double_center(cdist(x, x))
-
-
-def dcov_statistic(x, y) -> float:
-    """Empirical squared distance covariance of two paired samples."""
+def _paired_samples(x, y) -> tuple:
     x = _as_sample(x, "x")
     y = _as_sample(y, "y")
     if x.shape[0] != y.shape[0]:
         raise ValueError(
             f"x and y must be paired: {x.shape[0]} vs {y.shape[0]} rows"
         )
+    return x, y
+
+
+def _centered_distances(x: np.ndarray) -> np.ndarray:
+    d = cdist(x, x)
+    row = d.mean(axis=1, keepdims=True)
+    col = d.mean(axis=0, keepdims=True)
+    return d - row - col + d.mean()
+
+
+def dcov_statistic(x, y) -> float:
+    """Empirical squared distance covariance of two paired samples."""
+    x, y = _paired_samples(x, y)
     a = _centered_distances(x)
     b = _centered_distances(y)
     # Mathematically nonnegative; clamp roundoff noise.
     return max(0.0, float(np.mean(a * b)))
 
 
-def _permutation_stats(
-    a: np.ndarray, b: np.ndarray, n_permutations: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Statistics for uniform row permutations of the second sample.
+def _permutation_test(
+    x: np.ndarray, y: np.ndarray, n_permutations: int, rng: np.random.Generator
+) -> tuple:
+    """``(statistic, p_value)`` for two validated, paired 2-D samples.
 
     Permuting rows of Y permutes rows and columns of its centered distance
     matrix, so each permuted statistic is mean(A * B[perm][:, perm]).
     """
+    a = _centered_distances(x)
+    b = _centered_distances(y)
     m = a.shape[0]
-    out = np.empty(n_permutations)
+    observed = max(0.0, float(np.mean(a * b)))
     chunk = max(1, _PERM_CHUNK_FLOATS // (m * m))
+    exceed = 0
     done = 0
     while done < n_permutations:
         size = min(chunk, n_permutations - done)
         perms = np.argsort(rng.random((size, m)), axis=1)
         permuted = b[perms[:, :, None], perms[:, None, :]]
-        out[done : done + size] = np.einsum("ij,bij->b", a, permuted) / (m * m)
+        stats = np.einsum("ij,bij->b", a, permuted) / (m * m)
+        exceed += int(np.sum(stats >= observed))
         done += size
-    return out
+    return observed, (1 + exceed) / (n_permutations + 1)
 
 
 def dcov_permutation_pvalue(
@@ -168,60 +170,16 @@ def dcov_permutation_pvalue(
     """
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
-    x = _as_sample(x, "x")
-    y = _as_sample(y, "y")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"x and y must be paired: {x.shape[0]} vs {y.shape[0]} rows"
-        )
+    x, y = _paired_samples(x, y)
     seed = rng if isinstance(rng, int) else None
     gen = substream(rng) if isinstance(rng, int) else rng
-    a = _centered_distances(x)
-    b = _centered_distances(y)
-    m = x.shape[0]
-    observed = max(0.0, float(np.mean(a * b)))
-    stats = _permutation_stats(a, b, n_permutations, gen)
-    exceed = int(np.sum(stats >= observed))
+    statistic, p_value = _permutation_test(x, y, n_permutations, gen)
     return TestReport(
-        statistic=observed,
-        p_value=(1 + exceed) / (n_permutations + 1),
+        statistic=statistic,
+        p_value=p_value,
         n_permutations=n_permutations,
         seed=seed,
     )
-
-
-def lrt_independence_pvalue(x, y) -> TestReport:
-    """Likelihood-ratio (G) test of independence for discrete samples.
-
-    Rows of multi-column inputs are treated as single levels.  Levels never
-    observed contribute no cells.  A margin with a single level admits no
-    test; the report then carries ``p = 1`` and a ``degenerate-margin`` flag.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"x and y must be paired: {x.shape[0]} vs {y.shape[0]} rows"
-        )
-    if x.shape[0] < 1:
-        raise ValueError("need at least one observation")
-    _, xi = np.unique(x, axis=0, return_inverse=True)
-    _, yi = np.unique(y, axis=0, return_inverse=True)
-    n_x = int(xi.max()) + 1
-    n_y = int(yi.max()) + 1
-    table = np.zeros((n_x, n_y))
-    np.add.at(table, (xi, yi), 1.0)
-    if n_x < 2 or n_y < 2:
-        return TestReport(statistic=0.0, p_value=1.0, flags=("degenerate-margin",))
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    observed = table[table > 0]
-    g_stat = 2.0 * float(np.sum(observed * np.log(observed / expected[table > 0])))
-    dof = (n_x - 1) * (n_y - 1)
-    return TestReport(statistic=max(0.0, g_stat), p_value=float(chi2.sf(g_stat, dof)))
 
 
 def pooled_pvalue(pvals: Sequence[float], u: int) -> float:
@@ -246,12 +204,24 @@ def default_pool_order(n_tests: int) -> int:
     return min(n_tests // 20 + 1, n_tests)
 
 
-Extractor = Callable[[TrajectoryDataset, int], np.ndarray]
+def _time_block(x, name: str, actions: np.ndarray, tested: np.ndarray) -> np.ndarray:
+    """``x`` as an (n, T, q) float array, finite wherever ``tested`` is set."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[:2] != actions.shape:
+        raise ValueError(
+            f"{name} must have shape {actions.shape} or {actions.shape} + (q,) "
+            f"to match the actions, got {x.shape}"
+        )
+    if x.ndim == 2:
+        x = x[:, :, None]
+    if not np.all(np.isfinite(x[tested])):
+        raise ValueError(f"{name} contains non-finite entries in a tested row")
+    return x
 
 
 def stratified_pooled_test(
-    extract_g: Extractor,
-    extract_h: Extractor,
+    g,
+    h,
     ds: TrajectoryDataset,
     tau: float = 0.1,
     n_permutations: int = 999,
@@ -263,9 +233,12 @@ def stratified_pooled_test(
 ) -> TestReport:
     """Test ``G^t independent of H^t`` within action levels, pooled over time.
 
-    ``extract_g(ds, t)`` and ``extract_h(ds, t)`` return paired per-subject
-    feature rows for time ``t`` (1-based).  For each ``t`` and each tested
-    action level with at least ``min_stratum`` subjects, a permutation
+    ``g`` and ``h`` are arrays of shape ``(n, T)`` or ``(n, T, q)`` laid out
+    like ``ds.actions``: ``g[:, t-1]`` holds the per-subject rows at time
+    ``t`` (1-based), paired with ``h[:, t-1]``.  Entries must be finite in
+    every row whose action level is tested; rows of untested action levels
+    are never read and may hold NaN.  For each ``t`` and each tested action
+    level with at least ``min_stratum`` subjects, a permutation
     distance-covariance test runs on that stratum; action levels at the same
     time point are combined by Bonferroni over the number of tested strata,
     and the per-time p-values are pooled by :func:`pooled_pvalue`.
@@ -276,18 +249,17 @@ def stratified_pooled_test(
     """
     if not 0 < tau < 1:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    tested_actions = sorted(actions) if actions is not None else list(
-        range(1, ds.n_actions + 1)
-    )
+    if n_permutations < 1:
+        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
+    if min_stratum < 2:
+        raise ValueError(f"min_stratum must be >= 2, got {min_stratum}")
+    tested_actions = sorted(range(1, ds.n_actions + 1) if actions is None else actions)
+    tested = np.isin(ds.actions, tested_actions)
+    g = _time_block(g, "g", ds.actions, tested)
+    h = _time_block(h, "h", ds.actions, tested)
     strata: list[StratumResult] = []
     per_time: list[float] = []
     for t in range(1, ds.horizon + 1):
-        g = np.asarray(extract_g(ds, t), dtype=np.float64)
-        h = np.asarray(extract_h(ds, t), dtype=np.float64)
-        if g.ndim == 1:
-            g = g[:, None]
-        if h.ndim == 1:
-            h = h[:, None]
         at = ds.actions[:, t - 1]
         time_ps = []
         for a in tested_actions:
@@ -295,22 +267,12 @@ def stratified_pooled_test(
             m = int(rows.sum())
             if m < min_stratum:
                 continue
-            report = dcov_permutation_pvalue(
-                g[rows],
-                h[rows],
-                n_permutations=n_permutations,
-                rng=substream(seed, *key, t, a),
+            statistic, p_value = _permutation_test(
+                g[rows, t - 1], h[rows, t - 1], n_permutations,
+                substream(seed, *key, t, a),
             )
-            strata.append(
-                StratumResult(
-                    t=t,
-                    action=a,
-                    sample_size=m,
-                    statistic=report.statistic,
-                    p_value=report.p_value,
-                )
-            )
-            time_ps.append(report.p_value)
+            strata.append(StratumResult(t, a, m, statistic, p_value))
+            time_ps.append(p_value)
         if time_ps:
             per_time.append(min(1.0, len(time_ps) * min(time_ps)))
     if not per_time:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TrajectoryDataset
-from .dcov import default_pool_order, stratified_pooled_test
+from .dcov import stratified_pooled_test
 
 __all__ = ["ScreenRound", "ScreenResult", "screen"]
 
@@ -92,13 +92,17 @@ def screen(
     converged = False
     for k in range(1, n_max + 1):
         tested = [j for j in order if j not in selected]
+        # response block (U^t, S^{t+1}_selected) for every t, shared by the round
+        response = np.concatenate(
+            [ds.utilities[:, :, None], ds.states[:, 1:, selected]], axis=2
+        )
         pvals: dict[int, float] = {}
         added: list[int] = []
         for j in tested:
             report = stratified_pooled_test(
-                extract_g=lambda d, t, j=j: d.states[:, t - 1, j],
-                extract_h=_selected_response_extractor(selected),
-                ds=ds,
+                ds.states[:, :-1, j],
+                response,
+                ds,
                 tau=tau,
                 n_permutations=n_permutations,
                 seed=seed,
@@ -120,15 +124,3 @@ def screen(
         selected=sorted(selected), rounds=rounds, tau=tau, converged=converged
     )
 
-
-def _selected_response_extractor(selected: Sequence[int]):
-    """Extractor for the response block: utility now, selected coords next step."""
-    cols = list(selected)
-
-    def extract(ds: TrajectoryDataset, t: int) -> np.ndarray:
-        u = ds.utilities[:, t - 1][:, None]
-        if not cols:
-            return u
-        return np.hstack([u, ds.states[:, t, cols]])
-
-    return extract

@@ -9,7 +9,6 @@ from suffmdp.dcov import (
     dcov_permutation_pvalue,
     dcov_statistic,
     default_pool_order,
-    lrt_independence_pvalue,
     pooled_pvalue,
     stratified_pooled_test,
 )
@@ -157,29 +156,6 @@ class TestPermutationPvalue:
         assert payload["B"] == 19
 
 
-class TestLikelihoodRatioTest:
-    def test_uniform_table_gives_p_one(self):
-        x = np.repeat([0, 0, 1, 1], 10)
-        y = np.tile(np.repeat([0, 1], 10), 2)
-        report = lrt_independence_pvalue(x, y)
-        assert report.statistic == pytest.approx(0.0, abs=1e-12)
-        assert report.p_value == pytest.approx(1.0)
-
-    def test_diagonal_table_matches_closed_form(self):
-        # table [[20, 0], [0, 20]]: G = 80 * ln 2, p far below 1e-6
-        x = np.repeat([0, 1], 20)
-        report = lrt_independence_pvalue(x, x)
-        assert report.statistic == pytest.approx(80 * np.log(2), rel=1e-12)
-        assert report.p_value < 1e-6
-
-    def test_single_level_margin_flagged(self):
-        x = np.zeros(10, dtype=int)
-        y = np.arange(10) % 2
-        report = lrt_independence_pvalue(x, y)
-        assert report.p_value == 1.0
-        assert "degenerate-margin" in report.flags
-
-
 class TestPooledPvalue:
     def test_bonferroni_case(self):
         assert pooled_pvalue([0.02, 0.5, 0.3, 0.7, 0.9], u=1) == pytest.approx(0.10)
@@ -239,8 +215,8 @@ class TestStratifiedPooledTest:
         actions = np.ones((30, 1), dtype=int)
         ds = _dataset_with_columns(g, h, actions)
         report = stratified_pooled_test(
-            lambda d, t: d.states[:, t - 1, 0],
-            lambda d, t: d.states[:, t - 1, 1],
+            ds.states[:, :-1, 0],
+            ds.states[:, :-1, 1],
             ds,
             n_permutations=99,
             seed=3,
@@ -263,8 +239,8 @@ class TestStratifiedPooledTest:
                 actions = np.ones((20, horizon), dtype=int)
                 ds = _dataset_with_columns(g, h, actions)
                 report = stratified_pooled_test(
-                    lambda d, t: d.states[:, t - 1, 0],
-                    lambda d, t: d.states[:, t - 1, 1],
+                    ds.states[:, :-1, 0],
+                    ds.states[:, :-1, 1],
                     ds,
                     n_permutations=39,
                     seed=rep,
@@ -281,8 +257,8 @@ class TestStratifiedPooledTest:
                 GenerativeModelSpec("linear", 0, seed=rep), 30, 90
             )
             report = stratified_pooled_test(
-                lambda d, t: d.utilities[:, t - 1],
-                lambda d, t: d.states[:, t - 1, 0],
+                ds.utilities,
+                ds.states[:, :-1, 0],
                 ds,
                 n_permutations=999,
                 seed=rep,
@@ -299,8 +275,8 @@ class TestStratifiedPooledTest:
         ds = _dataset_with_columns(g, h, actions)
         with pytest.raises(InsufficientDataError):
             stratified_pooled_test(
-                lambda d, t: d.states[:, t - 1, 0],
-                lambda d, t: d.states[:, t - 1, 1],
+                ds.states[:, :-1, 0],
+                ds.states[:, :-1, 1],
                 ds,
                 min_stratum=5,
             )
@@ -314,11 +290,63 @@ class TestStratifiedPooledTest:
         )
         ds = _dataset_with_columns(g, h, actions)
         report = stratified_pooled_test(
-            lambda d, t: d.states[:, t - 1, 0],
-            lambda d, t: d.states[:, t - 1, 1],
+            ds.states[:, :-1, 0],
+            ds.states[:, :-1, 1],
             ds,
             n_permutations=99,
             seed=0,
             min_stratum=5,
         )
         assert [s.action for s in report.strata] == [1]
+
+
+class TestStratifiedArrayContract:
+    @staticmethod
+    def _two_action_data():
+        rng = substream(23)
+        n, horizon = 24, 3
+        actions = np.tile(np.repeat([1, 2], n // 2)[:, None], (1, horizon))
+        ds = _dataset_with_columns(
+            rng.normal(size=(n, horizon + 1)), rng.normal(size=(n, horizon + 1)), actions
+        )
+        g = rng.normal(size=(n, horizon, 2))
+        h = ds.states[:, :-1]
+        return ds, g, h
+
+    def test_nan_in_untested_action_rows_accepted(self):
+        ds, g, h = self._two_action_data()
+        g[ds.actions == 2] = np.nan
+        report = stratified_pooled_test(g, h, ds, n_permutations=19, actions=[1])
+        assert {s.action for s in report.strata} == {1}
+        assert np.isfinite(report.p_value)
+
+    def test_nan_in_tested_row_rejected(self):
+        ds, g, h = self._two_action_data()
+        g[0, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            stratified_pooled_test(g, h, ds, n_permutations=19)
+        with pytest.raises(ValueError, match="non-finite"):
+            stratified_pooled_test(g, h, ds, n_permutations=19, actions=[ds.actions[0, 1]])
+
+    def test_shape_mismatch_rejected(self):
+        ds, g, h = self._two_action_data()
+        for bad in (g[:, :-1], g[:-1], g[:, 0, 0], g[..., None]):
+            with pytest.raises(ValueError, match="shape"):
+                stratified_pooled_test(bad, h, ds, n_permutations=19)
+            with pytest.raises(ValueError, match="shape"):
+                stratified_pooled_test(h, bad, ds, n_permutations=19)
+
+    def test_each_stratum_equals_single_test_on_its_rows(self):
+        ds, g, h = self._two_action_data()
+        seed, key = 11, (4, 7)
+        report = stratified_pooled_test(g, h, ds, n_permutations=49, seed=seed, key=key)
+        assert len(report.strata) == ds.horizon * 2
+        for s in report.strata:
+            rows = ds.actions[:, s.t - 1] == s.action
+            single = dcov_permutation_pvalue(
+                g[rows, s.t - 1], h[rows, s.t - 1], n_permutations=49,
+                rng=substream(seed, *key, s.t, s.action),
+            )
+            assert s.sample_size == rows.sum()
+            assert s.statistic == single.statistic
+            assert s.p_value == single.p_value
