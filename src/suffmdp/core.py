@@ -54,13 +54,20 @@ def config_from_jsonable(cls, data: dict):
 
     Nested config dataclasses load recursively, and JSON lists come back as
     tuples, nested ones too, so grid cells stay usable as dict keys.
-    Missing keys take the field defaults; an unknown key raises ValueError.
+    Missing keys take the field defaults.  An unknown key raises ValueError,
+    and so does ``null`` or a non-object for a nested config field that is
+    not ``Optional``.
     """
     names = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
         if key not in names:
             raise ValueError(f"unknown key {key!r} for {cls.__name__}")
-    hints = typing.get_type_hints(cls)
+        if dataclasses.is_dataclass(hints[key]) and not isinstance(value, dict):
+            raise ValueError(
+                f"key {key!r} of {cls.__name__} must be a {hints[key].__name__} "
+                f"object, got {value!r}"
+            )
     return cls(**{k: _from_json_value(hints[k], v) for k, v in data.items()})
 
 

@@ -543,3 +543,9 @@ class TestPipeline:
             config_from_jsonable(PipelineConfig, {"folds_": 3})
         with pytest.raises(ValueError, match="'nmax' for FitConfig"):
             config_from_jsonable(PipelineConfig, {"fit": {"nmax": 3}})
+
+    def test_config_loader_rejects_non_object_nested_config(self):
+        for bad in (None, 5, [1]):
+            with pytest.raises(ValueError, match="'fit' of PipelineConfig"):
+                config_from_jsonable(PipelineConfig, {"fit": bad})
+        assert config_from_jsonable(PipelineConfig, {"cv_fit": None}).cv_fit is None

@@ -126,6 +126,15 @@ class TestExitCodes:
         assert run("experiment --config {in}/bad.json", inputs) == 1
         assert "'replicatez'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pipeline", [None, {"fit": None}, {"fit": 5}],
+                             ids=["pipeline-null", "fit-null", "fit-number"])
+    def test_non_object_nested_config_gives_1(self, inputs, pipeline, capsys):
+        config = dict(EXPERIMENT, pipeline=pipeline)
+        (inputs / "bad.json").write_text(json.dumps(config))
+        assert run("experiment --config {in}/bad.json", inputs) == 1
+        key = "'pipeline'" if pipeline is None else "'fit'"
+        assert key in capsys.readouterr().err
+
     def test_runtime_failure_gives_2(self, inputs, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
