@@ -734,7 +734,7 @@ def construct_sufficient_features(
                 none_sufficient=selection.none_sufficient,
             )
         )
-        if selection.none_sufficient:
+        if selection.none_sufficient and "none-sufficient" not in flags:
             flags += ("none-sufficient",)
         if not active_abs:
             flags += ("all-inputs-shrunk",)

@@ -528,6 +528,18 @@ class TestPipeline:
         feats = result.feature_map.transform(ds.states[:, 0])
         assert feats.shape == (ds.n_subjects, result.feature_dim)
 
+    def test_none_sufficient_flagged_once(self):
+        ds = sample_trajectories(GenerativeModelSpec("linear", signal_dim=16), 30, 4, rng=1)
+        cfg = PipelineConfig(
+            n_permutations=199, grid=((4, 1, 0.1),), folds=2,
+            cv_fit=FitConfig(n_max=20), fit=FitConfig(n_max=50), dims=(1,),
+            col_tol=0.6, screen_n_max=2, seed=1, max_iterations=3,
+        )
+        result = construct_sufficient_features(ds, cfg)
+        assert len(result.iterations) == 3
+        assert all(it.none_sufficient for it in result.iterations)
+        assert result.flags == ("none-sufficient", "iteration-limit-reached")
+
     def test_pipeline_config_json_round_trip(self):
         cfg = PipelineConfig(
             tau=0.2, tau_dim=0.07, dims=(1, 2), grid=((4, 1, 0.01),),
