@@ -60,7 +60,6 @@ from .qlearn import (
     evaluate_policy,
     fit_q_linear,
     fit_q_nn,
-    greedy_action,
     greedy_actions,
 )
 from .screening import ScreenResult, screen

@@ -41,12 +41,9 @@ Q_METHODS = ("linear", "nn")
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker count: explicit value, else SUFFMDP_THREADS, else all cores."""
+    """Worker count: the explicit value, else all cores."""
     if threads is not None:
         return max(1, int(threads))
-    env = os.environ.get("SUFFMDP_THREADS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 

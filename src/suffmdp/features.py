@@ -122,9 +122,6 @@ class FeatureMap(ABC):
     def to_jsonable(self) -> dict:
         ...
 
-    def transform_one(self, state: np.ndarray) -> np.ndarray:
-        return self.transform(np.asarray(state, dtype=np.float64)[None, :])[0]
-
 
 class IdentityFeatureMap(FeatureMap):
     def __init__(self, input_dim: int):

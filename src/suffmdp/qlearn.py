@@ -20,7 +20,7 @@ discounted sum per rollout ("discounted_sum").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "PolicyValue",
     "fit_q_linear",
     "fit_q_nn",
-    "greedy_action",
     "greedy_actions",
     "evaluate_policy",
 ]
@@ -111,14 +110,6 @@ def greedy_actions(q: QApproximator, feats: np.ndarray) -> np.ndarray:
     return actions[idx]
 
 
-def greedy_action(q: QApproximator, feature: np.ndarray) -> int:
-    return int(greedy_actions(q, np.asarray(feature, dtype=np.float64)[None, :])[0])
-
-
-def _default_schedule(alpha0: float, beta: float) -> Callable[[int], float]:
-    return lambda k: alpha0 / (1.0 + k / beta)
-
-
 def _prepare(transitions: Transitions, feature_map: FeatureMap, n_actions: Optional[int]):
     if not len(transitions):
         raise ValueError("transitions must be nonempty")
@@ -137,22 +128,19 @@ def fit_q_linear(
     epochs: int = 20,
     alpha0: float = 0.05,
     beta: float = 10000.0,
-    step_schedule: Optional[Callable[[int], float]] = None,
     seed: int = 0,
     n_actions: Optional[int] = None,
 ) -> LinearQ:
     """Linear semi-gradient Q-learning from batch transitions.
 
     Runs ``epochs`` shuffled passes; the step size for the k-th update is
-    ``step_schedule(k)`` (default ``alpha0 / (1 + k / beta)``).  Weights
-    start at zero.
+    ``alpha0 / (1 + k / beta)``.  Weights start at zero.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     feats, feats_next, actions, utilities, n_act = _prepare(
         transitions, feature_map, n_actions
     )
-    schedule = step_schedule or _default_schedule(alpha0, beta)
     x = np.column_stack([np.ones(len(feats)), feats])
     x_next = np.column_stack([np.ones(len(feats)), feats_next])
     weights = {a: np.zeros(x.shape[1]) for a in range(1, n_act + 1)}
@@ -164,7 +152,7 @@ def fit_q_linear(
             a = int(actions[i])
             best_next = max(weights[b] @ x_next[i] for b in acts)
             delta = utilities[i] + gamma * best_next - weights[a] @ x[i]
-            weights[a] = weights[a] + schedule(k) * delta * x[i]
+            weights[a] = weights[a] + alpha0 / (1.0 + k / beta) * delta * x[i]
             k += 1
     return LinearQ(weights=weights, gamma=gamma)
 
@@ -177,7 +165,6 @@ def fit_q_nn(
     epochs: int = 20,
     alpha0: float = 0.01,
     beta: float = 10000.0,
-    step_schedule: Optional[Callable[[int], float]] = None,
     seed: int = 0,
     n_actions: Optional[int] = None,
 ) -> NeuralQ:
@@ -193,7 +180,6 @@ def fit_q_nn(
     feats, feats_next, actions, utilities, n_act = _prepare(
         transitions, feature_map, n_actions
     )
-    schedule = step_schedule or _default_schedule(alpha0, beta)
     f_dim = feats.shape[1]
     rng = substream(seed)
     nets = {}
@@ -214,7 +200,7 @@ def fit_q_nn(
             v = mlp_forward(feats[i], nets[a], affine_last=True, cache=cache)
             hidden = cache[0][2]
             delta = utilities[i] + gamma * best_next - v
-            alpha = schedule(k)
+            alpha = alpha0 / (1.0 + k / beta)
             (w1, b1), (w2, b2) = nets[a]
             dz = w2 * hidden * (1.0 - hidden)
             nets[a] = [
