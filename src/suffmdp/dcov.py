@@ -47,6 +47,9 @@ __all__ = [
 
 # Permutation batches are chunked so the (B, m, m) workspace stays small.
 _PERM_CHUNK_FLOATS = 4_000_000
+# Relative distance below the observed statistic within which a permuted
+# statistic still counts as a tie, as in scipy.stats.permutation_test.
+_TIE_RTOL = 100 * np.finfo(np.float64).eps
 
 
 class InsufficientDataError(ValueError):
@@ -138,12 +141,16 @@ def _permutation_test(
     """``(statistic, p_value)`` for two validated, paired 2-D samples.
 
     Permuting rows of Y permutes rows and columns of its centered distance
-    matrix, so each permuted statistic is mean(A * B[perm][:, perm]).
+    matrix, so each permuted statistic is mean(A * B[perm][:, perm]).  The
+    permuted statistics are summed in another order than the observed one,
+    so a permutation that reproduces the observed statistic can land an ulp
+    below it; anything within ``_TIE_RTOL`` of it counts as a tie.
     """
     a = _centered_distances(x)
     b = _centered_distances(y)
     m = a.shape[0]
     observed = max(0.0, float(np.mean(a * b)))
+    threshold = observed - _TIE_RTOL * observed
     chunk = max(1, _PERM_CHUNK_FLOATS // (m * m))
     exceed = 0
     done = 0
@@ -152,7 +159,7 @@ def _permutation_test(
         perms = np.argsort(rng.random((size, m)), axis=1)
         permuted = b[perms[:, :, None], perms[:, None, :]]
         stats = np.einsum("ij,bij->b", a, permuted) / (m * m)
-        exceed += int(np.sum(stats >= observed))
+        exceed += int(np.sum(stats >= threshold))
         done += size
     return observed, (1 + exceed) / (n_permutations + 1)
 

@@ -117,6 +117,18 @@ class TestPermutationPvalue:
             report = dcov_permutation_pvalue(x, y, n_permutations=1, rng=seed)
             assert report.p_value in (0.5, 1.0)
 
+    def test_identity_draws_count_as_ties(self):
+        # At m=5 about one draw in 120 is the identity permutation; each
+        # reproduces the observed statistic up to summation order and must
+        # count as a tie.
+        m, b = 5, 999
+        for seed in range(20):
+            x = substream(500 + seed).normal(size=(m, 2))
+            report = dcov_permutation_pvalue(x, x, n_permutations=b, rng=seed)
+            perms = np.argsort(substream(seed).random((b, m)), axis=1)
+            identity = int(np.all(perms == np.arange(m), axis=1).sum())
+            assert report.p_value >= (1 + identity) / (b + 1)
+
     def test_level_under_independence(self):
         # 200 replicates of independent Gaussians: rejection rate at 0.1
         # should sit near 0.1.
