@@ -54,21 +54,48 @@ def config_from_jsonable(cls, data: dict):
 
     Nested config dataclasses load recursively, and JSON lists come back as
     tuples, nested ones too, so grid cells stay usable as dict keys.
-    Missing keys take the field defaults.  An unknown key raises ValueError,
-    and so does ``null`` or a non-object for a nested config field that is
-    not ``Optional``.
+    Missing keys take the field defaults.  ValueError names the key and the
+    class for an unknown key and for a value of the wrong JSON kind: a
+    non-object for a nested config, a number, string, boolean or list where
+    the field wants another kind, or ``null`` for a field that is not
+    ``Optional``.  A non-object ``data`` raises ValueError too.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
     names = {f.name for f in dataclasses.fields(cls)}
     hints = typing.get_type_hints(cls)
     for key, value in data.items():
         if key not in names:
             raise ValueError(f"unknown key {key!r} for {cls.__name__}")
-        if dataclasses.is_dataclass(hints[key]) and not isinstance(value, dict):
+        kind = _json_kind_mismatch(hints[key], value)
+        if kind is not None:
             raise ValueError(
-                f"key {key!r} of {cls.__name__} must be a {hints[key].__name__} "
-                f"object, got {value!r}"
+                f"key {key!r} of {cls.__name__} must be {kind}, got {value!r}"
             )
     return cls(**{k: _from_json_value(hints[k], v) for k, v in data.items()})
+
+
+# JSON kinds accepted for each scalar or sequence field type.
+_JSON_KINDS = {int: (int,), float: (int, float), str: (str,), bool: (bool,),
+               tuple: (list, tuple)}
+
+
+def _json_kind_mismatch(hint, value) -> Optional[str]:
+    """Description of the kind ``hint`` wants when ``value`` is not of it."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        hint = next(t for t in args if t is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return None if isinstance(value, dict) else f"a {hint.__name__} object"
+    kinds = _JSON_KINDS.get(hint)
+    if kinds is None:
+        return None
+    # bool is a subclass of int, but JSON true is not a number
+    if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
+        return None
+    return f"of type {hint.__name__}"
 
 
 def _from_json_value(hint, value):

@@ -561,3 +561,17 @@ class TestPipeline:
             with pytest.raises(ValueError, match="'fit' of PipelineConfig"):
                 config_from_jsonable(PipelineConfig, {"fit": bad})
         assert config_from_jsonable(PipelineConfig, {"cv_fit": None}).cv_fit is None
+        with pytest.raises(ValueError, match="'cv_fit' of PipelineConfig"):
+            config_from_jsonable(PipelineConfig, {"cv_fit": 5})
+
+    def test_config_loader_rejects_wrong_json_kinds(self):
+        for key, bad in (("folds", "2"), ("folds", 2.0), ("folds", True), ("folds", None),
+                         ("tau", "0.1"), ("activation", 1), ("dims", 2),
+                         ("screen_n_max", "3")):
+            with pytest.raises(ValueError, match=f"'{key}' of PipelineConfig"):
+                config_from_jsonable(PipelineConfig, {key: bad})
+        with pytest.raises(ValueError, match="PipelineConfig must be a JSON object"):
+            config_from_jsonable(PipelineConfig, [])
+        cfg = config_from_jsonable(PipelineConfig, {"tau": 1, "dims": [1, 2],
+                                                    "screen_n_max": None})
+        assert (cfg.tau, cfg.dims, cfg.screen_n_max) == (1, (1, 2), None)

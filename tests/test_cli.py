@@ -126,14 +126,26 @@ class TestExitCodes:
         assert run("experiment --config {in}/bad.json", inputs) == 1
         assert "'replicatez'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pipeline", [None, {"fit": None}, {"fit": 5}],
-                             ids=["pipeline-null", "fit-null", "fit-number"])
-    def test_non_object_nested_config_gives_1(self, inputs, pipeline, capsys):
+    @pytest.mark.parametrize(
+        "pipeline,key",
+        [(None, "'pipeline'"), ({"fit": None}, "'fit'"), ({"fit": 5}, "'fit'"),
+         ({"cv_fit": 5}, "'cv_fit'")],
+        ids=["pipeline-null", "fit-null", "fit-number", "optional-cv-fit-number"])
+    def test_non_object_nested_config_gives_1(self, inputs, pipeline, key, capsys):
         config = dict(EXPERIMENT, pipeline=pipeline)
         (inputs / "bad.json").write_text(json.dumps(config))
         assert run("experiment --config {in}/bad.json", inputs) == 1
-        key = "'pipeline'" if pipeline is None else "'fit'"
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config,name",
+        [(dict(EXPERIMENT, pipeline=dict(EXPERIMENT["pipeline"], folds="2")), "'folds'"),
+         ([], "ExperimentConfig")],
+        ids=["int-field-string", "top-level-list"])
+    def test_wrong_json_kind_gives_1(self, inputs, config, name, capsys):
+        (inputs / "bad.json").write_text(json.dumps(config))
+        assert run("experiment --config {in}/bad.json", inputs) == 1
+        assert name in capsys.readouterr().err
 
     def test_runtime_failure_gives_2(self, inputs, monkeypatch):
         def broken(*args, **kwargs):
