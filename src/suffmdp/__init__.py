@@ -35,10 +35,12 @@ from .core import (
 )
 from .dcov import (
     InsufficientDataError,
+    PermutedSide,
     TestReport,
     dcov_permutation_pvalue,
     dcov_statistic,
     default_pool_order,
+    draw_permuted_side,
     pooled_pvalue,
     stratified_pooled_test,
 )

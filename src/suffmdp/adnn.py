@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TrajectoryDataset, Transitions, config_from_jsonable, flatten_transitions
-from .dcov import TestReport, stratified_pooled_test
+from .dcov import TestReport, draw_permuted_side, stratified_pooled_test
 from .features import (
     ACTIVATIONS,
     NetworkFeatureMap,
@@ -476,17 +476,13 @@ def residual_independence_pvalue(
     for a in actions:
         idx = tr.actions == a
         resid[idx] = y[idx] - model.predict(tr.states[idx], a)
+    side = draw_permuted_side(
+        ds.states[:, :-1], ds, n_permutations=n_permutations, seed=seed,
+        min_stratum=min_stratum, actions=actions,
+    )
     # rows of untested actions stay NaN; the test never reads them
     return stratified_pooled_test(
-        resid.reshape(ds.actions.shape + (-1,)),
-        ds.states[:, :-1],
-        ds,
-        tau=tau,
-        n_permutations=n_permutations,
-        seed=seed,
-        min_stratum=min_stratum,
-        pool_order=pool_order,
-        actions=actions,
+        resid.reshape(ds.actions.shape + (-1,)), side, tau=tau, pool_order=pool_order
     )
 
 

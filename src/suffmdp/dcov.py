@@ -20,11 +20,32 @@ through the order-statistic rule
 with ``p_(u)`` the u-th smallest of the T p-values.  The pooled value is a
 valid p-value for any fixed ``u``; ``u = 1`` is the Bonferroni correction,
 and the default is ``u = floor(T/20) + 1``.
+
+A stratified test runs in two steps.  :func:`draw_permuted_side` takes the
+second sample ``h`` and, for each stratum of ``m`` subjects, computes its
+centred distance matrix ``b`` and draws its ``B = n_permutations``
+permutations ``pi`` once.  Every candidate ``g`` that
+:func:`stratified_pooled_test` scores against that shared side uses the
+same draws; screening scores all coordinates of a round against one side.
+
+A candidate with one column costs O(B m) per stratum instead of O(B m^2).
+Because ``b`` is double-centred, ``sum_ij A_ij b_(tau i)(tau j)`` equals
+``sum_ij |x_i - x_j| b_(tau i)(tau j)``.  Sort ``x`` by ``sigma`` into gaps
+``g_k = x_(sigma(k+1)) - x_(sigma(k))`` and take ``tau = pi o sigma^-1``;
+the sum is then ``sum_k g_k cut_pi(k)``, where ``cut_pi(k)`` is -2 times
+the sum of the leading ``(k+1) x (k+1)`` block of ``b[pi][:, pi]``.  The
+side keeps ``cut`` as a ``(B, m-1)`` array, built one column at a time, so
+no ``(B, m, m)`` array is formed.  Given the data the ``tau`` are iid
+uniform, because ``pi`` is drawn independently of both samples, so the
+test stays a valid permutation test.  A candidate with several columns is
+scored by gathering ``b[pi][:, pi]`` in chunks, with the same ``pi``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -42,6 +63,8 @@ __all__ = [
     "dcov_permutation_pvalue",
     "pooled_pvalue",
     "default_pool_order",
+    "PermutedSide",
+    "draw_permuted_side",
     "stratified_pooled_test",
 ]
 
@@ -135,33 +158,65 @@ def dcov_statistic(x, y) -> float:
     return max(0.0, float(np.mean(a * b)))
 
 
-def _permutation_test(
-    x: np.ndarray, y: np.ndarray, n_permutations: int, rng: np.random.Generator
-) -> tuple:
-    """``(statistic, p_value)`` for two validated, paired 2-D samples.
+class _PermutedSample:
+    """A second sample with its permutations drawn: the part of a permutation
+    test that every candidate first sample shares.
 
-    Permuting rows of Y permutes rows and columns of its centered distance
-    matrix, so each permuted statistic is mean(A * B[perm][:, perm]).  The
-    permuted statistics are summed in another order than the observed one,
-    so a permutation that reproduces the observed statistic can land an ulp
-    below it; anything within ``_TIE_RTOL`` of it counts as a tie.
+    ``b`` is the sample's ``(m, m)`` centred distance matrix and ``perms``
+    the ``(B, m)`` drawn permutations.  Permuting rows of the sample permutes
+    rows and columns of ``b``, so the statistic under ``perm`` is
+    ``mean(A * b[perm][:, perm])``.
     """
-    a = _centered_distances(x)
-    b = _centered_distances(y)
-    m = a.shape[0]
-    observed = max(0.0, float(np.mean(a * b)))
-    threshold = observed - _TIE_RTOL * observed
-    chunk = max(1, _PERM_CHUNK_FLOATS // (m * m))
-    exceed = 0
-    done = 0
-    while done < n_permutations:
-        size = min(chunk, n_permutations - done)
-        perms = np.argsort(rng.random((size, m)), axis=1)
-        permuted = b[perms[:, :, None], perms[:, None, :]]
-        stats = np.einsum("ij,bij->b", a, permuted) / (m * m)
-        exceed += int(np.sum(stats >= threshold))
-        done += size
-    return observed, (1 + exceed) / (n_permutations + 1)
+
+    def __init__(self, y: np.ndarray, n_permutations: int, rng: np.random.Generator):
+        self.b = _centered_distances(y)
+        # int32 halves what a side holds per stratum; indices stay below m
+        perms = np.argsort(rng.random((n_permutations, y.shape[0])), axis=1)
+        self.perms = perms.astype(np.int32)
+
+    @functools.cached_property
+    def cut(self) -> np.ndarray:
+        """``(B, m-1)``: -2 times the leading-block sums of each ``b[perm][:, perm]``."""
+        n_perm, m = self.perms.shape
+        cut = np.empty((n_perm, m - 1))
+        lead = np.zeros(n_perm)
+        for k in range(m - 1):
+            # column k of each permuted matrix, rows 0..k
+            col = self.b[self.perms[:, : k + 1], self.perms[:, k : k + 1]]
+            lead += 2.0 * col.sum(axis=1) - col[:, k]
+            cut[:, k] = -2.0 * lead
+        return cut
+
+    def statistics(self, x: np.ndarray) -> tuple:
+        """``(observed, permuted)`` statistics for a validated 2-D sample ``x``.
+
+        One column is scored through ``cut`` under ``perm o sigma^-1``, with
+        ``sigma`` the stable sort of ``x``; several columns by gathering
+        ``b[perm][:, perm]`` in chunks.
+        """
+        a = _centered_distances(x)
+        m = a.shape[0]
+        observed = max(0.0, float(np.mean(a * self.b)))
+        if x.shape[1] == 1:
+            gaps = np.diff(x[np.argsort(x[:, 0], kind="stable"), 0])
+            return observed, self.cut @ gaps / (m * m)
+        chunk = max(1, _PERM_CHUNK_FLOATS // (m * m))
+        permuted = [
+            np.einsum("ij,bij->b", a, self.b[p[:, :, None], p[:, None, :]])
+            for p in (self.perms[i : i + chunk] for i in range(0, len(self.perms), chunk))
+        ]
+        return observed, np.concatenate(permuted) / (m * m)
+
+    def test(self, x: np.ndarray) -> tuple:
+        """``(statistic, p_value)`` of the permutation test of ``x`` against the sample.
+
+        The permuted statistics are summed in another order than the observed
+        one, so a permutation that reproduces the observed statistic can land
+        an ulp below it; anything within ``_TIE_RTOL`` of it counts as a tie.
+        """
+        observed, permuted = self.statistics(x)
+        exceed = int(np.count_nonzero(permuted >= observed - _TIE_RTOL * observed))
+        return observed, (1 + exceed) / (len(permuted) + 1)
 
 
 def dcov_permutation_pvalue(
@@ -173,14 +228,16 @@ def dcov_permutation_pvalue(
     """Permutation test of independence based on :func:`dcov_statistic`.
 
     The p-value is ``(1 + #{permuted >= observed}) / (n_permutations + 1)``,
-    which is strictly positive and valid in finite samples.
+    which is strictly positive and valid in finite samples.  The
+    permutations act on ``y``; a one-column ``x`` is scored through the
+    sorted-gap identity of the module docstring.
     """
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
     x, y = _paired_samples(x, y)
     seed = rng if isinstance(rng, int) else None
     gen = substream(rng) if isinstance(rng, int) else rng
-    statistic, p_value = _permutation_test(x, y, n_permutations, gen)
+    statistic, p_value = _PermutedSample(y, n_permutations, gen).test(x)
     return TestReport(
         statistic=statistic,
         p_value=p_value,
@@ -226,67 +283,95 @@ def _time_block(x, name: str, actions: np.ndarray, tested: np.ndarray) -> np.nda
     return x
 
 
-def stratified_pooled_test(
-    g,
+@dataclass(frozen=True)
+class PermutedSide:
+    """The second sample of a stratified test with its permutations drawn.
+
+    ``strata`` holds ``(t, action, rows, sample)`` per tested stratum in
+    time order, ``rows`` selecting the stratum's subjects.  Built by
+    :func:`draw_permuted_side` and scored by :func:`stratified_pooled_test`.
+    """
+
+    strata: tuple
+    actions: np.ndarray
+    tested: np.ndarray
+    n_permutations: int
+    seed: int
+
+
+def draw_permuted_side(
     h,
     ds: TrajectoryDataset,
-    tau: float = 0.1,
     n_permutations: int = 999,
     seed: int = 0,
-    min_stratum: int = 5,
-    pool_order: Optional[int] = None,
-    actions: Optional[Sequence[int]] = None,
     key: tuple = (),
-) -> TestReport:
-    """Test ``G^t independent of H^t`` within action levels, pooled over time.
+    min_stratum: int = 5,
+    actions: Optional[Sequence[int]] = None,
+) -> PermutedSide:
+    """Draw the shared side ``h`` of a stratified test once.
 
-    ``g`` and ``h`` are arrays of shape ``(n, T)`` or ``(n, T, q)`` laid out
-    like ``ds.actions``: ``g[:, t-1]`` holds the per-subject rows at time
-    ``t`` (1-based), paired with ``h[:, t-1]``.  Entries must be finite in
-    every row whose action level is tested; rows of untested action levels
-    are never read and may hold NaN.  For each ``t`` and each tested action
-    level with at least ``min_stratum`` subjects, a permutation
-    distance-covariance test runs on that stratum; action levels at the same
-    time point are combined by Bonferroni over the number of tested strata,
-    and the per-time p-values are pooled by :func:`pooled_pvalue`.
-
-    Strata draw permutations from streams keyed ``(seed, *key, t, action)``,
-    so results do not depend on evaluation order.  ``actions`` restricts
-    testing to a subset of action levels (default: all).
+    ``h`` is an array of shape ``(n, T)`` or ``(n, T, q)`` laid out like
+    ``ds.actions``: ``h[:, t-1]`` holds the per-subject rows at time ``t``
+    (1-based).  Entries must be finite in every row whose action level is
+    tested; rows of untested action levels are never read and may hold NaN.
+    Every tested action level with at least ``min_stratum`` subjects at time
+    ``t`` forms a stratum; its permutations come from the stream keyed
+    ``(seed, *key, t, action)``, so results do not depend on evaluation
+    order.  ``actions`` restricts testing to a subset of action levels
+    (default: all).
     """
-    if not 0 < tau < 1:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
     if n_permutations < 1:
         raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
     if min_stratum < 2:
         raise ValueError(f"min_stratum must be >= 2, got {min_stratum}")
     tested_actions = sorted(range(1, ds.n_actions + 1) if actions is None else actions)
     tested = np.isin(ds.actions, tested_actions)
-    g = _time_block(g, "g", ds.actions, tested)
     h = _time_block(h, "h", ds.actions, tested)
-    strata: list[StratumResult] = []
-    per_time: list[float] = []
+    strata = []
     for t in range(1, ds.horizon + 1):
         at = ds.actions[:, t - 1]
-        time_ps = []
         for a in tested_actions:
             rows = at == a
-            m = int(rows.sum())
-            if m < min_stratum:
-                continue
-            statistic, p_value = _permutation_test(
-                g[rows, t - 1], h[rows, t - 1], n_permutations,
-                substream(seed, *key, t, a),
-            )
-            strata.append(StratumResult(t, a, m, statistic, p_value))
-            time_ps.append(p_value)
-        if time_ps:
-            per_time.append(min(1.0, len(time_ps) * min(time_ps)))
-    if not per_time:
+            if rows.sum() >= min_stratum:
+                sample = _PermutedSample(
+                    h[rows, t - 1], n_permutations, substream(seed, *key, t, a)
+                )
+                strata.append((t, a, rows, sample))
+    if not strata:
         raise InsufficientDataError(
             f"insufficient per-stratum data: no (t, action) stratum has "
             f">= {min_stratum} subjects"
         )
+    return PermutedSide(tuple(strata), ds.actions, tested, n_permutations, seed)
+
+
+def stratified_pooled_test(
+    g,
+    side: PermutedSide,
+    tau: float = 0.1,
+    pool_order: Optional[int] = None,
+) -> TestReport:
+    """Test ``G^t independent of H^t`` within action levels, pooled over time.
+
+    ``g`` has the layout of the ``h`` that ``side`` was drawn from, and is
+    paired with it row by row.  Each stratum of ``side`` runs a permutation
+    distance-covariance test of ``g``'s rows against its drawn sample;
+    action levels at the same time point are combined by Bonferroni over the
+    number of tested strata, and the per-time p-values are pooled by
+    :func:`pooled_pvalue`.
+    """
+    if not 0 < tau < 1:
+        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    g = _time_block(g, "g", side.actions, side.tested)
+    strata: list[StratumResult] = []
+    per_time: list[float] = []
+    for t, group in itertools.groupby(side.strata, key=lambda s: s[0]):
+        time_ps = []
+        for _, a, rows, sample in group:
+            statistic, p_value = sample.test(g[rows, t - 1])
+            strata.append(StratumResult(t, a, int(rows.sum()), statistic, p_value))
+            time_ps.append(p_value)
+        per_time.append(min(1.0, len(time_ps) * min(time_ps)))
     u = pool_order if pool_order is not None else default_pool_order(len(per_time))
     u = min(u, len(per_time))
     pooled = pooled_pvalue(per_time, u)
@@ -295,7 +380,7 @@ def stratified_pooled_test(
         p_value=pooled,
         strata=strata,
         pooled_u=u,
-        n_permutations=n_permutations,
-        seed=seed,
+        n_permutations=side.n_permutations,
+        seed=side.seed,
         reject=pooled <= tau,
     )

@@ -7,9 +7,14 @@ A coordinate joins the selected set when its pooled p-value falls at or
 below the threshold; the procedure stops at the first round that adds
 nothing (or after ``n_max`` rounds).
 
-Per-coordinate tests inside a round draw from streams keyed
-``(seed, round, coordinate)``, so the outcome is independent of the scan
-order and rounds can fan the per-coordinate tests out across workers.
+Every coordinate of a round is tested against the same response block
+``(U^t, S^{t+1}_selected)``, so the round draws that block's permutations
+once per stratum, from streams keyed ``(seed, round, t, action)``, and
+scores each coordinate against them (see :mod:`suffmdp.dcov`): coordinate
+``j`` is tested under ``pi o sigma_j^-1``, with ``pi`` the stratum's drawn
+permutations and ``sigma_j`` the sort order of the coordinate's values.  The
+outcome does not depend on the scan order, and each coordinate's p-value is
+valid on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TrajectoryDataset
-from .dcov import stratified_pooled_test
+from .dcov import draw_permuted_side, stratified_pooled_test
 
 __all__ = ["ScreenRound", "ScreenResult", "screen"]
 
@@ -96,19 +101,15 @@ def screen(
         response = np.concatenate(
             [ds.utilities[:, :, None], ds.states[:, 1:, selected]], axis=2
         )
+        side = draw_permuted_side(
+            response, ds, n_permutations=n_permutations, seed=seed, key=(k,),
+            min_stratum=min_stratum,
+        )
         pvals: dict[int, float] = {}
         added: list[int] = []
         for j in tested:
             report = stratified_pooled_test(
-                ds.states[:, :-1, j],
-                response,
-                ds,
-                tau=tau,
-                n_permutations=n_permutations,
-                seed=seed,
-                min_stratum=min_stratum,
-                pool_order=pool_order,
-                key=(k, j),
+                ds.states[:, :-1, j], side, tau=tau, pool_order=pool_order
             )
             pvals[j] = report.p_value
             if report.p_value <= tau:

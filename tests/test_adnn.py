@@ -529,7 +529,7 @@ class TestPipeline:
         assert feats.shape == (ds.n_subjects, result.feature_dim)
 
     def test_none_sufficient_flagged_once(self):
-        ds = sample_trajectories(GenerativeModelSpec("linear", signal_dim=16), 30, 4, rng=1)
+        ds = sample_trajectories(GenerativeModelSpec("linear", signal_dim=16), 30, 4, rng=2)
         cfg = PipelineConfig(
             n_permutations=199, grid=((4, 1, 0.1),), folds=2,
             cv_fit=FitConfig(n_max=20), fit=FitConfig(n_max=50), dims=(1,),

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from suffmdp.core import TrajectoryDataset
 from suffmdp.dcov import (
     InsufficientDataError,
+    _PermutedSample,
     dcov_permutation_pvalue,
     dcov_statistic,
     default_pool_order,
+    draw_permuted_side,
     pooled_pvalue,
     stratified_pooled_test,
 )
@@ -129,6 +131,18 @@ class TestPermutationPvalue:
             identity = int(np.all(perms == np.arange(m), axis=1).sum())
             assert report.p_value >= (1 + identity) / (b + 1)
 
+    def test_one_column_identity_draws_count_as_ties(self):
+        # A one-column x is tested under perm o sigma^-1, which is the
+        # identity when the drawn perm equals x's sort order sigma.
+        m, b = 5, 999
+        for seed in range(20):
+            x = substream(500 + seed).normal(size=(m, 1))
+            report = dcov_permutation_pvalue(x, x, n_permutations=b, rng=seed)
+            perms = np.argsort(substream(seed).random((b, m)), axis=1)
+            sigma = np.argsort(x[:, 0], kind="stable")
+            identity = int(np.all(perms == sigma, axis=1).sum())
+            assert report.p_value >= (1 + identity) / (b + 1)
+
     def test_level_under_independence(self):
         # 200 replicates of independent Gaussians: rejection rate at 0.1
         # should sit near 0.1.
@@ -226,13 +240,8 @@ class TestStratifiedPooledTest:
         h = rng.normal(size=(30, 2))
         actions = np.ones((30, 1), dtype=int)
         ds = _dataset_with_columns(g, h, actions)
-        report = stratified_pooled_test(
-            ds.states[:, :-1, 0],
-            ds.states[:, :-1, 1],
-            ds,
-            n_permutations=99,
-            seed=3,
-        )
+        side = draw_permuted_side(ds.states[:, :-1, 1], ds, n_permutations=99, seed=3)
+        report = stratified_pooled_test(ds.states[:, :-1, 0], side)
         assert len(report.strata) == 1
         assert report.p_value == report.strata[0].p_value
         assert report.pooled_u == 1
@@ -250,14 +259,10 @@ class TestStratifiedPooledTest:
                 h = np.cumsum(rng.normal(size=(20, horizon + 1)), axis=1)
                 actions = np.ones((20, horizon), dtype=int)
                 ds = _dataset_with_columns(g, h, actions)
-                report = stratified_pooled_test(
-                    ds.states[:, :-1, 0],
-                    ds.states[:, :-1, 1],
-                    ds,
-                    n_permutations=39,
-                    seed=rep,
-                    pool_order=u,
+                side = draw_permuted_side(
+                    ds.states[:, :-1, 1], ds, n_permutations=39, seed=rep
                 )
+                report = stratified_pooled_test(ds.states[:, :-1, 0], side, pool_order=u)
                 rejections += report.p_value <= 0.1
             assert rejections / 200 <= 0.15
 
@@ -268,14 +273,10 @@ class TestStratifiedPooledTest:
             ds = sample_trajectories(
                 GenerativeModelSpec("linear", 0, seed=rep), 30, 90
             )
-            report = stratified_pooled_test(
-                ds.utilities,
-                ds.states[:, :-1, 0],
-                ds,
-                n_permutations=999,
-                seed=rep,
-                tau=0.1,
+            side = draw_permuted_side(
+                ds.states[:, :-1, 0], ds, n_permutations=999, seed=rep
             )
+            report = stratified_pooled_test(ds.utilities, side, tau=0.1)
             rejections += report.p_value <= 0.1
         assert rejections >= 18
 
@@ -286,12 +287,7 @@ class TestStratifiedPooledTest:
         actions = np.ones((4, 2), dtype=int)
         ds = _dataset_with_columns(g, h, actions)
         with pytest.raises(InsufficientDataError):
-            stratified_pooled_test(
-                ds.states[:, :-1, 0],
-                ds.states[:, :-1, 1],
-                ds,
-                min_stratum=5,
-            )
+            draw_permuted_side(ds.states[:, :-1, 1], ds, min_stratum=5)
 
     def test_small_strata_excluded_from_bonferroni(self):
         rng = substream(22)
@@ -301,14 +297,10 @@ class TestStratifiedPooledTest:
             [np.ones((10, 1), dtype=int), np.full((2, 1), 2, dtype=int)]
         )
         ds = _dataset_with_columns(g, h, actions)
-        report = stratified_pooled_test(
-            ds.states[:, :-1, 0],
-            ds.states[:, :-1, 1],
-            ds,
-            n_permutations=99,
-            seed=0,
-            min_stratum=5,
+        side = draw_permuted_side(
+            ds.states[:, :-1, 1], ds, n_permutations=99, seed=0, min_stratum=5
         )
+        report = stratified_pooled_test(ds.states[:, :-1, 0], side)
         assert [s.action for s in report.strata] == [1]
 
 
@@ -328,7 +320,8 @@ class TestStratifiedArrayContract:
     def test_nan_in_untested_action_rows_accepted(self):
         ds, g, h = self._two_action_data()
         g[ds.actions == 2] = np.nan
-        report = stratified_pooled_test(g, h, ds, n_permutations=19, actions=[1])
+        side = draw_permuted_side(h, ds, n_permutations=19, actions=[1])
+        report = stratified_pooled_test(g, side)
         assert {s.action for s in report.strata} == {1}
         assert np.isfinite(report.p_value)
 
@@ -336,22 +329,27 @@ class TestStratifiedArrayContract:
         ds, g, h = self._two_action_data()
         g[0, 1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            stratified_pooled_test(g, h, ds, n_permutations=19)
+            stratified_pooled_test(g, draw_permuted_side(h, ds, n_permutations=19))
         with pytest.raises(ValueError, match="non-finite"):
-            stratified_pooled_test(g, h, ds, n_permutations=19, actions=[ds.actions[0, 1]])
+            side = draw_permuted_side(h, ds, n_permutations=19, actions=[ds.actions[0, 1]])
+            stratified_pooled_test(g, side)
+        with pytest.raises(ValueError, match="non-finite"):
+            draw_permuted_side(g, ds, n_permutations=19)
 
     def test_shape_mismatch_rejected(self):
         ds, g, h = self._two_action_data()
         for bad in (g[:, :-1], g[:-1], g[:, 0, 0], g[..., None]):
             with pytest.raises(ValueError, match="shape"):
-                stratified_pooled_test(bad, h, ds, n_permutations=19)
+                stratified_pooled_test(bad, draw_permuted_side(h, ds, n_permutations=19))
             with pytest.raises(ValueError, match="shape"):
-                stratified_pooled_test(h, bad, ds, n_permutations=19)
+                draw_permuted_side(bad, ds, n_permutations=19)
 
-    def test_each_stratum_equals_single_test_on_its_rows(self):
+    def _check_each_stratum_equals_single_test(self, width):
         ds, g, h = self._two_action_data()
+        g = g[..., :width]
         seed, key = 11, (4, 7)
-        report = stratified_pooled_test(g, h, ds, n_permutations=49, seed=seed, key=key)
+        side = draw_permuted_side(h, ds, n_permutations=49, seed=seed, key=key)
+        report = stratified_pooled_test(g, side)
         assert len(report.strata) == ds.horizon * 2
         for s in report.strata:
             rows = ds.actions[:, s.t - 1] == s.action
@@ -362,3 +360,44 @@ class TestStratifiedArrayContract:
             assert s.sample_size == rows.sum()
             assert s.statistic == single.statistic
             assert s.p_value == single.p_value
+
+    def test_each_stratum_equals_single_test_on_its_rows(self):
+        self._check_each_stratum_equals_single_test(width=2)
+
+    def test_each_one_column_stratum_equals_single_test_on_its_rows(self):
+        self._check_each_stratum_equals_single_test(width=1)
+
+
+class TestPermutedSample:
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    def test_cut_kernel_equals_direct_permuted_statistic(self, ties):
+        rng = substream(24)
+        m, b = 13, 200
+        x = rng.normal(size=(m, 1))
+        if ties:
+            x = np.round(x * 2) / 2  # a handful of distinct values
+            assert len(np.unique(x)) < m
+        y = x * rng.normal(size=(m, 2)) + rng.normal(size=(m, 2))
+        sample = _PermutedSample(y, b, substream(25))
+        observed, permuted = sample.statistics(x)
+        a = np.abs(x - x.T)
+        a = a - a.mean(axis=0) - a.mean(axis=1, keepdims=True) + a.mean()
+        inverse_sort = np.argsort(np.argsort(x[:, 0], kind="stable"))
+        direct = [
+            np.mean(a * sample.b[tau][:, tau]) for tau in sample.perms[:, inverse_sort]
+        ]
+        assert observed == dcov_statistic(x, y)
+        np.testing.assert_allclose(permuted, direct, rtol=0, atol=1e-12)
+
+    def test_side_holds_order_b_m_per_stratum(self):
+        ds = sample_trajectories(GenerativeModelSpec("linear", 4, seed=1), 30, 4)
+        response = np.concatenate([ds.utilities[:, :, None], ds.states[:, 1:, :2]], axis=2)
+        b = 999
+        side = draw_permuted_side(response, ds, n_permutations=b, seed=1, key=(1,))
+        stratified_pooled_test(ds.states[:, :-1, 3], side)  # builds every cut
+        for _, _, rows, sample in side.strata:
+            m = int(rows.sum())
+            arrays = [v for v in vars(sample).values() if isinstance(v, np.ndarray)]
+            assert {"b", "perms", "cut"} <= set(vars(sample))
+            assert all(arr.size < b * m * m for arr in arrays)
+            assert sum(arr.nbytes for arr in arrays) <= 8 * (2 * b * m + m * m)

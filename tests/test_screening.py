@@ -1,3 +1,6 @@
+import dataclasses
+
+from suffmdp import dcov, screening
 from suffmdp.screening import screen
 from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
 
@@ -13,3 +16,35 @@ def test_result_does_not_depend_on_scan_order():
     for f, b in zip(forward.rounds, backward.rounds):
         assert b.p_values == f.p_values
         assert b.added == f.added
+
+
+def test_one_pooled_test_call_per_tested_coordinate_per_round(monkeypatch):
+    # Span tracing wraps the module attribute screening calls the pooled
+    # test through and reads the report's strata.
+    calls = []
+    original = screening.stratified_pooled_test
+
+    def counted(g, side, **kwargs):
+        report = original(g, side, **kwargs)
+        calls.append((side, report))
+        return report
+
+    monkeypatch.setattr(screening, "stratified_pooled_test", counted)
+    ds = sample_trajectories(GenerativeModelSpec("linear", 2, signal_dim=8), 20, 4, rng=3)
+    result = screen(ds, n_permutations=99, seed=5)
+    assert len(result.rounds) >= 2
+    assert len(calls) == sum(len(r.tested) for r in result.rounds)
+    start = 0
+    for rnd in result.rounds:
+        in_round = calls[start:start + len(rnd.tested)]
+        start += len(rnd.tested)
+        assert len({id(side) for side, _ in in_round}) == 1  # one side per round
+        assert [report.p_value for _, report in in_round] == [
+            rnd.p_values[j] for j in rnd.tested]
+    for _, report in calls:
+        assert isinstance(report, dcov.TestReport)
+        assert report.strata
+        for s in report.strata:
+            assert isinstance(s, dcov.StratumResult)
+            assert [f.name for f in dataclasses.fields(s)] == [
+                "t", "action", "sample_size", "statistic", "p_value"]
