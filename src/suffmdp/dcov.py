@@ -201,10 +201,10 @@ class _PermutedSample:
             gaps = np.diff(x[np.argsort(x[:, 0], kind="stable"), 0])
             return observed, self.cut @ gaps / (m * m)
         chunk = max(1, _PERM_CHUNK_FLOATS // (m * m))
-        permuted = [
-            np.einsum("ij,bij->b", a, self.b[p[:, :, None], p[:, None, :]])
-            for p in (self.perms[i : i + chunk] for i in range(0, len(self.perms), chunk))
-        ]
+        permuted = []
+        for start in range(0, len(self.perms), chunk):
+            p = self.perms[start : start + chunk]
+            permuted.append(np.einsum("ij,bij->b", a, self.b[p[:, :, None], p[:, None, :]]))
         return observed, np.concatenate(permuted) / (m * m)
 
     def test(self, x: np.ndarray) -> tuple:
