@@ -382,5 +382,5 @@ def stratified_pooled_test(
         pooled_u=u,
         n_permutations=side.n_permutations,
         seed=side.seed,
-        reject=pooled <= tau,
+        reject=bool(pooled <= tau),
     )

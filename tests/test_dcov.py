@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,7 +179,7 @@ class TestPermutationPvalue:
         rng = substream(13)
         x = rng.normal(size=(10, 1))
         report = dcov_permutation_pvalue(x, x, n_permutations=19, rng=1)
-        payload = report.to_jsonable()
+        payload = json.loads(json.dumps(report.to_jsonable()))
         assert set(payload) >= {"statistic", "p_value", "strata", "u", "B", "seed"}
         assert payload["B"] == 19
 
@@ -245,6 +247,15 @@ class TestStratifiedPooledTest:
         assert len(report.strata) == 1
         assert report.p_value == report.strata[0].p_value
         assert report.pooled_u == 1
+
+    def test_report_serializes(self):
+        ds = sample_trajectories(GenerativeModelSpec("linear", signal_dim=4), 20, 4, rng=1)
+        side = draw_permuted_side(ds.states[:, :-1], ds, n_permutations=19, seed=2)
+        report = stratified_pooled_test(ds.utilities, side, tau=0.1)
+        payload = json.loads(json.dumps(report.to_jsonable()))
+        assert payload["reject"] is report.reject
+        assert isinstance(report.reject, bool)
+        assert len(payload["strata"]) == len(report.strata)
 
     def test_null_level_with_time_dependence(self):
         # G and H are independent of each other but each is a random walk
