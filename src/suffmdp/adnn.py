@@ -122,27 +122,26 @@ class FitConfig:
     """Training hyperparameters.
 
     The step size decays as ``alpha0 / (1 + b / beta)`` over outer
-    iterations ``b``.  Weights initialize uniformly on
-    ``+-sqrt(6 / (fan_in + fan_out))`` and biases at zero, from the stream
-    given by ``seed``.
+    iterations ``b``; training runs exactly ``n_max`` of them.  Weights
+    initialize uniformly on ``+-sqrt(6 / (fan_in + fan_out))`` and biases at
+    zero, from the stream given by ``seed``.  ``check_every`` is the cadence
+    of the full-data cost trace and of the divergence check; it does not
+    change the fitted parameters.
     """
 
     lam: float = 0.0
     batch_fraction: float = 0.1
     alpha0: float = 0.05
     beta: float = 200.0
-    tolerance: float = 1e-5
     n_max: int = 5000
     seed: int = 0
-    check_every: int = 1  # full-data cost evaluations every this many iterations
+    check_every: int = 100
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if not 0 < self.batch_fraction < 1:
             raise ValueError(f"batch_fraction must be in (0, 1), got {self.batch_fraction}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.check_every < 1:
@@ -156,10 +155,10 @@ class FitConfig:
 class AdnnModel:
     """Fitted feature network plus per-action regression heads.
 
-    ``trace`` records the per-action full-data cost after every outer
-    iteration (index 0 is the initialization).  Fitted models are treated
-    as immutable; nothing in the package mutates one after `fit_adnn`
-    returns.
+    ``trace`` records the per-action full-data cost every ``check_every``
+    outer iterations and after the last (index 0 is the initialization).
+    Fitted models are treated as immutable; nothing in the package mutates
+    one after `fit_adnn` returns.
     """
 
     architecture: Architecture
@@ -303,10 +302,11 @@ def fit_adnn(
 
     Per outer iteration, each trained action draws
     ``floor(batch_fraction * n_a)`` of its transitions without replacement
-    and descends on (shared layers, its head).  Training stops when the
-    largest per-action change in full-data cost drops to ``tolerance`` or
-    after ``n_max`` iterations.  Identical inputs and seed reproduce the
-    fitted parameters bit for bit.
+    and descends on (shared layers, its head).  Training runs exactly
+    ``n_max`` iterations.  The full-data cost is traced at initialisation,
+    every ``check_every`` iterations and after the last; a non-finite cost
+    after an iteration raises `ConvergenceError`.  Identical inputs and seed reproduce the
+    fitted parameters bit for bit, whatever ``check_every`` is.
 
     ``actions_subset`` trains heads for a subset of action levels only
     (used by the per-action baseline); transitions with other actions are
@@ -338,8 +338,7 @@ def fit_adnn(
     rng = substream(cfg.seed)
     model = _init_model(arch, actions, rng)
     n = ds.n_subjects
-    costs = _costs_by_action(tr, y, n, model, cfg.lam, actions)
-    model.trace = [costs]
+    model.trace = [_costs_by_action(tr, y, n, model, cfg.lam, actions)]
     for b in range(1, cfg.n_max + 1):
         alpha = cfg.step_size(b)
         for a in actions:
@@ -359,15 +358,12 @@ def fit_adnn(
             ]
         if b % cfg.check_every != 0 and b != cfg.n_max:
             continue
-        new_costs = _costs_by_action(tr, y, n, model, cfg.lam, actions)
-        model.trace.append(new_costs)
-        if not all(np.isfinite(c) for c in new_costs.values()):
+        costs = _costs_by_action(tr, y, n, model, cfg.lam, actions)
+        model.trace.append(costs)
+        if not all(np.isfinite(c) for c in costs.values()):
             raise ConvergenceError(
                 f"training diverged at iteration {b}: non-finite cost"
             )
-        if max(abs(new_costs[a] - costs[a]) for a in actions) <= cfg.tolerance:
-            break
-        costs = new_costs
     return model
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -326,6 +327,36 @@ class TestFit:
         for a in (1, 2):
             for (w1, _), (w2, _) in zip(m1.heads[a], m2.heads[a]):
                 assert np.array_equal(w1, w2)
+
+    def test_trace_cadence_only_observes(self):
+        # the parameters do not depend on check_every; the trace holds the
+        # initialisation, every check_every-th iteration and the last, so
+        # min(n_max, (len(trace) - 1) * check_every) counts the iterations run
+        ds = _random_dataset(2, seed=4, n_actions=2, n=10)
+        arch = Architecture(input_dim=2, feature_dim=1, output_dim=3, n_actions=2)
+        params = []
+        for every in (1, 7, 100):
+            cfg = FitConfig(lam=0.05, alpha0=0.1, n_max=250, seed=11, check_every=every)
+            model = fit_adnn(ds, arch, cfg)
+            assert len(model.trace) == 1 + math.ceil(cfg.n_max / every)
+            assert min(cfg.n_max, (len(model.trace) - 1) * every) == cfg.n_max
+            params.append(model.feature_layers + model.heads[1] + model.heads[2])
+        for layers in params[1:]:
+            for (w, b), (w_ref, b_ref) in zip(layers, params[0], strict=True):
+                assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+        untrained = fit_adnn(ds, arch, FitConfig(n_max=0, seed=11, check_every=7))
+        assert len(untrained.trace) == 1
+
+    @pytest.mark.parametrize("n_max", [50, 250])
+    def test_divergence_raises(self, n_max):
+        # n_max=50 is caught by the check after the last iteration, 250 by the
+        # check at iteration 100
+        ds = sample_trajectories(GenerativeModelSpec("linear", signal_dim=4), 20, 4, rng=1)
+        arch = Architecture.for_dataset(ds, 2, 4, 1)
+        with np.errstate(all="ignore"), pytest.raises(
+            ConvergenceError, match=f"iteration {min(n_max, 100)}: non-finite cost"
+        ):
+            fit_adnn(ds, arch, FitConfig(alpha0=1e6, n_max=n_max, seed=1))
 
     def test_actions_subset_trains_one_head(self):
         ds = _random_dataset(2, seed=5, n_actions=2, n=12)

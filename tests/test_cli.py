@@ -116,15 +116,23 @@ class TestExitCodes:
     def test_missing_file_gives_1(self, inputs):
         assert run("screen --data absent.csv", inputs) == 1
 
-    @pytest.mark.parametrize("section", ["top", "pipeline", "fit"])
-    def test_misspelled_config_key_gives_1(self, inputs, section, capsys):
+    # the deleted FitConfig.tolerance is an unknown key like any other
+    @pytest.mark.parametrize(
+        "section,key,value,owner",
+        [("top", "replicatez", 1, "ExperimentConfig"),
+         ("pipeline", "replicatez", 1, "PipelineConfig"),
+         ("fit", "replicatez", 1, "FitConfig"),
+         ("fit", "tolerance", 1e-5, "FitConfig")],
+        ids=["top", "pipeline", "fit", "fit-tolerance"])
+    def test_misspelled_config_key_gives_1(self, inputs, section, key, value, owner, capsys):
         config = json.loads(json.dumps(EXPERIMENT))
         target = {"top": config, "pipeline": config["pipeline"],
                   "fit": config["pipeline"]["fit"]}[section]
-        target["replicatez"] = 1
+        target[key] = value
         (inputs / "bad.json").write_text(json.dumps(config))
         assert run("experiment --config {in}/bad.json", inputs) == 1
-        assert "'replicatez'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and owner in err
 
     @pytest.mark.parametrize(
         "pipeline,key",
