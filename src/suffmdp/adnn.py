@@ -10,6 +10,14 @@ Fitting works on the row-stacked steps of ``core.flatten_transitions``, and
 the shared network and a head run forward and backward as one network
 through ``features.mlp_forward`` and ``features.mlp_backward``.
 
+There is one training loop.  It trains replicas ``(training data, lam,
+seed)`` of one architecture in lock step, their parameters stacked on a
+leading replica axis, and every replica gets the parameters a lone fit with
+its data, penalty and seed would get.  `fit_adnn` is its one-replica call;
+cross-validation trains every (fold, penalty) replica of one (width, depth)
+in one call, and the penalties of one fold share their initialisation and
+minibatch draws.
+
 The fit criterion is penalized least squares
 
     C(theta) = (1/n) sum_i sum_t ||prediction(S_i^t, A_i^t) - Y_i^{t+1}||^2
@@ -117,6 +125,11 @@ class Architecture:
         return [self.feature_dim] + [self.hidden_width] * (self.depth - 1) + [self.output_dim]
 
 
+def _check_lam(lam) -> None:
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Training hyperparameters.
@@ -138,8 +151,7 @@ class FitConfig:
     check_every: int = 100
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        _check_lam(self.lam)
         if not 0 < self.batch_fraction < 1:
             raise ValueError(f"batch_fraction must be in (0, 1), got {self.batch_fraction}")
         if self.n_max < 0:
@@ -268,28 +280,179 @@ def adnn_cost(ds: TrajectoryDataset, model: AdnnModel, lam: float) -> float:
     return sum(errors.values()) / ds.n_subjects + _penalty(model, lam)
 
 
-def _batch_gradients(s, y, model, lam, action):
-    """Gradients of the batch-mean squared error plus penalty subgradient.
+def _batch_gradients(s, y, take, model, lam, action):
+    """Gradients of each replica's batch-mean squared error plus penalty subgradient.
 
-    The feature layers and the action's head run as one network whose last
-    layer is affine.  Returns ``(feature_grads, head_grads)`` shaped like
-    the parameters.  The group-lasso subgradient on the first feature layer is
-    ``lam * column / ||column||`` for nonzero columns and zero otherwise.
+    ``model`` is stacked (see `_stack`): every array carries a leading replica
+    axis ``R``.  ``s`` and ``y`` are ``(R, rows, .)`` batches in which replica
+    ``r`` owns its first ``take[r]`` rows; the rest are padding, get a zero
+    loss gradient and do not count in the mean.  The feature layers and the
+    action's head run as one network whose last layer is affine.  Returns
+    ``(feature_grads, head_grads)`` shaped like the parameters.  The
+    group-lasso subgradient on the first feature layer is
+    ``lam[r] * column / ||column||`` for nonzero columns and zero otherwise.
     """
     layers = model.feature_layers + model.heads[action]
     cache = []
     out = mlp_forward(s, layers, model.activation, affine_last=True, cache=cache)
-    grads = mlp_backward(cache, layers, 2.0 * (out - y) / s.shape[0], model.activation)
+    take = np.asarray(take)[:, None, None]
+    pad = np.arange(s.shape[1])[:, None] >= take
+    delta = np.where(pad, 0.0, 2.0 * (out - y) / take)
+    grads = mlp_backward(cache, layers, delta, model.activation)
     k = len(model.feature_layers)
     feature_grads, head_grads = grads[:k], grads[k:]
 
-    if lam > 0.0:
-        w1 = model.feature_layers[0][0]
-        norms = np.sqrt(np.square(w1).sum(axis=0))
-        scale = np.divide(lam, norms, out=np.zeros_like(norms), where=norms > 0)
+    lam = np.asarray(lam, dtype=np.float64)
+    if (lam > 0.0).any():
+        w1 = model.first_layer
+        norms = np.sqrt(np.square(w1).sum(axis=-2))
+        scale = np.divide(lam[:, None], norms, out=np.zeros_like(norms), where=norms > 0)
         dw1, db1 = feature_grads[0]
-        feature_grads[0] = (dw1 + w1 * scale[None, :], db1)
+        feature_grads[0] = (dw1 + w1 * scale[:, None, :], db1)
     return feature_grads, head_grads
+
+
+def _stack(models: Sequence[AdnnModel]) -> AdnnModel:
+    """One model holding ``models`` on a leading replica axis.
+
+    Biases are stacked as ``(R, 1, out)`` so that they broadcast over the row
+    axis of ``(R, rows, in)`` inputs in `features.mlp_forward`.
+    """
+    def stack(layer_lists):
+        return [
+            (np.stack([w for w, _ in layer]), np.stack([b for _, b in layer])[:, None, :])
+            for layer in zip(*layer_lists)
+        ]
+
+    first = models[0]
+    return AdnnModel(
+        architecture=first.architecture,
+        feature_layers=stack([m.feature_layers for m in models]),
+        heads={a: stack([m.heads[a] for m in models]) for a in first.heads},
+    )
+
+
+def _replica(stacked: AdnnModel, r: int) -> AdnnModel:
+    """Replica ``r`` of a stacked model, as views of its arrays."""
+    def pick(layers):
+        return [(w[r], b[r, 0]) for w, b in layers]
+
+    return AdnnModel(
+        architecture=stacked.architecture,
+        feature_layers=pick(stacked.feature_layers),
+        heads={a: pick(ls) for a, ls in stacked.heads.items()},
+    )
+
+
+def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
+    """Train replicas ``(train dataset, lam, seed)`` of one architecture in lock step.
+
+    Every replica follows the training of a lone `fit_adnn` call on its own
+    data with ``replace(cfg, lam=lam, seed=seed)``: it draws its
+    initialisation and then, per iteration and action, its minibatch rows
+    from ``substream(seed)`` in the same order.  Replicas with equal seeds and
+    equal per-action row counts would draw identical values, so they share
+    one stream and one draw per step.  Each step gathers every replica's
+    batch into one ``(R, max take, .)`` array, padded with a zero row, and
+    descends on all replicas at once.  Returns one model per replica, in
+    order, each with its own cost trace; a non-finite cost in any replica
+    raises `ConvergenceError`.
+    """
+    n_actions = replicas[0][0].n_actions
+    actions = sorted(actions_subset) if actions_subset is not None else list(
+        range(1, n_actions + 1)
+    )
+    lams, data, action_rows = [], [], []
+    for train, lam, _ in replicas:
+        _check_lam(lam)
+        lams.append(float(lam))
+        tr = flatten_transitions(train)
+        data.append((tr, tr.responses, train.n_subjects))
+        rows_by_action = {}
+        for a in actions:
+            rows = np.flatnonzero(tr.actions == a)
+            if rows.size == 0:
+                raise ValueError(f"action {a} is absent from the data")
+            if int(cfg.batch_fraction * rows.size) == 0:
+                raise ValueError(
+                    f"batch fraction too small: floor({cfg.batch_fraction} * {rows.size}) = 0 "
+                    f"for action {a}"
+                )
+            rows_by_action[a] = rows
+        action_rows.append(rows_by_action)
+
+    # per action: every replica's rows of that action end to end, then one
+    # zero row that pads the shorter batches
+    sizes, takes, offsets, pools, pad_index = {}, {}, {}, {}, {}
+    for a in actions:
+        sizes[a] = np.array([rows[a].size for rows in action_rows])
+        takes[a] = (cfg.batch_fraction * sizes[a]).astype(np.int64)
+        offsets[a] = np.cumsum(sizes[a]) - sizes[a]
+        states = [tr.states[rows[a]] for (tr, _, _), rows in zip(data, action_rows)]
+        responses = [y[rows[a]] for (_, y, _), rows in zip(data, action_rows)]
+        pools[a] = (
+            np.concatenate(states + [np.zeros((1, arch.input_dim))]),
+            np.concatenate(responses + [np.zeros((1, arch.output_dim))]),
+        )
+        pad_index[a] = np.full((len(replicas), takes[a].max()), sizes[a].sum())
+
+    # a replica's draws depend only on its seed and its per-action row
+    # counts, so replicas equal in both share one stream
+    groups = {}
+    for r, (_, _, seed) in enumerate(replicas):
+        groups.setdefault((seed,) + tuple(int(sizes[a][r]) for a in actions), []).append(r)
+    streams, inits = [], [None] * len(replicas)
+    for (seed, *_), members in groups.items():
+        rng = substream(seed)
+        init = _init_model(arch, actions, rng)
+        for r in members:
+            inits[r] = init
+        draws = {a: (int(sizes[a][r]), int(takes[a][r])) for a in actions}
+        streams.append((rng, np.array(members), draws))
+    model = _stack(inits)
+
+    traces = [[] for _ in replicas]
+
+    def record_costs():
+        for r, ((tr, y, n), trace) in enumerate(zip(data, traces)):
+            trace.append(_costs_by_action(tr, y, n, _replica(model, r), lams[r], actions))
+
+    record_costs()
+    for b in range(1, cfg.n_max + 1):
+        alpha = cfg.step_size(b)
+        for a in actions:
+            index = pad_index[a].copy()
+            for rng, members, draws in streams:
+                n, take = draws[a]
+                drawn = rng.choice(n, size=take, replace=False)
+                index[members, :take] = offsets[a][members, None] + drawn
+            states, responses = pools[a]
+            f_grads, h_grads = _batch_gradients(
+                states.take(index, axis=0), responses.take(index, axis=0), takes[a],
+                model, lams, a,
+            )
+            model.feature_layers = [
+                (w - alpha * dw, bias - alpha * db)
+                for (w, bias), (dw, db) in zip(model.feature_layers, f_grads)
+            ]
+            model.heads[a] = [
+                (w - alpha * dw, bias - alpha * db)
+                for (w, bias), (dw, db) in zip(model.heads[a], h_grads)
+            ]
+        if b % cfg.check_every != 0 and b != cfg.n_max:
+            continue
+        record_costs()
+        if not all(np.isfinite(c) for trace in traces for c in trace[-1].values()):
+            raise ConvergenceError(
+                f"training diverged at iteration {b}: non-finite cost"
+            )
+
+    fitted = []
+    for r, trace in enumerate(traces):
+        replica = _replica(model, r)
+        replica.trace = trace
+        fitted.append(replica)
+    return fitted
 
 
 def fit_adnn(
@@ -308,6 +471,11 @@ def fit_adnn(
     after an iteration raises `ConvergenceError`.  Identical inputs and seed reproduce the
     fitted parameters bit for bit, whatever ``check_every`` is.
 
+    This is the one-replica call of the lock-step trainer that
+    `cross_validate_adnn` runs on all its fits of one shape; a replica
+    trained there has the parameters this function returns for its data,
+    penalty and seed.
+
     ``actions_subset`` trains heads for a subset of action levels only
     (used by the per-action baseline); transitions with other actions are
     ignored.
@@ -318,53 +486,7 @@ def fit_adnn(
         raise ValueError(
             f"architecture output_dim {arch.output_dim} != state dim + 1 = {ds.state_dim + 1}"
         )
-    actions = sorted(actions_subset) if actions_subset is not None else list(
-        range(1, ds.n_actions + 1)
-    )
-    tr = flatten_transitions(ds)
-    y = tr.responses
-    action_rows = {}
-    for a in actions:
-        rows = np.flatnonzero(tr.actions == a)
-        if rows.size == 0:
-            raise ValueError(f"action {a} is absent from the data")
-        if int(cfg.batch_fraction * rows.size) == 0:
-            raise ValueError(
-                f"batch fraction too small: floor({cfg.batch_fraction} * {rows.size}) = 0 "
-                f"for action {a}"
-            )
-        action_rows[a] = rows
-
-    rng = substream(cfg.seed)
-    model = _init_model(arch, actions, rng)
-    n = ds.n_subjects
-    model.trace = [_costs_by_action(tr, y, n, model, cfg.lam, actions)]
-    for b in range(1, cfg.n_max + 1):
-        alpha = cfg.step_size(b)
-        for a in actions:
-            rows = action_rows[a]
-            take = int(cfg.batch_fraction * rows.size)
-            batch = rows[rng.choice(rows.size, size=take, replace=False)]
-            f_grads, h_grads = _batch_gradients(
-                tr.states[batch], y[batch], model, cfg.lam, a
-            )
-            model.feature_layers = [
-                (w - alpha * dw, bias - alpha * db)
-                for (w, bias), (dw, db) in zip(model.feature_layers, f_grads)
-            ]
-            model.heads[a] = [
-                (w - alpha * dw, bias - alpha * db)
-                for (w, bias), (dw, db) in zip(model.heads[a], h_grads)
-            ]
-        if b % cfg.check_every != 0 and b != cfg.n_max:
-            continue
-        costs = _costs_by_action(tr, y, n, model, cfg.lam, actions)
-        model.trace.append(costs)
-        if not all(np.isfinite(c) for c in costs.values()):
-            raise ConvergenceError(
-                f"training diverged at iteration {b}: non-finite cost"
-            )
-    return model
+    return _train_replicas(arch, cfg, [(ds, cfg.lam, cfg.seed)], actions_subset)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +527,15 @@ def cross_validate_adnn(
     cells that differ only in ``lam`` share their initialisation and
     minibatch streams, duplicate cells score identically, and scores do not
     depend on grid order.
+
+    All (fold, penalty) replicas of one (width, depth) train in lock step in
+    one call of the trainer behind `fit_adnn`.  Each replica ends with the
+    parameters of ``fit_adnn(train fold, arch, replace(cfg, lam=lam,
+    seed=derive_seed(cfg.seed, width, depth, fold)))``; the penalties of one
+    fold draw their initialisation and each step's minibatch rows once,
+    together.  A duplicate cell trains once.  A penalty below zero raises
+    ValueError, and a non-finite cost in any replica raises
+    `ConvergenceError`.
     """
     cells = list(grid)
     if not cells:
@@ -419,24 +550,36 @@ def cross_validate_adnn(
         (np.setdiff1d(perm, members), members) for members in fold_members
     ]
 
-    scores = []
+    # every (fold, lam) replica of one (width, depth) trains in one call;
+    # seeds are keyed by (width, depth, fold), not lam
+    shapes = {}
     for width, depth, lam in cells:
+        lams = shapes.setdefault((width, depth), [])
+        if lam not in lams:
+            lams.append(lam)
+    folds_data = []
+    for train_idx, valid_idx in fold_sets:
+        valid = ds.subset_subjects(valid_idx)
+        folds_data.append((ds.subset_subjects(train_idx), flatten_transitions(valid),
+                           valid.n_subjects))
+    cell_scores = {}
+    for (width, depth), lams in shapes.items():
         arch = Architecture.for_dataset(ds, feature_dim, width, depth, activation)
-        # seeds keyed by (width, depth, fold), not lam: penalties at one shape
-        # share initialisation and minibatch streams, duplicate cells score
-        # identically and scores do not depend on grid order
-        fold_errors = []
-        for fi, (train_idx, valid_idx) in enumerate(fold_sets):
-            train = ds.subset_subjects(train_idx)
-            valid = ds.subset_subjects(valid_idx)
-            fit_cfg = replace(
-                cfg, lam=lam, seed=derive_seed(cfg.seed, width, depth, fi)
-            )
-            model = fit_adnn(train, arch, fit_cfg, actions_subset=actions_subset)
-            tr = flatten_transitions(valid)
-            errors = _squared_errors(tr, tr.responses, model, model.actions)
-            fold_errors.append(sum(errors.values()) / valid.n_subjects)
-        scores.append(((width, depth, lam), float(np.mean(fold_errors))))
+        replicas = [
+            (train, lam, derive_seed(cfg.seed, width, depth, fi))
+            for fi, (train, _, _) in enumerate(folds_data)
+            for lam in lams
+        ]
+        models = _train_replicas(arch, cfg, replicas, actions_subset)
+        for k, lam in enumerate(lams):
+            fold_errors = []
+            for fi, (_, tr, n_valid) in enumerate(folds_data):
+                model = models[fi * len(lams) + k]
+                errors = _squared_errors(tr, tr.responses, model, model.actions)
+                fold_errors.append(sum(errors.values()) / n_valid)
+            cell_scores[(width, depth, lam)] = float(np.mean(fold_errors))
+    scores = [((width, depth, lam), cell_scores[(width, depth, lam)])
+              for width, depth, lam in cells]
 
     best = min(scores, key=lambda item: (item[1], item[0][1], item[0][0], -item[0][2]))
     return CrossValidationResult(best=best[0], scores=scores)

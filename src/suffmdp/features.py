@@ -54,19 +54,26 @@ ACTIVATIONS = {
 }
 
 
+def _transpose(w):
+    # a 1-D final weight is its own transpose
+    return w if w.ndim == 1 else np.swapaxes(w, -1, -2)
+
+
 def mlp_forward(x, layers, activation="sigmoid", affine_last=False, cache=None):
     """Apply ``(W, b)`` layers, ``x -> act(x @ W.T + b)``, to row-stacked inputs
     (or to one 1-D input).
 
-    With ``affine_last`` the final layer skips the activation; a 1-D final
-    weight then gives one value per row.  When ``cache`` is a list, each
-    layer appends its ``(input, pre-activation, output)`` for
-    :func:`mlp_backward`.
+    The pair is rank-generic: ``W`` may carry leading stack axes, ``(R, out,
+    in)`` against inputs ``(R, rows, in)``, with biases shaped ``(R, 1, out)``
+    so that they broadcast over the row axis.  With ``affine_last`` the final
+    layer skips the activation; a 1-D final weight then gives one value per
+    row.  When ``cache`` is a list, each layer appends its ``(input,
+    pre-activation, output)`` for :func:`mlp_backward`.
     """
     act = ACTIVATIONS[activation][0]
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = x @ w.T + b
+        z = x @ _transpose(w) + b
         out = z if affine_last and i == last else act(z)
         if cache is not None:
             cache.append((x, z, out))
@@ -79,6 +86,8 @@ def mlp_backward(cache, layers, delta, activation="sigmoid"):
 
     ``delta`` is the loss gradient with respect to the network output;
     ``cache`` and ``activation`` are those of the :func:`mlp_forward` call.
+    Gradients sum over the row axis and are shaped like the parameters, stack
+    axes included.
     """
     dact = ACTIVATIONS[activation][1]
     grads = [None] * len(layers)
@@ -86,7 +95,8 @@ def mlp_backward(cache, layers, delta, activation="sigmoid"):
         x, z, out = cache[i]
         # an affine layer cached its pre-activation as its output
         dz = delta if out is z else delta * dact(z, out)
-        grads[i] = (dz.T @ x, dz.sum(axis=0))
+        bias_shape = np.shape(layers[i][1])
+        grads[i] = (np.swapaxes(dz, -1, -2) @ x, dz.sum(axis=-2).reshape(bias_shape))
         if i:
             delta = dz @ layers[i][0]
     return grads

@@ -11,6 +11,8 @@ from suffmdp.adnn import (
     ConvergenceError,
     FitConfig,
     _batch_gradients,
+    _stack,
+    _train_replicas,
     active_inputs,
     adnn_cost,
     construct_sufficient_features,
@@ -23,7 +25,7 @@ from suffmdp.adnn import (
 )
 from suffmdp.core import TrajectoryDataset, config_from_jsonable, flatten_transitions
 from suffmdp.features import NetworkFeatureMap
-from suffmdp.rng import substream
+from suffmdp.rng import derive_seed, substream
 from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
 
 
@@ -225,6 +227,12 @@ def relative_error(a, b):
     return np.abs(a - b) / np.maximum(np.abs(b), 1e-6)
 
 
+def replica_gradients(s, y, model, lam, action):
+    """One replica's batch gradients through a one-replica stacked call."""
+    f_g, h_g = _batch_gradients(s[None], y[None], [len(s)], _stack([model]), [lam], action)
+    return [(dw[0], db[0, 0]) for dw, db in f_g], [(dw[0], db[0, 0]) for dw, db in h_g]
+
+
 class TestSubgradient:
     def test_matches_finite_differences(self):
         rng = substream(8)
@@ -240,7 +248,7 @@ class TestSubgradient:
             ds = _random_dataset(model.architecture.input_dim, seed=case)
             s, y = action_batch(ds, 1, size=6)
             lam = 0.05
-            f_g, h_g = _batch_gradients(s, y, model, lam, 1)
+            f_g, h_g = replica_gradients(s, y, model, lam, 1)
             f_fd, h_fd = finite_difference_grads(s, y, model, lam, 1)
             for (dw, db), (dw2, db2) in zip(f_g + h_g, f_fd + h_fd):
                 assert relative_error(dw, dw2).max() < 1e-4
@@ -257,19 +265,38 @@ class TestSubgradient:
             feature_layers=[(np.zeros((1, 1)), np.zeros(1))],
             heads={1: [(np.zeros((2, 1)), np.array([1.0, 0.0]))]},
         )
-        f_g, h_g = _batch_gradients(*action_batch(ds, 1), model, 0.0, 1)
+        f_g, h_g = replica_gradients(*action_batch(ds, 1), model, 0.0, 1)
         for dw, db in f_g + h_g:
             assert np.allclose(dw, 0.0) and np.allclose(db, 0.0)
 
     def test_only_requested_head_gets_gradients(self):
-        model = make_model(seed=9)
+        stacked = _stack([make_model(seed=9), make_model(seed=10)])
         ds = _random_dataset(3, seed=5, n_actions=2)
-        f_g, h_g = _batch_gradients(*action_batch(ds, 1), model, 0.1, 1)
-        assert len(h_g) == len(model.heads[1])
-        for (dw, db), (w, b) in zip(f_g + h_g, model.feature_layers + model.heads[1]):
+        s, y = action_batch(ds, 1)
+        s, y, take = np.stack([s, s]), np.stack([y, y]), [len(s)] * 2
+        f_g, h_g = _batch_gradients(s, y, take, stacked, [0.1, 0.1], 1)
+        assert len(h_g) == len(stacked.heads[1])
+        for (dw, db), (w, b) in zip(f_g + h_g, stacked.feature_layers + stacked.heads[1]):
             assert dw.shape == w.shape and db.shape == b.shape
         with pytest.raises(KeyError):
-            _batch_gradients(*action_batch(ds, 1), model, 0.1, 3)  # no such head
+            _batch_gradients(s, y, take, stacked, [0.1, 0.1], 3)  # no such head
+
+    def test_stacked_gradients_equal_each_replicas_own(self):
+        # three replicas with different penalties and batch sizes; the shorter
+        # batches are padded with junk rows, which must not count
+        models = [make_model(seed=20 + r, scale=0.7) for r in range(3)]
+        lams, takes = [0.0, 0.05, 0.3], [6, 4, 5]
+        ds = _random_dataset(3, seed=21, n=12, n_actions=2)
+        s_all, y_all = action_batch(ds, 2)
+        rows = substream(22).permutation(len(s_all))[:3 * max(takes)].reshape(3, -1)
+        s, y = s_all[rows], y_all[rows]
+        for r, take in enumerate(takes):
+            s[r, take:], y[r, take:] = 7.0, -3.0
+        f_g, h_g = _batch_gradients(s, y, takes, _stack(models), lams, 2)
+        for r, (model, lam, take) in enumerate(zip(models, lams, takes)):
+            f_ref, h_ref = replica_gradients(s[r, :take], y[r, :take], model, lam, 2)
+            for (dw, db), (dw_ref, db_ref) in zip(f_g + h_g, f_ref + h_ref, strict=True):
+                assert np.array_equal(dw[r], dw_ref) and np.array_equal(db[r, 0], db_ref)
 
 
 def _random_dataset(p, seed=0, n=8, horizon=4, n_actions=1):
@@ -425,6 +452,73 @@ class TestCrossValidation:
         scores = dict(cv.scores)
         assert scores[(4, 1, 0.001)] < scores[(4, 1, 1e6)]
         assert cv.best == (4, 1, 0.001)
+
+    @pytest.mark.parametrize("subset", [None, [2]], ids=["all-actions", "action-2"])
+    def test_stacked_equals_per_cell_reference(self, subset):
+        # 2 shapes x 2 penalties plus a duplicate cell over 3 unequal folds:
+        # every cell scores exactly what lone fit_adnn fits of its folds score
+        ds = _random_dataset(2, seed=19, n=11, horizon=6, n_actions=2)
+        grid = [(2, 1, 0.01), (3, 2, 0.2), (2, 1, 0.2), (3, 2, 0.01), (2, 1, 0.01)]
+        cfg = FitConfig(alpha0=0.2, batch_fraction=0.3, n_max=40, seed=6, check_every=15)
+        cv = cross_validate_adnn(ds, feature_dim=2, grid=grid, folds=3, cfg=cfg,
+                                 actions_subset=subset)
+
+        perm = substream(cfg.seed, 0xF01D).permutation(ds.n_subjects)
+        folds = [(np.setdiff1d(perm, m), m) for m in np.array_split(perm, 3)]
+        actions = subset or [1, 2]
+        takes = {
+            a: {int(0.3 * np.sum(ds.subset_subjects(train).actions == a)) for train, _ in folds}
+            for a in actions
+        }
+        assert all(len(t) > 1 for t in takes.values())  # batches are padded
+        reference = []
+        for width, depth, lam in grid:
+            arch = Architecture.for_dataset(ds, 2, width, depth)
+            errors = []
+            for fi, (train, valid) in enumerate(folds):
+                fit_cfg = dataclasses.replace(
+                    cfg, lam=lam, seed=derive_seed(cfg.seed, width, depth, fi)
+                )
+                model = fit_adnn(ds.subset_subjects(train), arch, fit_cfg,
+                                 actions_subset=subset)
+                held_out = ds.subset_subjects(valid)
+                tr = flatten_transitions(held_out)
+                squared = sum(
+                    float(np.square(model.predict(tr.states[tr.actions == a], a)
+                                    - tr.responses[tr.actions == a]).sum())
+                    for a in actions
+                )
+                errors.append(squared / held_out.n_subjects)
+            reference.append(((width, depth, lam), float(np.mean(errors))))
+        assert cv.scores == reference
+        assert cv.scores[0][1] == cv.scores[4][1]
+
+    def test_negative_penalty_rejected(self):
+        ds = _random_dataset(2, seed=20, n=8)
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            cross_validate_adnn(ds, 1, [(2, 1, 0.1), (2, 1, -0.5)], folds=2,
+                                cfg=FitConfig(n_max=1, seed=0))
+
+    def test_divergence_raises(self):
+        # the experiment harness retries at half step size on this error; a
+        # diverged replica must not turn into an averaged NaN score
+        ds = sample_trajectories(GenerativeModelSpec("linear", signal_dim=4), 20, 4, rng=1)
+        with np.errstate(all="ignore"), pytest.raises(
+            ConvergenceError, match="iteration 50: non-finite cost"
+        ):
+            cross_validate_adnn(ds, 2, [(4, 1, 0.01), (4, 1, 0.1)], folds=2,
+                                cfg=FitConfig(alpha0=1e6, n_max=50, seed=1))
+
+    def test_trace_values_are_python_floats(self):
+        ds = _random_dataset(2, seed=21, n=10, n_actions=2)
+        arch = Architecture(input_dim=2, feature_dim=1, output_dim=3, n_actions=2)
+        cfg = FitConfig(lam=0.05, batch_fraction=0.3, n_max=30, seed=2, check_every=10)
+        halves = ds.subset_subjects(np.arange(5)), ds.subset_subjects(np.arange(5, 10))
+        replicas = [(halves[0], 0.05, 3), (halves[0], 0.5, 3), (halves[1], 0.05, 4)]
+        models = [fit_adnn(ds, arch, cfg)] + _train_replicas(arch, cfg, replicas)
+        for model in models:
+            assert len(model.trace) == 4
+            assert all(type(c) is float for entry in model.trace for c in entry.values())
 
     def test_too_many_folds_rejected(self):
         ds = _random_dataset(2, seed=13, n=4)
