@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -597,7 +598,6 @@ def residual_independence_pvalue(
     seed: int = 0,
     tau: float = 0.05,
     min_stratum: int = 5,
-    pool_order: Optional[int] = None,
     actions_subset: Optional[Sequence[int]] = None,
 ) -> TestReport:
     """Test prediction residuals for independence of the current state.
@@ -620,9 +620,7 @@ def residual_independence_pvalue(
         min_stratum=min_stratum, actions=actions,
     )
     # rows of untested actions stay NaN; the test never reads them
-    return stratified_pooled_test(
-        resid.reshape(ds.actions.shape + (-1,)), side, tau=tau, pool_order=pool_order
-    )
+    return stratified_pooled_test(resid.reshape(ds.actions.shape + (-1,)), side, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -636,33 +634,26 @@ class DimensionSelection:
 
 def select_feature_dimension(
     ds: TrajectoryDataset,
-    dims: Sequence[int],
-    tau: float = 0.05,
-    grid: Optional[Sequence[tuple]] = None,
-    cfg: FitConfig = FitConfig(),
-    folds: int = 5,
-    n_permutations: int = 999,
+    config: PipelineConfig,
     seed: int = 0,
-    min_stratum: int = 5,
-    activation: str = "sigmoid",
     actions_subset: Optional[Sequence[int]] = None,
-    cv_cfg: Optional[FitConfig] = None,
 ) -> DimensionSelection:
     """Smallest feature dimension whose residuals pass the independence test.
 
-    Candidate dimensions are tried in ascending order; each is tuned by
-    cross-validation, refit on the full data, and accepted when the pooled
-    residual p-value exceeds ``tau``.  If none passes, the largest
-    dimension is returned with ``none_sufficient`` set.  ``cv_cfg`` lets
-    cross-validation run on a lighter training budget than the final fit.
+    Candidate dimensions ``config.dims`` (default: `default_dims` up to the
+    state dimension) are tried in ascending order.  Each is tuned by
+    cross-validation over ``config.grid`` (default: `default_grid`) with
+    ``min(config.folds, ds.n_subjects)`` folds and ``config.cv_fit`` (default:
+    ``config.fit``), refit on the full data with ``config.fit`` and the
+    winning penalty, and accepted when the pooled residual p-value exceeds
+    ``config.tau_dim``.  If none passes, the largest dimension is returned
+    with ``none_sufficient`` set.  ``seed`` keys every CV, fit and test
+    stream; ``actions_subset`` restricts fits and tests to those actions.
     """
-    dims = [int(r) for r in dims]
-    if not dims:
-        raise ValueError("dims must be nonempty")
-    if any(r < 1 for r in dims) or sorted(dims) != dims:
-        raise ValueError(f"dims must be ascending positive integers, got {dims}")
-    cells = list(grid) if grid is not None else default_grid()
-
+    dims = config.dims if config.dims is not None else default_dims(ds.state_dim)
+    cells = config.grid if config.grid is not None else default_grid()
+    folds = min(config.folds, ds.n_subjects)
+    tau = config.tau_dim
     reports = []
     model = None
     for r in dims:
@@ -671,25 +662,25 @@ def select_feature_dimension(
             feature_dim=r,
             grid=cells,
             folds=folds,
-            cfg=replace(cv_cfg or cfg, seed=derive_seed(seed, r, 0)),
-            activation=activation,
+            cfg=replace(config.cv_fit or config.fit, seed=derive_seed(seed, r, 0)),
+            activation=config.activation,
             actions_subset=actions_subset,
         )
         width, depth, lam = cv.best
-        arch = Architecture.for_dataset(ds, r, width, depth, activation)
+        arch = Architecture.for_dataset(ds, r, width, depth, config.activation)
         model = fit_adnn(
             ds,
             arch,
-            replace(cfg, lam=lam, seed=derive_seed(seed, r, 1)),
+            replace(config.fit, lam=lam, seed=derive_seed(seed, r, 1)),
             actions_subset=actions_subset,
         )
         report = residual_independence_pvalue(
             ds,
             model,
-            n_permutations=n_permutations,
+            n_permutations=config.n_permutations,
             seed=derive_seed(seed, r, 2),
             tau=tau,
-            min_stratum=min_stratum,
+            min_stratum=config.min_stratum,
             actions_subset=actions_subset,
         )
         best_score = dict(cv.scores)[cv.best]
@@ -737,6 +728,7 @@ class PipelineConfig:
 
     ``tau`` is the screening level; ``tau_dim`` the level at which the
     residual test must fail to reject for a dimension to be accepted.
+    ``dims``, when given, must be nonempty ascending positive integers.
     """
 
     tau: float = 0.1
@@ -753,6 +745,13 @@ class PipelineConfig:
     seed: int = 0
     max_iterations: int = 10
     screen_n_max: Optional[int] = None
+
+    def __post_init__(self):
+        if self.dims is not None:
+            dims = list(self.dims)
+            if (not dims or any(not isinstance(r, numbers.Integral) or r < 1 for r in dims)
+                    or sorted(dims) != dims):
+                raise ValueError(f"dims must be nonempty ascending positive integers, got {dims}")
 
 
 @dataclass(frozen=True)
@@ -841,24 +840,7 @@ def construct_sufficient_features(
     selection = None
     for it in range(1, config.max_iterations + 1):
         sub = ds.restrict_columns(variables)
-        dims = (
-            [d for d in config.dims if d >= 1]
-            if config.dims is not None
-            else default_dims(len(variables))
-        )
-        selection = select_feature_dimension(
-            sub,
-            dims=dims,
-            tau=config.tau_dim,
-            grid=config.grid,
-            cfg=config.fit,
-            folds=min(config.folds, ds.n_subjects),
-            n_permutations=config.n_permutations,
-            seed=derive_seed(config.seed, it),
-            min_stratum=config.min_stratum,
-            activation=config.activation,
-            cv_cfg=config.cv_fit,
-        )
+        selection = select_feature_dimension(sub, config, seed=derive_seed(config.seed, it))
         active = active_inputs(selection.model, config.col_tol)
         active_abs = [variables[j] for j in active]
         iterations.append(

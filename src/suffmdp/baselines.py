@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adnn import PipelineConfig, active_inputs, default_dims, select_feature_dimension
+from .adnn import PipelineConfig, active_inputs, select_feature_dimension
 from .core import TrajectoryDataset
 from .features import ConcatFeatureMap, LinearFeatureMap
 from .rng import derive_seed
@@ -88,21 +88,9 @@ def fit_tnn(ds: TrajectoryDataset, config: PipelineConfig = PipelineConfig()) ->
     parts = []
     union: set[int] = set()
     total_dim = 0
-    dims = list(config.dims) if config.dims is not None else default_dims(ds.state_dim)
     for a in range(1, ds.n_actions + 1):
         selection = select_feature_dimension(
-            ds,
-            dims=dims,
-            tau=config.tau_dim,
-            grid=config.grid,
-            cfg=config.fit,
-            folds=min(config.folds, ds.n_subjects),
-            n_permutations=config.n_permutations,
-            seed=derive_seed(config.seed, a),
-            min_stratum=config.min_stratum,
-            activation=config.activation,
-            actions_subset=[a],
-            cv_cfg=config.cv_fit,
+            ds, config, seed=derive_seed(config.seed, a), actions_subset=[a]
         )
         active = active_inputs(selection.model, config.col_tol)
         per_action[a] = (selection.model, selection.feature_dim, active)

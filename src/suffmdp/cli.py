@@ -6,10 +6,15 @@ pipeline), ``qlearn`` (fit a Q approximator over a stored feature map),
 ``evaluate`` (Monte Carlo policy value in a generative model), and
 ``experiment`` (the replicated comparison harness).
 
+``construct --grid-file`` reads a `PipelineConfig` JSON object, the same
+format as an experiment config's ``pipeline`` section; keys it leaves out
+take the config defaults.  ``--tau``, ``--perms`` and ``--seed`` override
+the file's ``tau``, ``n_permutations`` and ``seed`` when given.
+
 Exit codes: 0 on success, 1 on validation errors (bad flags, malformed
 inputs), 2 on unexpected runtime failures.  All randomness flows from
-``--seed``; outputs carry no timestamps, so identical inputs give
-byte-identical outputs.
+the seed (``--seed``, or a config file's); outputs carry no timestamps, so
+identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import sys
 from typing import Optional
 
 from . import experiment as experiment_mod
-from .adnn import PipelineConfig, construct_sufficient_features, default_grid
+from .adnn import PipelineConfig, construct_sufficient_features
 from .core import (
     DataValidationError,
     config_from_jsonable,
@@ -69,10 +74,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("construct", help="construct a reduced feature map")
     p.add_argument("--data", required=True)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--grid-file", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perms", type=int, default=999)
+    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--grid-file", default=None,
+                   help="PipelineConfig JSON object; --tau, --perms and --seed override it")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--perms", type=int, default=None)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-report", default=None)
     p.add_argument("--out-weights", default=None,
@@ -122,30 +128,6 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_grid_file(path: Optional[str]) -> dict:
-    """Tuning grid and optional pipeline overrides from a JSON file."""
-    if path is None:
-        return {}
-    data = _load_json(path)
-    if "cells" in data:
-        grid = data["cells"]
-    elif {"hidden_widths", "depths", "lams"} & set(data):
-        grid = default_grid(
-            hidden_widths=data.get("hidden_widths", (2, 4, 8)),
-            depths=data.get("depths", (1, 2)),
-            lams=data.get("lams", (0.001, 0.01, 0.1, 1.0)),
-        )
-    else:
-        grid = None
-    overrides = {
-        k: data[k]
-        for k in ("dims", "folds", "min_stratum", "col_tol", "activation",
-                  "max_iterations", "fit")
-        if k in data
-    }
-    return {"grid": grid, **overrides}
-
-
 def _cmd_simulate(args) -> int:
     spec = GenerativeModelSpec(g_kind=args.model, n_noise=args.n_noise, seed=args.seed)
     ds = sample_trajectories(spec, args.n, args.t, rng=args.seed)
@@ -168,10 +150,11 @@ def _cmd_screen(args) -> int:
 
 def _cmd_construct(args) -> int:
     ds = load_dataset_csv(args.data)
-    config = config_from_jsonable(PipelineConfig, {
-        "tau": args.tau, "n_permutations": args.perms, "seed": args.seed,
-        **_load_grid_file(args.grid_file),
-    })
+    config = config_from_jsonable(
+        PipelineConfig, {} if args.grid_file is None else _load_json(args.grid_file)
+    )
+    flags = {"tau": args.tau, "n_permutations": args.perms, "seed": args.seed}
+    config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     result = construct_sufficient_features(ds, config)
     if result.feature_map is None:
         _write_json(args.out_report, result.to_jsonable())

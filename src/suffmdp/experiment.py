@@ -155,10 +155,14 @@ def _build_feature_map(method, ds, gen_spec, cfg: ExperimentConfig, seed: int,
     if method == "pca":
         fmap, k = pca_feature_map(ds, cfg.pca_var_explained)
         return fmap, p, k
+
+    # CV fits too: a diverged CV fit retried at its old step size fails again
+    def scaled(fit):
+        return None if fit is None else replace(fit, alpha0=fit.alpha0 * alpha_scale)
+
     pipe = replace(
-        cfg.pipeline,
-        seed=seed,
-        fit=replace(cfg.pipeline.fit, alpha0=cfg.pipeline.fit.alpha0 * alpha_scale),
+        cfg.pipeline, seed=seed,
+        fit=scaled(cfg.pipeline.fit), cv_fit=scaled(cfg.pipeline.cv_fit),
     )
     if method == "adnn":
         result = construct_sufficient_features(ds, pipe)

@@ -71,7 +71,6 @@ def screen(
     n_permutations: int = 999,
     seed: int = 0,
     min_stratum: int = 5,
-    pool_order: Optional[int] = None,
     scan_order: Optional[Sequence[int]] = None,
 ) -> ScreenResult:
     """Screen state coordinates relevant to the utility process.
@@ -108,9 +107,7 @@ def screen(
         pvals: dict[int, float] = {}
         added: list[int] = []
         for j in tested:
-            report = stratified_pooled_test(
-                ds.states[:, :-1, j], side, tau=tau, pool_order=pool_order
-            )
+            report = stratified_pooled_test(ds.states[:, :-1, j], side, tau=tau)
             pvals[j] = report.p_value
             if report.p_value <= tau:
                 added.append(j)

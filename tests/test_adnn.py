@@ -566,20 +566,21 @@ class TestResidualTest:
 class TestDimensionSelection:
     def test_single_dim_equal_to_state_dim(self):
         ds = linear_response_dataset(n=25, horizon=12, seed=16)
-        sel = select_feature_dimension(
-            ds, dims=[1], tau=0.05, grid=[(4, 1, 0.001)],
-            cfg=FitConfig(alpha0=0.3, beta=800.0, n_max=3000, seed=5, check_every=25),
-            folds=2, n_permutations=999, seed=7,
+        cfg = PipelineConfig(
+            dims=(1,), tau_dim=0.05, grid=((4, 1, 0.001),),
+            fit=FitConfig(alpha0=0.3, beta=800.0, n_max=3000, seed=5, check_every=25),
+            folds=2, n_permutations=999,
         )
+        sel = select_feature_dimension(ds, cfg, seed=7)
         assert sel.feature_dim == 1
         assert not sel.none_sufficient
         assert len(sel.reports) == 1
 
     def test_dims_must_be_ascending(self):
-        ds = linear_response_dataset(seed=17)
-        with pytest.raises(ValueError):
-            select_feature_dimension(ds, dims=[2, 1], grid=[(2, 1, 0.0)],
-                                     cfg=FitConfig(n_max=1, seed=0), folds=2)
+        # checked when the config is made, so both pipelines fail alike
+        for dims in ((2, 1), (0, 1), (), (1.5,)):
+            with pytest.raises(ValueError, match="dims must be nonempty ascending positive"):
+                PipelineConfig(dims=dims)
 
     def test_default_dims_ladder(self):
         assert default_dims(4) == [1, 2, 3, 4]

@@ -9,6 +9,7 @@ golden files after an intended change of output, run this file directly:
     PYTHONPATH=src python tests/test_cli.py
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -18,10 +19,11 @@ from pathlib import Path
 import pytest
 
 from suffmdp import cli
+from suffmdp.adnn import FitConfig, PipelineConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
-GRID = {"cells": [[2, 1, 0.01]], "dims": [1], "folds": 2,
+GRID = {"grid": [[2, 1, 0.01]], "dims": [1], "folds": 2,
         "fit": {"n_max": 20, "check_every": 5}}
 GEN_SPEC = {"model": "linear", "n_noise": 0}
 EXPERIMENT = {
@@ -96,6 +98,29 @@ def test_output_matches_golden(name, argv, files, inputs, tmp_path):
         assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
 
 
+CONSTRUCT = dict((r[0], r[1]) for r in RUNS)["construct"]
+# the construct run's grid file and flags as one whole PipelineConfig
+GOLDEN_PIPELINE = PipelineConfig(
+    grid=((2, 1, 0.01),), dims=(1,), folds=2, fit=FitConfig(n_max=20, check_every=5),
+    n_permutations=99, seed=3,
+)
+
+
+@pytest.mark.parametrize(
+    "file_values,flags",
+    [({}, ""), ({"n_permutations": 19, "seed": 8, "tau": 0.5}, "--perms 99 --seed 3 --tau 0.1")],
+    ids=["file-only", "flags-override-file"])
+def test_grid_file_is_a_whole_pipeline_config(inputs, tmp_path, file_values, flags):
+    # every field of the config, as an experiment's pipeline section would hold it
+    config = dataclasses.replace(GOLDEN_PIPELINE, **file_values)
+    (inputs / "pipeline.json").write_text(json.dumps(dataclasses.asdict(config)))
+    argv = ("construct --data {golden}/data.csv --grid-file {in}/pipeline.json "
+            f"{flags} --out-model model.json --out-report report.json")
+    assert run(argv, inputs) == 0
+    for f in ("model.json", "report.json"):
+        assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
+
+
 def test_experiment_csv_does_not_depend_on_threads(inputs, tmp_path):
     argv = dict((r[0], r[1]) for r in RUNS)["experiment"].replace(
         "--threads 1", "--threads 2")
@@ -154,6 +179,18 @@ class TestExitCodes:
         (inputs / "bad.json").write_text(json.dumps(config))
         assert run("experiment --config {in}/bad.json", inputs) == 1
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("fold", 3, "unknown key 'fold' for PipelineConfig"),
+         ("cells", [[2, 1, 0.01]], "unknown key 'cells' for PipelineConfig"),
+         ("dims", [0, 1], "dims must be nonempty ascending positive integers")],
+        ids=["misspelled-folds", "old-cells-key", "dims-below-one"])
+    def test_bad_grid_file_gives_1(self, inputs, key, value, message, capsys):
+        (inputs / "bad.json").write_text(json.dumps(dict(GRID, **{key: value})))
+        argv = CONSTRUCT.replace("{in}/grid.json", "{in}/bad.json")
+        assert run(argv, inputs) == 1
+        assert message in capsys.readouterr().err
 
     def test_runtime_failure_gives_2(self, inputs, monkeypatch):
         def broken(*args, **kwargs):
