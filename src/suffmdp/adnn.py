@@ -728,7 +728,9 @@ class PipelineConfig:
 
     ``tau`` is the screening level; ``tau_dim`` the level at which the
     residual test must fail to reject for a dimension to be accepted.
-    ``dims``, when given, must be nonempty ascending positive integers.
+    ``dims``, when given, must be nonempty ascending positive integers, and
+    each ``grid`` cell a ``(width, depth, lam)`` of two positive integers and
+    a penalty ``>= 0``.
     """
 
     tau: float = 0.1
@@ -752,6 +754,23 @@ class PipelineConfig:
             if (not dims or any(not isinstance(r, numbers.Integral) or r < 1 for r in dims)
                     or sorted(dims) != dims):
                 raise ValueError(f"dims must be nonempty ascending positive integers, got {dims}")
+        if self.grid is not None:
+            for cell in self.grid:
+                _check_grid_cell(cell)
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+
+
+def _check_grid_cell(cell) -> None:
+    if not isinstance(cell, Sequence) or isinstance(cell, str) or len(cell) != 3:
+        raise ValueError(f"grid cell must be (width, depth, lam), got {cell!r}")
+    width, depth, lam = cell
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1
+           for v in (width, depth)):
+        raise ValueError(f"grid cell width and depth must be positive integers, got {cell!r}")
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+        raise ValueError(f"grid cell lam must be a real number, got {cell!r}")
+    _check_lam(lam)
 
 
 @dataclass(frozen=True)

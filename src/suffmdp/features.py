@@ -56,7 +56,7 @@ ACTIVATIONS = {
 
 def _transpose(w):
     # a 1-D final weight is its own transpose
-    return w if w.ndim == 1 else np.swapaxes(w, -1, -2)
+    return w if w.ndim == 1 else w.swapaxes(-1, -2)
 
 
 def mlp_forward(x, layers, activation="sigmoid", affine_last=False, cache=None):
@@ -96,7 +96,7 @@ def mlp_backward(cache, layers, delta, activation="sigmoid"):
         # an affine layer cached its pre-activation as its output
         dz = delta if out is z else delta * dact(z, out)
         bias_shape = np.shape(layers[i][1])
-        grads[i] = (np.swapaxes(dz, -1, -2) @ x, dz.sum(axis=-2).reshape(bias_shape))
+        grads[i] = (dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2).reshape(bias_shape))
         if i:
             delta = dz @ layers[i][0]
     return grads

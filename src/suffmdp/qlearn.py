@@ -115,9 +115,12 @@ def _prepare(transitions: Transitions, feature_map: FeatureMap, n_actions: Optio
         raise ValueError("transitions must be nonempty")
     if feature_map.dim == 0:
         raise ValueError("feature map has empty output; nothing to regress on")
+    low, high = int(transitions.actions.min()), int(transitions.actions.max())
+    k = n_actions if n_actions is not None else high
+    if low < 1 or high > k:
+        raise ValueError(f"actions must lie in 1..{k}, got values from {low} to {high}")
     feats = feature_map.transform(transitions.states)
     feats_next = feature_map.transform(transitions.next_states)
-    k = n_actions if n_actions is not None else int(transitions.actions.max())
     return feats, feats_next, transitions.actions, transitions.utilities, k
 
 
@@ -143,18 +146,25 @@ def fit_q_linear(
     )
     x = np.column_stack([np.ones(len(feats)), feats])
     x_next = np.column_stack([np.ones(len(feats)), feats_next])
-    weights = {a: np.zeros(x.shape[1]) for a in range(1, n_act + 1)}
-    acts = sorted(weights)
+    # The loop is bound by interpreter and NumPy call overhead, not by
+    # arithmetic, so per-row values come from Python lists.  It keeps one
+    # `@` per action rather than one stacked `W @ xn`, because a gemv rounds
+    # differently from per-row dot products and the fits must stay bit for
+    # bit; and `@` rather than `ndarray.dot`, which releases the GIL around
+    # each small BLAS call so that the experiment's worker threads convoy.
+    ws = [np.zeros(x.shape[1]) for _ in range(n_act)]  # action a at index a - 1
+    acts, utils = actions.tolist(), utilities.tolist()
     rng = substream(seed)
     k = 0
     for _ in range(epochs):
-        for i in rng.permutation(len(x)):
-            a = int(actions[i])
-            best_next = max(weights[b] @ x_next[i] for b in acts)
-            delta = utilities[i] + gamma * best_next - weights[a] @ x[i]
-            weights[a] = weights[a] + alpha0 / (1.0 + k / beta) * delta * x[i]
+        for i in rng.permutation(len(x)).tolist():
+            a = acts[i] - 1
+            xi, xn = x[i], x_next[i]
+            best_next = max([w @ xn for w in ws])
+            delta = utils[i] + gamma * best_next - ws[a] @ xi
+            ws[a] = ws[a] + alpha0 / (1.0 + k / beta) * delta * xi
             k += 1
-    return LinearQ(weights=weights, gamma=gamma)
+    return LinearQ(weights={a + 1: w for a, w in enumerate(ws)}, gamma=gamma)
 
 
 def fit_q_nn(
@@ -182,33 +192,35 @@ def fit_q_nn(
     )
     f_dim = feats.shape[1]
     rng = substream(seed)
-    nets = {}
-    for a in range(1, n_act + 1):
+    nets = []  # action a at index a - 1
+    for _ in range(n_act):
         lim1 = np.sqrt(6.0 / (f_dim + hidden_width))
         w1 = rng.uniform(-lim1, lim1, size=(hidden_width, f_dim))
         lim2 = np.sqrt(6.0 / (hidden_width + 1))
         w2 = rng.uniform(-lim2, lim2, size=hidden_width)
-        nets[a] = [(w1, np.zeros(hidden_width)), (w2, 0.0)]
-    acts = sorted(nets)
+        nets.append([(w1, np.zeros(hidden_width)), (w2, 0.0)])
+    # Lists and `@` for the reasons given in fit_q_linear.
+    acts, utils = actions.tolist(), utilities.tolist()
 
     k = 0
     for _ in range(epochs):
-        for i in rng.permutation(len(feats)):
-            a = int(actions[i])
-            best_next = max(mlp_forward(feats_next[i], nets[b], affine_last=True) for b in acts)
+        for i in rng.permutation(len(feats)).tolist():
+            a = acts[i] - 1
+            fi, fn = feats[i], feats_next[i]
+            best_next = max([mlp_forward(fn, net, affine_last=True) for net in nets])
             cache = []
-            v = mlp_forward(feats[i], nets[a], affine_last=True, cache=cache)
+            v = mlp_forward(fi, nets[a], affine_last=True, cache=cache)
             hidden = cache[0][2]
-            delta = utilities[i] + gamma * best_next - v
+            delta = utils[i] + gamma * best_next - v
             alpha = alpha0 / (1.0 + k / beta)
             (w1, b1), (w2, b2) = nets[a]
             dz = w2 * hidden * (1.0 - hidden)
             nets[a] = [
-                (w1 + alpha * delta * np.outer(dz, feats[i]), b1 + alpha * delta * dz),
+                (w1 + alpha * delta * (dz[:, None] * fi), b1 + alpha * delta * dz),
                 (w2 + alpha * delta * hidden, b2 + alpha * delta),
             ]
             k += 1
-    return NeuralQ(nets=nets, gamma=gamma)
+    return NeuralQ(nets={a + 1: net for a, net in enumerate(nets)}, gamma=gamma)
 
 
 @dataclass(frozen=True)

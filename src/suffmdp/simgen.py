@@ -186,11 +186,14 @@ def transition_mean(spec: GenerativeModelSpec, states: np.ndarray, a01: np.ndarr
         )
     cols = list(spec.constant_indices)
     mean[:, cols] = states[:, cols]
+    return mean, _utility_mean(g, states, a01)
+
+
+def _utility_mean(g, states: np.ndarray, a01: np.ndarray) -> np.ndarray:
     g4 = g(states[:, :4])
     x = g4[:, 0] + g4[:, 1]
     y = g4[:, 2] + g4[:, 3]
-    utility_mean = (1.0 - a01) * (2.0 * x - y) + a01 * (2.0 * y - x)
-    return mean, utility_mean
+    return (1.0 - a01) * (2.0 * x - y) + a01 * (2.0 * y - x)
 
 
 def step_process(
@@ -223,8 +226,7 @@ def step_process(
     cols = list(spec.constant_indices)
     nxt[:, cols] = states[:, cols]
 
-    _, u_mean = transition_mean(spec, states, a01)
-    utilities = u_mean + 0.1 * rng.standard_normal(r)
+    utilities = _utility_mean(g, states, a01) + 0.1 * rng.standard_normal(r)
     return nxt, utilities
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from suffmdp import cli
+from suffmdp import adnn, cli
 from suffmdp.adnn import FitConfig, PipelineConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -184,9 +184,17 @@ class TestExitCodes:
         "key,value,message",
         [("fold", 3, "unknown key 'fold' for PipelineConfig"),
          ("cells", [[2, 1, 0.01]], "unknown key 'cells' for PipelineConfig"),
-         ("dims", [0, 1], "dims must be nonempty ascending positive integers")],
-        ids=["misspelled-folds", "old-cells-key", "dims-below-one"])
-    def test_bad_grid_file_gives_1(self, inputs, key, value, message, capsys):
+         ("dims", [0, 1], "dims must be nonempty ascending positive integers"),
+         ("max_iterations", 0, "max_iterations must be >= 1"),
+         ("grid", [[2, "1", 0.01]], "grid cell width and depth must be positive integers"),
+         ("grid", [[0, 1, 0.01]], "grid cell width and depth must be positive integers")],
+        ids=["misspelled-folds", "old-cells-key", "dims-below-one", "max-iterations-zero",
+             "grid-cell-string-depth", "grid-cell-zero-width"])
+    def test_bad_grid_file_gives_1(self, inputs, key, value, message, capsys, monkeypatch):
+        def no_screening(*args, **kwargs):
+            raise AssertionError("screening ran on a bad grid file")
+
+        monkeypatch.setattr(adnn, "screen", no_screening)
         (inputs / "bad.json").write_text(json.dumps(dict(GRID, **{key: value})))
         argv = CONSTRUCT.replace("{in}/grid.json", "{in}/bad.json")
         assert run(argv, inputs) == 1

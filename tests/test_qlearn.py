@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from suffmdp.core import TrajectoryDataset, flatten_transitions
-from suffmdp.features import IdentityFeatureMap
+from suffmdp.baselines import pca_feature_map
+from suffmdp.core import TrajectoryDataset, Transitions, flatten_transitions
+from suffmdp.features import CoordinateFeatureMap, IdentityFeatureMap
 from suffmdp.qlearn import (
     LinearQ,
     NeuralQ,
@@ -83,3 +85,142 @@ def test_fit_q_linear_moves_toward_fixed_point():
         errors.append(target - value)
     assert errors == sorted(errors, reverse=True)
     assert errors[-1] < 0.05 * target
+
+
+def test_fit_q_nn_moves_toward_fixed_point():
+    u, gamma = 1.0, 0.9
+    ds = TrajectoryDataset(states=np.zeros((10, 6, 1)), actions=np.ones((10, 5), dtype=int),
+                           utilities=np.full((10, 5), u), n_actions=1)
+    tr = flatten_transitions(ds)
+    target = u / (1 - gamma)
+    errors = []
+    for epochs in (1, 5, 20, 60):
+        q = fit_q_nn(tr, IdentityFeatureMap(1), gamma=gamma, hidden_width=3, epochs=epochs,
+                     seed=0)
+        errors.append(abs(target - float(q.action_values(np.zeros((1, 1)))[0, 0])))
+    assert errors == sorted(errors, reverse=True)
+    assert errors[-1] < 0.05 * target
+
+
+def test_fit_q_nn_prefers_the_rewarded_action():
+    rng = substream(5)
+    actions = rng.integers(1, 3, size=(20, 5))
+    ds = TrajectoryDataset(states=rng.standard_normal((20, 6, 2)), actions=actions,
+                           utilities=(actions == 2).astype(float), n_actions=2)
+    q = fit_q_nn(flatten_transitions(ds), IdentityFeatureMap(2), gamma=0.5, hidden_width=4,
+                 epochs=5, seed=1)
+    assert isinstance(q, NeuralQ) and q.actions == [1, 2]
+    assert (greedy_actions(q, rng.standard_normal((50, 2))) == 2).all()
+
+
+def _transitions(actions):
+    rng = substream(8)
+    n = len(actions)
+    return Transitions(states=rng.standard_normal((n, 2)), actions=np.asarray(actions),
+                       utilities=rng.standard_normal(n), next_states=rng.standard_normal((n, 2)))
+
+
+@pytest.mark.parametrize("fit", [fit_q_linear, fit_q_nn], ids=["linear", "nn"])
+@pytest.mark.parametrize("actions,n_actions", [([1, 0, 2], None), ([1, 2, 2], 1)],
+                         ids=["action-zero", "above-n-actions"])
+def test_actions_outside_range_rejected(fit, actions, n_actions):
+    with pytest.raises(ValueError, match="actions must lie in 1.."):
+        fit(_transitions(actions), IdentityFeatureMap(2), epochs=1, n_actions=n_actions)
+
+
+# Per-update loops of the fits as first written, one dict entry per action and
+# the generic numpy calls; the fits must reproduce them bit for bit.
+def _reference_linear(feats, feats_next, actions, utilities, n_act, epochs, seed,
+                      gamma=0.9, alpha0=0.05, beta=10000.0):
+    x = np.column_stack([np.ones(len(feats)), feats])
+    x_next = np.column_stack([np.ones(len(feats)), feats_next])
+    weights = {a: np.zeros(x.shape[1]) for a in range(1, n_act + 1)}
+    acts = sorted(weights)
+    rng = substream(seed)
+    k = 0
+    for _ in range(epochs):
+        for i in rng.permutation(len(x)):
+            a = int(actions[i])
+            best_next = max(weights[b] @ x_next[i] for b in acts)
+            delta = utilities[i] + gamma * best_next - weights[a] @ x[i]
+            weights[a] = weights[a] + alpha0 / (1.0 + k / beta) * delta * x[i]
+            k += 1
+    return weights
+
+
+def _reference_forward(x, net):
+    (w1, b1), (w2, b2) = net
+    hidden = expit(x @ np.swapaxes(w1, -1, -2) + b1)
+    return hidden @ w2 + b2, hidden
+
+
+def _reference_nn(feats, feats_next, actions, utilities, n_act, epochs, seed,
+                  gamma=0.9, hidden_width=10, alpha0=0.01, beta=10000.0):
+    f_dim = feats.shape[1]
+    rng = substream(seed)
+    nets = {}
+    for a in range(1, n_act + 1):
+        lim1 = np.sqrt(6.0 / (f_dim + hidden_width))
+        w1 = rng.uniform(-lim1, lim1, size=(hidden_width, f_dim))
+        lim2 = np.sqrt(6.0 / (hidden_width + 1))
+        w2 = rng.uniform(-lim2, lim2, size=hidden_width)
+        nets[a] = [(w1, np.zeros(hidden_width)), (w2, 0.0)]
+    acts = sorted(nets)
+    k = 0
+    for _ in range(epochs):
+        for i in rng.permutation(len(feats)):
+            a = int(actions[i])
+            best_next = max(_reference_forward(feats_next[i], nets[b])[0] for b in acts)
+            v, hidden = _reference_forward(feats[i], nets[a])
+            delta = utilities[i] + gamma * best_next - v
+            alpha = alpha0 / (1.0 + k / beta)
+            (w1, b1), (w2, b2) = nets[a]
+            dz = w2 * hidden * (1.0 - hidden)
+            nets[a] = [
+                (w1 + alpha * delta * np.outer(dz, feats[i]), b1 + alpha * delta * dz),
+                (w2 + alpha * delta * hidden, b2 + alpha * delta),
+            ]
+            k += 1
+    return nets
+
+
+def _bit_identity_case(fmap_kind, n_actions, absent):
+    spec = GenerativeModelSpec("linear", 3, signal_dim=8)
+    ds = sample_trajectories(spec, 8, 5, rng=11)
+    # recode the two sampled levels so that level `absent` never occurs
+    levels = [a for a in range(1, n_actions + 1) if a != absent][:2]
+    actions = np.where(ds.actions == 1, levels[0], levels[-1])
+    ds = TrajectoryDataset(ds.states, actions, ds.utilities, n_actions=n_actions)
+    fmap = {
+        "identity": lambda: IdentityFeatureMap(ds.state_dim),
+        "coordinate": lambda: CoordinateFeatureMap(ds.state_dim, [0, 2, 5]),
+        "pca": lambda: pca_feature_map(ds)[0],
+    }[fmap_kind]()
+    return flatten_transitions(ds), fmap
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("n_actions,absent", [(2, None), (2, 2), (3, 2)],
+                         ids=["2-actions", "2-actions-2-absent", "3-actions-2-absent"])
+@pytest.mark.parametrize("fmap_kind", ["identity", "coordinate", "pca"])
+@pytest.mark.parametrize("kind", ["linear", "nn"])
+def test_fits_match_reference_loops_bit_for_bit(kind, fmap_kind, n_actions, absent, epochs):
+    tr, fmap = _bit_identity_case(fmap_kind, n_actions, absent)
+    args = (fmap.transform(tr.states), fmap.transform(tr.next_states), tr.actions,
+            tr.utilities, n_actions, epochs, 4)
+    if kind == "linear":
+        q = fit_q_linear(tr, fmap, epochs=epochs, seed=4, n_actions=n_actions)
+        got, want = q.weights, _reference_linear(*args)
+    else:
+        q = fit_q_nn(tr, fmap, epochs=epochs, seed=4, n_actions=n_actions)
+        got, want = q.nets, _reference_nn(*args)
+    assert list(got) == list(range(1, n_actions + 1)) == list(want)
+    assert _param_bytes(got) == _param_bytes(want)
+
+
+def _param_bytes(params):
+    """Per action, the bytes of a weight vector or of each network parameter."""
+    def flat(p):
+        return [p] if isinstance(p, np.ndarray) else [x for layer in p for x in layer]
+
+    return {a: [np.asarray(x).tobytes() for x in flat(p)] for a, p in params.items()}
