@@ -281,33 +281,45 @@ def adnn_cost(ds: TrajectoryDataset, model: AdnnModel, lam: float) -> float:
     return sum(errors.values()) / ds.n_subjects + _penalty(model, lam)
 
 
-def _batch_gradients(s, y, take, model, lam, action):
+def _batch_constants(takes, lams) -> tuple:
+    """``(take, pad, lam)`` for `_batch_gradients` on replicas that own the
+    first ``takes[r]`` rows of ``(R, max(takes), .)`` batches, with penalties
+    ``lams``: the ``(R, 1, 1)`` row counts, the ``(R, max(takes), 1)`` mask
+    of padding rows, and the ``(R, 1)`` penalties, or ``None`` when none is
+    positive.  They are the same at every step, so a trainer makes them once.
+    """
+    take = np.asarray(takes)[:, None, None]
+    pad = np.arange(take.max())[:, None] >= take
+    lam = np.asarray(lams, dtype=np.float64)
+    return take, pad, (lam[:, None] if (lam > 0.0).any() else None)
+
+
+def _batch_gradients(s, y, constants, model, action):
     """Gradients of each replica's batch-mean squared error plus penalty subgradient.
 
     ``model`` is stacked (see `_stack`): every array carries a leading replica
     axis ``R``.  ``s`` and ``y`` are ``(R, rows, .)`` batches in which replica
     ``r`` owns its first ``take[r]`` rows; the rest are padding, get a zero
-    loss gradient and do not count in the mean.  The feature layers and the
+    loss gradient and do not count in the mean.  ``constants`` holds the row
+    counts and penalties (see `_batch_constants`).  The feature layers and the
     action's head run as one network whose last layer is affine.  Returns
     ``(feature_grads, head_grads)`` shaped like the parameters.  The
     group-lasso subgradient on the first feature layer is
     ``lam[r] * column / ||column||`` for nonzero columns and zero otherwise.
     """
+    take, pad, lam = constants
     layers = model.feature_layers + model.heads[action]
     cache = []
     out = mlp_forward(s, layers, model.activation, affine_last=True, cache=cache)
-    take = np.asarray(take)[:, None, None]
-    pad = np.arange(s.shape[1])[:, None] >= take
     delta = np.where(pad, 0.0, 2.0 * (out - y) / take)
     grads = mlp_backward(cache, layers, delta, model.activation)
     k = len(model.feature_layers)
     feature_grads, head_grads = grads[:k], grads[k:]
 
-    lam = np.asarray(lam, dtype=np.float64)
-    if (lam > 0.0).any():
+    if lam is not None:
         w1 = model.first_layer
         norms = np.sqrt(np.square(w1).sum(axis=-2))
-        scale = np.divide(lam[:, None], norms, out=np.zeros_like(norms), where=norms > 0)
+        scale = np.divide(lam, norms, out=np.zeros_like(norms), where=norms > 0)
         dw1, db1 = feature_grads[0]
         feature_grads[0] = (dw1 + w1 * scale[:, None, :], db1)
     return feature_grads, head_grads
@@ -396,6 +408,7 @@ def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
             np.concatenate(responses + [np.zeros((1, arch.output_dim))]),
         )
         pad_index[a] = np.full((len(replicas), takes[a].max()), sizes[a].sum())
+    constants = {a: _batch_constants(takes[a], lams) for a in actions}
 
     # a replica's draws depend only on its seed and its per-action row
     # counts, so replicas equal in both share one stream
@@ -408,7 +421,9 @@ def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
         init = _init_model(arch, actions, rng)
         for r in members:
             inits[r] = init
-        draws = {a: (int(sizes[a][r]), int(takes[a][r])) for a in actions}
+        # per action: population and batch size, and where its rows start
+        draws = {a: (int(sizes[a][r]), int(takes[a][r]), offsets[a][members, None])
+                 for a in actions}
         streams.append((rng, np.array(members), draws))
     model = _stack(inits)
 
@@ -424,22 +439,18 @@ def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
         for a in actions:
             index = pad_index[a].copy()
             for rng, members, draws in streams:
-                n, take = draws[a]
-                drawn = rng.choice(n, size=take, replace=False)
-                index[members, :take] = offsets[a][members, None] + drawn
+                n, take, offset = draws[a]
+                index[members, :take] = offset + rng.choice(n, size=take, replace=False)
             states, responses = pools[a]
             f_grads, h_grads = _batch_gradients(
-                states.take(index, axis=0), responses.take(index, axis=0), takes[a],
-                model, lams, a,
+                states.take(index, axis=0), responses.take(index, axis=0), constants[a],
+                model, a,
             )
-            model.feature_layers = [
-                (w - alpha * dw, bias - alpha * db)
-                for (w, bias), (dw, db) in zip(model.feature_layers, f_grads)
-            ]
-            model.heads[a] = [
-                (w - alpha * dw, bias - alpha * db)
-                for (w, bias), (dw, db) in zip(model.heads[a], h_grads)
-            ]
+            # in place: the stacked arrays are the trainer's own (see _stack)
+            for (w, bias), (dw, db) in zip(model.feature_layers + model.heads[a],
+                                           f_grads + h_grads):
+                w -= alpha * dw
+                bias -= alpha * db
         if b % cfg.check_every != 0 and b != cfg.n_max:
             continue
         record_costs()

@@ -41,9 +41,12 @@ Q_METHODS = ("linear", "nn")
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker count: the explicit value, else all cores."""
+    """Worker count: the explicit value, else the cores this process may run on."""
     if threads is not None:
         return max(1, int(threads))
+    if hasattr(os, "sched_getaffinity"):
+        # cpu_count() counts the host's cores, not those an affinity mask allows
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -11,7 +11,6 @@ from abc import ABC, abstractmethod
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "ACTIVATIONS",
@@ -30,8 +29,13 @@ __all__ = [
 ]
 
 
+@np.errstate(over="ignore")
 def _sigmoid(z):
-    return expit(z)
+    # numpy rather than scipy's expit, so that the package imports without
+    # scipy.  numpy's exp rounds differently from the libm exp behind expit:
+    # about 2% of values differ from expit's, by at most 4 ulp.  Below
+    # z = -709, exp(-z) overflows to inf (silently) and the result is 0.
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _sigmoid_deriv(z, activated):

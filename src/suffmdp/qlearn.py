@@ -192,13 +192,26 @@ def fit_q_nn(
     )
     f_dim = feats.shape[1]
     rng = substream(seed)
-    nets = []  # action a at index a - 1
+    w1s, w2s = [], []
     for _ in range(n_act):
         lim1 = np.sqrt(6.0 / (f_dim + hidden_width))
-        w1 = rng.uniform(-lim1, lim1, size=(hidden_width, f_dim))
+        w1s.append(rng.uniform(-lim1, lim1, size=(hidden_width, f_dim)))
         lim2 = np.sqrt(6.0 / (hidden_width + 1))
-        w2 = rng.uniform(-lim2, lim2, size=hidden_width)
-        nets.append([(w1, np.zeros(hidden_width)), (w2, 0.0)])
+        w2s.append(rng.uniform(-lim2, lim2, size=hidden_width))
+    # Every action's network on a leading axis, action a at index a - 1, so
+    # that one rank-generic forward pass per update runs the next state and
+    # the state through all of them: (2, 1, 1, f) inputs against (k, f, h)
+    # weights.  Each product is still one row, so it rounds like the lone
+    # network's on the BLAS this was checked with (tests/test_qlearn.py holds
+    # the reference loop).
+    stacked = [
+        (np.stack(w1s), np.zeros((n_act, 1, hidden_width))),
+        (np.stack(w2s)[:, None, :], np.zeros((n_act, 1, 1))),
+    ]
+    (w1, b1), (w2, b2) = stacked
+    # per action, views of its slices; updates write through them
+    views = [(w1[a], b1[a, 0], w2[a, 0], b2[a, 0, 0, ...]) for a in range(n_act)]
+    inputs = np.stack([feats_next, feats], axis=1)[:, :, None, None, :]
     # Lists and `@` for the reasons given in fit_q_linear.
     acts, utils = actions.tolist(), utilities.tolist()
 
@@ -206,21 +219,23 @@ def fit_q_nn(
     for _ in range(epochs):
         for i in rng.permutation(len(feats)).tolist():
             a = acts[i] - 1
-            fi, fn = feats[i], feats_next[i]
-            best_next = max([mlp_forward(fn, net, affine_last=True) for net in nets])
             cache = []
-            v = mlp_forward(fi, nets[a], affine_last=True, cache=cache)
-            hidden = cache[0][2]
-            delta = utils[i] + gamma * best_next - v
-            alpha = alpha0 / (1.0 + k / beta)
-            (w1, b1), (w2, b2) = nets[a]
-            dz = w2 * hidden * (1.0 - hidden)
-            nets[a] = [
-                (w1 + alpha * delta * (dz[:, None] * fi), b1 + alpha * delta * dz),
-                (w2 + alpha * delta * hidden, b2 + alpha * delta),
-            ]
+            out = mlp_forward(inputs[i], stacked, affine_last=True, cache=cache)
+            # a Python max over floats, in action order, as for one network per call
+            best_next = max(out[0, :, 0, 0].tolist())
+            hidden = cache[0][2][1, a, 0]
+            step = alpha0 / (1.0 + k / beta) * (utils[i] + gamma * best_next - out[1, a, 0, 0])
+            w1a, b1a, w2a, b2a = views[a]
+            dz = w2a * hidden * (1.0 - hidden)
+            w1a += step * (dz[:, None] * feats[i])
+            b1a += step * dz
+            w2a += step * hidden
+            b2a += step
             k += 1
-    return NeuralQ(nets={a + 1: net for a, net in enumerate(nets)}, gamma=gamma)
+    return NeuralQ(
+        nets={a + 1: [(w1[a], b1[a, 0]), (w2[a, 0], b2[a, 0, 0])] for a in range(n_act)},
+        gamma=gamma,
+    )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from suffmdp.adnn import (
     Architecture,
     ConvergenceError,
     FitConfig,
+    _batch_constants,
     _batch_gradients,
     _stack,
     _train_replicas,
@@ -229,7 +230,8 @@ def relative_error(a, b):
 
 def replica_gradients(s, y, model, lam, action):
     """One replica's batch gradients through a one-replica stacked call."""
-    f_g, h_g = _batch_gradients(s[None], y[None], [len(s)], _stack([model]), [lam], action)
+    f_g, h_g = _batch_gradients(s[None], y[None], _batch_constants([len(s)], [lam]),
+                                _stack([model]), action)
     return [(dw[0], db[0, 0]) for dw, db in f_g], [(dw[0], db[0, 0]) for dw, db in h_g]
 
 
@@ -273,13 +275,14 @@ class TestSubgradient:
         stacked = _stack([make_model(seed=9), make_model(seed=10)])
         ds = _random_dataset(3, seed=5, n_actions=2)
         s, y = action_batch(ds, 1)
-        s, y, take = np.stack([s, s]), np.stack([y, y]), [len(s)] * 2
-        f_g, h_g = _batch_gradients(s, y, take, stacked, [0.1, 0.1], 1)
+        s, y = np.stack([s, s]), np.stack([y, y])
+        constants = _batch_constants([len(s[0])] * 2, [0.1, 0.1])
+        f_g, h_g = _batch_gradients(s, y, constants, stacked, 1)
         assert len(h_g) == len(stacked.heads[1])
         for (dw, db), (w, b) in zip(f_g + h_g, stacked.feature_layers + stacked.heads[1]):
             assert dw.shape == w.shape and db.shape == b.shape
         with pytest.raises(KeyError):
-            _batch_gradients(s, y, take, stacked, [0.1, 0.1], 3)  # no such head
+            _batch_gradients(s, y, constants, stacked, 3)  # no such head
 
     def test_stacked_gradients_equal_each_replicas_own(self):
         # three replicas with different penalties and batch sizes; the shorter
@@ -292,7 +295,7 @@ class TestSubgradient:
         s, y = s_all[rows], y_all[rows]
         for r, take in enumerate(takes):
             s[r, take:], y[r, take:] = 7.0, -3.0
-        f_g, h_g = _batch_gradients(s, y, takes, _stack(models), lams, 2)
+        f_g, h_g = _batch_gradients(s, y, _batch_constants(takes, lams), _stack(models), 2)
         for r, (model, lam, take) in enumerate(zip(models, lams, takes)):
             f_ref, h_ref = replica_gradients(s[r, :take], y[r, :take], model, lam, 2)
             for (dw, db), (dw_ref, db_ref) in zip(f_g + h_g, f_ref + h_ref, strict=True):

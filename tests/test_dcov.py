@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from suffmdp.core import TrajectoryDataset
 from suffmdp.dcov import (
     InsufficientDataError,
+    _centered_distances,
     _PermutedSample,
     dcov_permutation_pvalue,
     dcov_statistic,
@@ -49,6 +50,24 @@ def brute_force_dcov(x, y):
         for k in range(m):
             total += a_c[j, k] * b_c[j, k]
     return total / (m * m)
+
+
+class TestCenteredDistances:
+    @pytest.mark.parametrize("columns", range(1, 14))
+    def test_bit_identical_to_centred_cdist(self, columns):
+        # scipy is the reference here only; the package computes the
+        # distances with numpy in cdist's order of operations
+        from scipy.spatial.distance import cdist
+
+        rng = substream(columns)
+        for case in range(40):
+            m = int(rng.integers(2, 41))
+            x = rng.standard_normal((m, columns)) * 10.0 ** rng.uniform(-100, 100)
+            if case % 2:
+                x[rng.integers(1, m)] = x[0]  # tied rows
+            d = cdist(x, x)
+            want = d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+            assert _centered_distances(x).tobytes() == want.tobytes()
 
 
 class TestDcovStatistic:

@@ -1,8 +1,10 @@
+import os
+
 import pytest
 
 from suffmdp import adnn
 from suffmdp.adnn import FitConfig, PipelineConfig
-from suffmdp.experiment import ExperimentConfig, run_experiment
+from suffmdp.experiment import ExperimentConfig, resolve_threads, run_experiment
 
 
 def test_empty_screening_fails_once_without_retry(monkeypatch):
@@ -47,3 +49,16 @@ def test_retry_halves_the_cv_step_size(monkeypatch, cv_fit):
     result = run_experiment(cfg)
     assert alphas == [0.05, 0.025]
     assert [f["outcome"] for f in result.failures] == ["diverged"]
+
+
+def test_default_threads_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_threads(None) == 1
+    assert resolve_threads(3) == 3
+
+
+def test_default_threads_fall_back_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert resolve_threads(None) == 8

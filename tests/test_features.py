@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from suffmdp.features import (
+    ACTIVATIONS,
     ConcatFeatureMap,
     CoordinateFeatureMap,
     IdentityFeatureMap,
@@ -24,6 +27,35 @@ def random_network(seed=0, input_dim=5, widths=(4, 3), activation="sigmoid",
         prev = w
     return NetworkFeatureMap(layers, activation=activation,
                              input_indices=input_indices, input_dim=full_dim)
+
+
+sigmoid = ACTIVATIONS["sigmoid"][0]
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("scale", [0.01, 0.1, 1.0, 10.0, 100.0, 300.0])
+    def test_within_four_ulp_of_expit(self, scale):
+        from scipy.special import expit  # the reference only
+
+        z = substream(int(scale * 100)).standard_normal(20_000) * scale
+        want = expit(z)
+        assert (np.abs(sigmoid(z) - want) <= 4 * np.spacing(want)).all()
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(np.array([-1000.0, -710.0, 710.0, 1000.0]))
+        assert out[0] == 0.0 and out[-1] == 1.0
+        assert out.tolist() == sorted(out.tolist())
+
+    def test_elementwise_independent_of_position(self):
+        # the stacked Q-network bootstrap applies it to several rows at once
+        rng = substream(7)
+        parts = [rng.standard_normal(n) * 20 for n in (1, 3, 10, 17)]
+        whole = sigmoid(np.concatenate(parts))
+        assert whole.tobytes() == np.concatenate([sigmoid(p) for p in parts]).tobytes()
+        grid = np.concatenate(parts)[None, :].repeat(3, axis=0)
+        assert (sigmoid(grid) == whole).all()
 
 
 class TestNetworkMap:

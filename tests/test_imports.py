@@ -8,11 +8,20 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats alone takes about a second to import; nothing in the
-    # package needs it
+def _scipy_modules_loaded_by(module: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = "import sys, suffmdp; print('scipy.stats' in sys.modules)"
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy_stats():
+    # nor any other scipy module: the package needs numpy alone, and
+    # scipy cost every fresh process about 0.45 s and 29 MB
+    assert _scipy_modules_loaded_by("suffmdp") == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_loaded_by("suffmdp.cli") == "[]"

@@ -3,11 +3,10 @@ import json
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from suffmdp.baselines import pca_feature_map
 from suffmdp.core import TrajectoryDataset, Transitions, flatten_transitions
-from suffmdp.features import CoordinateFeatureMap, IdentityFeatureMap
+from suffmdp.features import ACTIVATIONS, CoordinateFeatureMap, IdentityFeatureMap
 from suffmdp.qlearn import (
     LinearQ,
     NeuralQ,
@@ -149,8 +148,10 @@ def _reference_linear(feats, feats_next, actions, utilities, n_act, epochs, seed
 
 
 def _reference_forward(x, net):
+    # the package's sigmoid: this checks the update loop, not the activation
+    sigmoid = ACTIVATIONS["sigmoid"][0]
     (w1, b1), (w2, b2) = net
-    hidden = expit(x @ np.swapaxes(w1, -1, -2) + b1)
+    hidden = sigmoid(x @ np.swapaxes(w1, -1, -2) + b1)
     return hidden @ w2 + b2, hidden
 
 
