@@ -14,7 +14,6 @@ from .adnn import (
     PipelineConfig,
     PipelineResult,
     active_inputs,
-    adnn_cost,
     construct_sufficient_features,
     cross_validate_adnn,
     default_grid,
@@ -24,7 +23,6 @@ from .adnn import (
 )
 from .baselines import TnnResult, fit_tnn, pca_feature_map
 from .core import (
-    CsvSchema,
     DataValidationError,
     TrajectoryDataset,
     Transitions,
@@ -39,7 +37,6 @@ from .dcov import (
     TestReport,
     dcov_permutation_pvalue,
     dcov_statistic,
-    default_pool_order,
     draw_permuted_side,
     pooled_pvalue,
     stratified_pooled_test,
@@ -71,7 +68,6 @@ from .simgen import (
     oracle_feature_map,
     sample_trajectories,
     step_process,
-    transition_mean,
 )
 
 __version__ = "0.1.0"

@@ -44,16 +44,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TrajectoryDataset, Transitions, config_from_jsonable, flatten_transitions
+from .core import TrajectoryDataset, Transitions, flatten_transitions
 from .dcov import TestReport, draw_permuted_side, stratified_pooled_test
-from .features import (
-    ACTIVATIONS,
-    NetworkFeatureMap,
-    layers_from_jsonable,
-    layers_to_jsonable,
-    mlp_backward,
-    mlp_forward,
-)
+from .features import ACTIVATIONS, NetworkFeatureMap, mlp_backward, mlp_forward
 from .rng import derive_seed, substream
 from .screening import ScreenResult, screen
 
@@ -62,7 +55,6 @@ __all__ = [
     "Architecture",
     "FitConfig",
     "AdnnModel",
-    "adnn_cost",
     "fit_adnn",
     "default_grid",
     "CrossValidationResult",
@@ -213,23 +205,6 @@ class AdnnModel:
             raise ValueError(f"unknown action {action}; model has {self.actions}")
         return mlp_forward(feats, self.heads[action], self.activation, affine_last=True)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "architecture": dataclasses.asdict(self.architecture),
-            "feature_layers": layers_to_jsonable(self.feature_layers),
-            "heads": {str(a): layers_to_jsonable(ls) for a, ls in self.heads.items()},
-            "trace": [{str(a): c for a, c in entry.items()} for entry in self.trace],
-        }
-
-    @staticmethod
-    def from_jsonable(data: dict) -> "AdnnModel":
-        return AdnnModel(
-            architecture=config_from_jsonable(Architecture, data["architecture"]),
-            feature_layers=layers_from_jsonable(data["feature_layers"]),
-            heads={int(a): layers_from_jsonable(ls) for a, ls in data["heads"].items()},
-            trace=[{int(a): c for a, c in e.items()} for e in data.get("trace", [])],
-        )
-
 
 # ---------------------------------------------------------------------------
 # Cost, gradients, training
@@ -272,13 +247,6 @@ def _costs_by_action(tr, y, n_subjects, model, lam, actions):
     pen = _penalty(model, lam)
     errors = _squared_errors(tr, y, model, actions)
     return {a: err / n_subjects + pen for a, err in errors.items()}
-
-
-def adnn_cost(ds: TrajectoryDataset, model: AdnnModel, lam: float) -> float:
-    """Penalized least-squares criterion over a whole dataset."""
-    tr = flatten_transitions(ds)
-    errors = _squared_errors(tr, tr.responses, model, model.actions)
-    return sum(errors.values()) / ds.n_subjects + _penalty(model, lam)
 
 
 def _batch_constants(takes, lams) -> tuple:
@@ -738,7 +706,8 @@ class PipelineConfig:
     """Settings for the full feature-construction pipeline.
 
     ``tau`` is the screening level; ``tau_dim`` the level at which the
-    residual test must fail to reject for a dimension to be accepted.
+    residual test must fail to reject for a dimension to be accepted, in
+    (0, 1).  ``folds`` must be at least 2 and ``col_tol`` at least 0.
     ``dims``, when given, must be nonempty ascending positive integers, and
     each ``grid`` cell a ``(width, depth, lam)`` of two positive integers and
     a penalty ``>= 0``.
@@ -760,6 +729,12 @@ class PipelineConfig:
     screen_n_max: Optional[int] = None
 
     def __post_init__(self):
+        if not 0 < self.tau_dim < 1:
+            raise ValueError(f"tau_dim must be in (0, 1), got {self.tau_dim}")
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if self.col_tol < 0:
+            raise ValueError(f"col_tol must be >= 0, got {self.col_tol}")
         if self.dims is not None:
             dims = list(self.dims)
             if (not dims or any(not isinstance(r, numbers.Integral) or r < 1 for r in dims)
@@ -808,14 +783,6 @@ class PipelineResult:
     iterations: list
     model: Optional[AdnnModel]
     flags: tuple = ()
-
-    @property
-    def n_var(self) -> int:
-        return len(self.variables)
-
-    @property
-    def n_dim(self) -> int:
-        return self.feature_dim
 
     def to_jsonable(self) -> dict:
         return {

@@ -68,14 +68,6 @@ class TnnResult:
     feature_map: ConcatFeatureMap
     feature_dim: int
 
-    @property
-    def n_var(self) -> int:
-        return len(self.variables)
-
-    @property
-    def n_dim(self) -> int:
-        return self.feature_dim
-
 
 def fit_tnn(ds: TrajectoryDataset, config: PipelineConfig = PipelineConfig()) -> TnnResult:
     """Independent single-action pipelines, one per action level.

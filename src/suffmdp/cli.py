@@ -94,7 +94,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("evaluate", help="Monte Carlo policy value")
-    p.add_argument("--gen-spec", required=True, help="generative model JSON file")
+    p.add_argument("--gen-spec", required=True,
+                   help="generative model JSON object: model, n_noise, signal_dim")
     p.add_argument("--model", required=True, help="feature map JSON file")
     p.add_argument("--q", required=True, help="Q approximator JSON file")
     p.add_argument("--rollouts", type=int, default=300)
@@ -129,7 +130,7 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    spec = GenerativeModelSpec(g_kind=args.model, n_noise=args.n_noise, seed=args.seed)
+    spec = GenerativeModelSpec(g_kind=args.model, n_noise=args.n_noise)
     ds = sample_trajectories(spec, args.n, args.t, rng=args.seed)
     save_dataset_csv(ds, args.out)
     return 0

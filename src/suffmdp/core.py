@@ -30,7 +30,6 @@ __all__ = [
     "DataValidationError",
     "TrajectoryDataset",
     "Transitions",
-    "CsvSchema",
     "load_dataset_csv",
     "save_dataset_csv",
     "flatten_transitions",
@@ -39,6 +38,9 @@ __all__ = [
 
 # Decimal text with 17 significant digits round-trips IEEE-754 doubles.
 FLOAT_FORMAT = "%.17g"
+
+# Validation cap on the magnitude of a utility.
+UTILITY_BOUND = 1e6
 
 
 class DataValidationError(ValueError):
@@ -60,19 +62,25 @@ def config_from_jsonable(cls, data: dict):
     the field wants another kind, or ``null`` for a field that is not
     ``Optional``.  A non-object ``data`` raises ValueError too.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
-    names = {f.name for f in dataclasses.fields(cls)}
     hints = typing.get_type_hints(cls)
+    check_json_object(cls.__name__, data, {f.name: hints[f.name] for f in dataclasses.fields(cls)})
+    return cls(**{k: _from_json_value(hints[k], v) for k, v in data.items()})
+
+
+def check_json_object(owner: str, data, hints: dict) -> None:
+    """ValueError unless ``data`` is a JSON object whose keys all appear in
+    ``hints`` and whose values have the JSON kind of their key's type hint.
+
+    The message names ``owner`` and, where one is at fault, the key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{owner} must be a JSON object, got {data!r}")
     for key, value in data.items():
-        if key not in names:
-            raise ValueError(f"unknown key {key!r} for {cls.__name__}")
+        if key not in hints:
+            raise ValueError(f"unknown key {key!r} for {owner}")
         kind = _json_kind_mismatch(hints[key], value)
         if kind is not None:
-            raise ValueError(
-                f"key {key!r} of {cls.__name__} must be {kind}, got {value!r}"
-            )
-    return cls(**{k: _from_json_value(hints[k], v) for k, v in data.items()})
+            raise ValueError(f"key {key!r} of {owner} must be {kind}, got {value!r}")
 
 
 # JSON kinds accepted for each scalar or sequence field type.
@@ -126,14 +134,14 @@ class TrajectoryDataset:
     actions : (n, T) int array with values in ``{1..n_actions}``
     utilities : (n, T) float array
     n_actions : number of action levels ``K``
-    utility_bound : validation cap on ``|U|``
+
+    Every ``|U|`` must be at most ``UTILITY_BOUND``.
     """
 
     states: np.ndarray
     actions: np.ndarray
     utilities: np.ndarray
     n_actions: int
-    utility_bound: float = 1e6
 
     def __post_init__(self):
         states = _readonly(np.asarray(self.states, dtype=np.float64))
@@ -167,10 +175,8 @@ class TrajectoryDataset:
             raise DataValidationError("states contain non-finite values")
         if not np.all(np.isfinite(utilities)):
             raise DataValidationError("utilities contain non-finite values")
-        if np.any(np.abs(utilities) > self.utility_bound):
-            raise DataValidationError(
-                f"utility magnitude exceeds bound {self.utility_bound}"
-            )
+        if np.any(np.abs(utilities) > UTILITY_BOUND):
+            raise DataValidationError(f"utility magnitude exceeds bound {UTILITY_BOUND}")
         bad = (actions < 1) | (actions > self.n_actions)
         if np.any(bad):
             i, t = np.argwhere(bad)[0]
@@ -201,7 +207,6 @@ class TrajectoryDataset:
             actions=self.actions,
             utilities=self.utilities,
             n_actions=self.n_actions,
-            utility_bound=self.utility_bound,
         )
 
     def subset_subjects(self, index: Sequence[int]) -> "TrajectoryDataset":
@@ -211,7 +216,6 @@ class TrajectoryDataset:
             actions=self.actions[idx],
             utilities=self.utilities[idx],
             n_actions=self.n_actions,
-            utility_bound=self.utility_bound,
         )
 
     def equals(self, other: "TrajectoryDataset") -> bool:
@@ -264,20 +268,9 @@ def flatten_transitions(ds: TrajectoryDataset) -> Transitions:
 #
 # One row per (subject, time): columns id, t, a, u, s_1..s_p.  Rows exist for
 # t = 1..T+1; a and u are empty (or ignored) at t = T+1.  The state dimension
-# p is inferred from the header.
+# p is inferred from the header, and the action count K is the largest
+# action observed.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column contract for trajectory CSV files.
-
-    ``n_actions`` fixes the action range; when None the largest observed
-    action is used.
-    """
-
-    n_actions: Optional[int] = None
-    utility_bound: float = 1e6
 
 
 def _parse_float(raw: str, sid: str, t: int, column: str) -> float:
@@ -290,9 +283,8 @@ def _parse_float(raw: str, sid: str, t: int, column: str) -> float:
         ) from None
 
 
-def load_dataset_csv(path, schema: Optional[CsvSchema] = None) -> TrajectoryDataset:
+def load_dataset_csv(path) -> TrajectoryDataset:
     """Read a trajectory CSV; subjects keep their order of first appearance."""
-    schema = schema or CsvSchema()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -312,6 +304,8 @@ def load_dataset_csv(path, schema: Optional[CsvSchema] = None) -> TrajectoryData
         raise DataValidationError(
             f"{path}: state columns must be s_1..s_p in order; got {state_cols}"
         )
+    if not rows:
+        raise DataValidationError(f"{path}: no data rows after the header")
 
     per_subject: dict[str, dict[int, list[str]]] = {}
     order: list[str] = []
@@ -386,15 +380,11 @@ def load_dataset_csv(path, schema: Optional[CsvSchema] = None) -> TrajectoryData
                     ) from None
                 utilities[i, t - 1] = _parse_float(raw=row[3], sid=sid, t=t, column="u")
 
-    n_actions = schema.n_actions
-    if n_actions is None:
-        n_actions = int(actions.max())
     return TrajectoryDataset(
         states=states,
         actions=actions,
         utilities=utilities,
-        n_actions=n_actions,
-        utility_bound=schema.utility_bound,
+        n_actions=int(actions.max()),
     )
 
 

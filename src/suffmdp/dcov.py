@@ -19,7 +19,8 @@ through the order-statistic rule
 
 with ``p_(u)`` the u-th smallest of the T p-values.  The pooled value is a
 valid p-value for any fixed ``u``; ``u = 1`` is the Bonferroni correction,
-and the default is ``u = floor(T/20) + 1``.
+and the stratified test uses ``u = floor(T/20) + 1``, which never exceeds
+``T``.
 
 A stratified test runs in two steps.  :func:`draw_permuted_side` takes the
 second sample ``h`` and, for each stratum of ``m`` subjects, computes its
@@ -61,7 +62,6 @@ __all__ = [
     "dcov_statistic",
     "dcov_permutation_pvalue",
     "pooled_pvalue",
-    "default_pool_order",
     "PermutedSide",
     "draw_permuted_side",
     "stratified_pooled_test",
@@ -270,11 +270,6 @@ def pooled_pvalue(pvals: Sequence[float], u: int) -> float:
     return min(1.0, ps.size * order_stat / u)
 
 
-def default_pool_order(n_tests: int) -> int:
-    """Default order-statistic index ``floor(T/20) + 1``, capped at T."""
-    return min(n_tests // 20 + 1, n_tests)
-
-
 def _time_block(x, name: str, actions: np.ndarray, tested: np.ndarray) -> np.ndarray:
     """``x`` as an (n, T, q) float array, finite wherever ``tested`` is set."""
     x = np.asarray(x, dtype=np.float64)
@@ -356,7 +351,6 @@ def stratified_pooled_test(
     g,
     side: PermutedSide,
     tau: float = 0.1,
-    pool_order: Optional[int] = None,
 ) -> TestReport:
     """Test ``G^t independent of H^t`` within action levels, pooled over time.
 
@@ -364,8 +358,8 @@ def stratified_pooled_test(
     paired with it row by row.  Each stratum of ``side`` runs a permutation
     distance-covariance test of ``g``'s rows against its drawn sample;
     action levels at the same time point are combined by Bonferroni over the
-    number of tested strata, and the per-time p-values are pooled by
-    :func:`pooled_pvalue`.
+    number of tested strata, and the ``T'`` per-time p-values are pooled by
+    :func:`pooled_pvalue` at ``u = floor(T'/20) + 1``.
     """
     if not 0 < tau < 1:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
@@ -379,8 +373,7 @@ def stratified_pooled_test(
             strata.append(StratumResult(t, a, int(rows.sum()), statistic, p_value))
             time_ps.append(p_value)
         per_time.append(min(1.0, len(time_ps) * min(time_ps)))
-    u = pool_order if pool_order is not None else default_pool_order(len(per_time))
-    u = min(u, len(per_time))
+    u = len(per_time) // 20 + 1
     pooled = pooled_pvalue(per_time, u)
     return TestReport(
         statistic=[s.statistic for s in strata],

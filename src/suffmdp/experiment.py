@@ -169,10 +169,10 @@ def _build_feature_map(method, ds, gen_spec, cfg: ExperimentConfig, seed: int,
     )
     if method == "adnn":
         result = construct_sufficient_features(ds, pipe)
-        return result.feature_map, result.n_var, result.n_dim
+        return result.feature_map, len(result.variables), result.feature_dim
     if method == "tnn":
         result = fit_tnn(ds, pipe)
-        return result.feature_map, result.n_var, result.n_dim
+        return result.feature_map, len(result.variables), result.feature_dim
     raise ValueError(f"unknown feature method {method!r}")
 
 

@@ -13,14 +13,15 @@ once per stratum, from streams keyed ``(seed, round, t, action)``, and
 scores each coordinate against them (see :mod:`suffmdp.dcov`): coordinate
 ``j`` is tested under ``pi o sigma_j^-1``, with ``pi`` the stratum's drawn
 permutations and ``sigma_j`` the sort order of the coordinate's values.  The
-outcome does not depend on the scan order, and each coordinate's p-value is
-valid on its own.
+outcome does not depend on the order of the state's columns, up to roundoff
+in the response block's distances, and each coordinate's p-value is valid on
+its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -71,14 +72,12 @@ def screen(
     n_permutations: int = 999,
     seed: int = 0,
     min_stratum: int = 5,
-    scan_order: Optional[Sequence[int]] = None,
 ) -> ScreenResult:
     """Screen state coordinates relevant to the utility process.
 
     ``n_max`` caps the number of rounds (default: one per coordinate, which
-    can never bind).  ``scan_order`` fixes the within-round iteration order
-    over coordinates; it exists to demonstrate order-independence and has no
-    effect on the selected set.
+    can never bind).  Each round tests the unselected coordinates in index
+    order.
     """
     if not 0 < tau < 1:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
@@ -87,15 +86,12 @@ def screen(
         n_max = p
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    order = list(scan_order) if scan_order is not None else list(range(p))
-    if sorted(order) != list(range(p)):
-        raise ValueError("scan_order must be a permutation of 0..p-1")
 
     selected: list[int] = []
     rounds: list[ScreenRound] = []
     converged = False
     for k in range(1, n_max + 1):
-        tested = [j for j in order if j not in selected]
+        tested = [j for j in range(p) if j not in selected]
         # response block (U^t, S^{t+1}_selected) for every t, shared by the round
         response = np.concatenate(
             [ds.utilities[:, :, None], ds.states[:, 1:, selected]], axis=2

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .core import TrajectoryDataset
+from .core import TrajectoryDataset, check_json_object
 from .features import CoordinateFeatureMap, FeatureMap, TruncatedGFeatureMap
 from .rng import substream
 
@@ -38,7 +38,6 @@ __all__ = [
     "g_function",
     "sample_trajectories",
     "step_process",
-    "transition_mean",
     "oracle_feature_map",
 ]
 
@@ -64,12 +63,11 @@ class GenerativeModelSpec:
 
     ``n_noise`` is the total noise-coordinate count ``m``; the split into
     dependent / white / constant is ``floor(m/3)`` / ``ceil(m/3)`` /
-    ``ceil(m/3)``.  ``seed`` is the default sampling stream.
+    ``ceil(m/3)``.
     """
 
     g_kind: str = "linear"
     n_noise: int = 0
-    seed: int = 0
     signal_dim: int = SIGNAL_DIM
 
     def __post_init__(self):
@@ -103,10 +101,6 @@ class GenerativeModelSpec:
 
     # Column layout: [signal | dependent | white | constant], 0-based.
     @property
-    def signal_indices(self) -> range:
-        return range(self.signal_dim)
-
-    @property
     def dependent_indices(self) -> range:
         return range(self.signal_dim, self.signal_dim + self.n_dependent)
 
@@ -120,21 +114,22 @@ class GenerativeModelSpec:
         start = self.signal_dim + self.n_dependent + self.n_white
         return range(start, start + self.n_constant)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "model": self.g_kind,
-            "n_noise": self.n_noise,
-            "seed": self.seed,
-            "signal_dim": self.signal_dim,
-        }
-
     @staticmethod
     def from_jsonable(data: dict) -> "GenerativeModelSpec":
+        """Spec from a JSON object ``{"model": g_kind}`` with optional integer
+        ``n_noise`` and ``signal_dim``.
+
+        ValueError names an unknown key, a value of the wrong JSON kind and a
+        missing ``model``.
+        """
+        check_json_object("GenerativeModelSpec", data,
+                          {"model": str, "n_noise": int, "signal_dim": int})
+        if "model" not in data:
+            raise ValueError("GenerativeModelSpec needs the key 'model'")
         return GenerativeModelSpec(
             g_kind=data["model"],
-            n_noise=int(data.get("n_noise", 0)),
-            seed=int(data.get("seed", 0)),
-            signal_dim=int(data.get("signal_dim", SIGNAL_DIM)),
+            n_noise=data.get("n_noise", 0),
+            signal_dim=data.get("signal_dim", SIGNAL_DIM),
         )
 
 
@@ -162,31 +157,6 @@ def _block_moments(drivers: np.ndarray, a01: np.ndarray, n_cols: int):
         mean[:, offset::4] = high_mean
         sd[:, offset::4] = np.broadcast_to(high_sd, high_mean.shape)
     return mean[:, :n_cols], sd[:, :n_cols]
-
-
-def transition_mean(spec: GenerativeModelSpec, states: np.ndarray, a01: np.ndarray):
-    """Conditional means of the next state and the utility.
-
-    Returns ``(next_state_mean, utility_mean)`` for each row of ``states``
-    given 0/1-coded actions ``a01``; white-noise columns have mean zero and
-    constant columns carry over unchanged.
-    """
-    states = np.asarray(states, dtype=np.float64)
-    a01 = np.asarray(a01, dtype=np.float64)
-    g = g_function(spec.g_kind)
-    n_drivers = spec.signal_dim // 4
-    g_sig = g(states[:, :n_drivers])
-    mean = np.zeros_like(states)
-    mean[:, : spec.signal_dim], _ = _block_moments(g_sig, a01, spec.signal_dim)
-    if spec.n_dependent > 0:
-        dep = states[:, list(spec.dependent_indices)]
-        g_dep = g(dep[:, : math.ceil(spec.n_dependent / 4)])
-        mean[:, list(spec.dependent_indices)], _ = _block_moments(
-            g_dep, a01, spec.n_dependent
-        )
-    cols = list(spec.constant_indices)
-    mean[:, cols] = states[:, cols]
-    return mean, _utility_mean(g, states, a01)
 
 
 def _utility_mean(g, states: np.ndarray, a01: np.ndarray) -> np.ndarray:
@@ -234,17 +204,16 @@ def sample_trajectories(
     spec: GenerativeModelSpec,
     n: int,
     horizon: int,
-    rng: Union[int, np.random.Generator, None] = None,
+    rng: Union[int, np.random.Generator],
 ) -> TrajectoryDataset:
     """Sample ``n`` i.i.d. trajectories of length ``horizon``.
 
-    Actions are i.i.d. Bernoulli(0.5) over the two levels, stored as 1/2.
+    ``rng`` is a generator or an integer seed of `rng.substream`.  Actions
+    are i.i.d. Bernoulli(0.5) over the two levels, stored as 1/2.
     """
     if n < 1 or horizon < 1:
         raise ValueError("need n >= 1 and horizon >= 1")
-    if rng is None:
-        rng = substream(spec.seed)
-    elif isinstance(rng, int):
+    if isinstance(rng, int):
         rng = substream(rng)
     p = spec.state_dim
     states = np.empty((n, horizon + 1, p))
@@ -260,7 +229,6 @@ def sample_trajectories(
         actions=actions,
         utilities=utilities,
         n_actions=2,
-        utility_bound=1e6,
     )
 
 

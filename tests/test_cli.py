@@ -137,6 +137,8 @@ class TestExitCodes:
     def test_malformed_csv_gives_1(self, inputs, tmp_path):
         (tmp_path / "bad.csv").write_text("id,t,a,u,s_1\n1,1,1,oops,0.1\n1,2,,,0.2\n")
         assert run("screen --data bad.csv", inputs) == 1
+        (tmp_path / "header.csv").write_text("id,t,a,u,s_1\n")
+        assert run("screen --data header.csv", inputs) == 1
 
     def test_missing_file_gives_1(self, inputs):
         assert run("screen --data absent.csv", inputs) == 1
@@ -187,9 +189,14 @@ class TestExitCodes:
          ("dims", [0, 1], "dims must be nonempty ascending positive integers"),
          ("max_iterations", 0, "max_iterations must be >= 1"),
          ("grid", [[2, "1", 0.01]], "grid cell width and depth must be positive integers"),
-         ("grid", [[0, 1, 0.01]], "grid cell width and depth must be positive integers")],
+         ("grid", [[0, 1, 0.01]], "grid cell width and depth must be positive integers"),
+         ("tau_dim", 1.5, "tau_dim must be in (0, 1)"),
+         ("tau_dim", 0, "tau_dim must be in (0, 1)"),
+         ("folds", 1, "folds must be >= 2"),
+         ("col_tol", -0.1, "col_tol must be >= 0")],
         ids=["misspelled-folds", "old-cells-key", "dims-below-one", "max-iterations-zero",
-             "grid-cell-string-depth", "grid-cell-zero-width"])
+             "grid-cell-string-depth", "grid-cell-zero-width", "tau-dim-above-one",
+             "tau-dim-zero", "folds-one", "col-tol-negative"])
     def test_bad_grid_file_gives_1(self, inputs, key, value, message, capsys, monkeypatch):
         def no_screening(*args, **kwargs):
             raise AssertionError("screening ran on a bad grid file")
@@ -199,6 +206,18 @@ class TestExitCodes:
         argv = CONSTRUCT.replace("{in}/grid.json", "{in}/bad.json")
         assert run(argv, inputs) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec,key",
+        [({"model": "linear", "noise": 9}, "'noise'"),
+         ({"model": "linear", "n_noise": 2.7}, "'n_noise'")],
+        ids=["misspelled-n-noise", "float-n-noise"])
+    def test_bad_gen_spec_gives_1(self, inputs, spec, key, capsys):
+        (inputs / "bad.json").write_text(json.dumps(spec))
+        argv = dict((r[0], r[1]) for r in RUNS)["evaluate"].replace(
+            "{in}/gen.json", "{in}/bad.json")
+        assert run(argv, inputs) == 1
+        assert key in capsys.readouterr().err
 
     def test_runtime_failure_gives_2(self, inputs, monkeypatch):
         def broken(*args, **kwargs):

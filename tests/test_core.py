@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from suffmdp.core import (
-    CsvSchema,
     DataValidationError,
     TrajectoryDataset,
     flatten_transitions,
@@ -48,8 +47,6 @@ class TestTrajectoryDataset:
         bad[0, 0] = 2e6
         with pytest.raises(DataValidationError, match="bound"):
             TrajectoryDataset(ds.states, ds.actions, bad, n_actions=2)
-        # configurable cap
-        TrajectoryDataset(ds.states, ds.actions, bad, n_actions=2, utility_bound=1e7)
 
     def test_rejects_ragged_shapes(self):
         ds = small_dataset(horizon=4)
@@ -70,11 +67,11 @@ class TestTrajectoryDataset:
 
 class TestFlatten:
     def test_unfiltered_count_is_n_times_horizon(self):
-        ds = sample_trajectories(GenerativeModelSpec("linear", 0, seed=1), 30, 90)
+        ds = sample_trajectories(GenerativeModelSpec("linear", 0), 30, 90, rng=1)
         assert len(flatten_transitions(ds)) == 30 * 90
 
     def test_filtered_counts_partition_total(self):
-        ds = sample_trajectories(GenerativeModelSpec("linear", 0, seed=2), 30, 90)
+        ds = sample_trajectories(GenerativeModelSpec("linear", 0), 30, 90, rng=2)
         actions = flatten_transitions(ds).actions
         counts = {a: int(np.sum(actions == a)) for a in (1, 2)}
         assert counts[1] + counts[2] == 30 * 90
@@ -119,12 +116,12 @@ class TestCsvRoundTrip:
         ds = small_dataset(n=5, horizon=7, p=3, seed=3)
         path = tmp_path / "d.csv"
         save_dataset_csv(ds, path)
-        loaded = load_dataset_csv(path, CsvSchema(n_actions=2))
+        loaded = load_dataset_csv(path)
         assert loaded.equals(ds)
 
     def test_generated_file_shape(self, tmp_path):
         # 30 subjects, T=90, 50 noise coordinates => 114 state columns
-        ds = sample_trajectories(GenerativeModelSpec("linear", 50, seed=4), 30, 90)
+        ds = sample_trajectories(GenerativeModelSpec("linear", 50), 30, 90, rng=4)
         path = tmp_path / "d.csv"
         save_dataset_csv(ds, path)
         loaded = load_dataset_csv(path)
@@ -142,10 +139,11 @@ class TestCsvRoundTrip:
         assert ds.utilities[0, 0] == 0.5
 
     def test_action_out_of_schema_range(self, tmp_path):
+        # the action count is the largest action seen; actions start at 1
         path = tmp_path / "bad.csv"
-        path.write_text("id,t,a,u,s_1\n1,1,3,0.0,0.1\n1,2,,,0.2\n")
+        path.write_text("id,t,a,u,s_1\n1,1,0,0.0,0.1\n1,2,1,0.0,0.2\n1,3,,,0.3\n")
         with pytest.raises(DataValidationError, match="action out of range"):
-            load_dataset_csv(path, CsvSchema(n_actions=2))
+            load_dataset_csv(path)
 
     def test_missing_cell_names_location(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,7 +12,6 @@ from suffmdp.dcov import (
     _PermutedSample,
     dcov_permutation_pvalue,
     dcov_statistic,
-    default_pool_order,
     draw_permuted_side,
     pooled_pvalue,
     stratified_pooled_test,
@@ -209,7 +208,12 @@ class TestPooledPvalue:
 
     def test_default_order_rule(self):
         # floor(T/20) + 1 at T=90 gives 5; pooled = 90 * p_(5) / 5
-        assert default_pool_order(90) == 5
+        rng = substream(14)
+        ds = _dataset_with_columns(
+            rng.normal(size=(6, 91)), rng.normal(size=(6, 91)), np.ones((6, 90), dtype=int)
+        )
+        side = draw_permuted_side(ds.states[:, :-1, 1], ds, n_permutations=9, seed=1)
+        assert stratified_pooled_test(ds.states[:, :-1, 0], side).pooled_u == 5
         ps = [0.004] * 5 + [0.5] * 85
         assert pooled_pvalue(ps, u=5) == pytest.approx(90 * 0.004 / 5)
 
@@ -281,28 +285,29 @@ class TestStratifiedPooledTest:
         # over time, so per-time p-values are dependent; pooling must stay
         # valid for both u = 1 and the default order.
         horizon = 40
-        for u in (1, None):
-            rejections = 0
-            for rep in range(200):
-                rng = substream(3000 + rep)
-                g = np.cumsum(rng.normal(size=(20, horizon + 1)), axis=1)
-                h = np.cumsum(rng.normal(size=(20, horizon + 1)), axis=1)
-                actions = np.ones((20, horizon), dtype=int)
-                ds = _dataset_with_columns(g, h, actions)
-                side = draw_permuted_side(
-                    ds.states[:, :-1, 1], ds, n_permutations=39, seed=rep
-                )
-                report = stratified_pooled_test(ds.states[:, :-1, 0], side, pool_order=u)
-                rejections += report.p_value <= 0.1
-            assert rejections / 200 <= 0.15
+        rejections = {"u=1": 0, "default": 0}
+        for rep in range(200):
+            rng = substream(3000 + rep)
+            g = np.cumsum(rng.normal(size=(20, horizon + 1)), axis=1)
+            h = np.cumsum(rng.normal(size=(20, horizon + 1)), axis=1)
+            actions = np.ones((20, horizon), dtype=int)
+            ds = _dataset_with_columns(g, h, actions)
+            side = draw_permuted_side(
+                ds.states[:, :-1, 1], ds, n_permutations=39, seed=rep
+            )
+            report = stratified_pooled_test(ds.states[:, :-1, 0], side)
+            # one action level: the strata are the per-time tests
+            rejections["u=1"] += pooled_pvalue([s.p_value for s in report.strata], 1) <= 0.1
+            rejections["default"] += report.p_value <= 0.1
+        assert report.pooled_u == 3
+        for count in rejections.values():
+            assert count / 200 <= 0.15
 
     def test_power_against_utility_dependence(self):
         # Utility depends on the first state coordinate by construction.
         rejections = 0
         for rep in range(20):
-            ds = sample_trajectories(
-                GenerativeModelSpec("linear", 0, seed=rep), 30, 90
-            )
+            ds = sample_trajectories(GenerativeModelSpec("linear", 0), 30, 90, rng=rep)
             side = draw_permuted_side(
                 ds.states[:, :-1, 0], ds, n_permutations=999, seed=rep
             )
@@ -420,7 +425,7 @@ class TestPermutedSample:
         np.testing.assert_allclose(permuted, direct, rtol=0, atol=1e-12)
 
     def test_side_holds_order_b_m_per_stratum(self):
-        ds = sample_trajectories(GenerativeModelSpec("linear", 4, seed=1), 30, 4)
+        ds = sample_trajectories(GenerativeModelSpec("linear", 4), 30, 4, rng=1)
         response = np.concatenate([ds.utilities[:, :, None], ds.states[:, 1:, :2]], axis=2)
         b = 999
         side = draw_permuted_side(response, ds, n_permutations=b, seed=1, key=(1,))

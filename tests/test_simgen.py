@@ -1,14 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from suffmdp.rng import substream
 from suffmdp.simgen import (
     GenerativeModelSpec,
+    _utility_mean,
     g_function,
     oracle_feature_map,
     sample_trajectories,
     step_process,
-    transition_mean,
 )
 
 
@@ -28,7 +30,7 @@ class TestSpec:
     def test_index_blocks_partition_columns(self):
         spec = GenerativeModelSpec("quad", 50)
         all_idx = (
-            list(spec.signal_indices)
+            list(range(spec.signal_dim))
             + list(spec.dependent_indices)
             + list(spec.white_indices)
             + list(spec.constant_indices)
@@ -40,9 +42,27 @@ class TestSpec:
             GenerativeModelSpec("cubic", 0)
 
     def test_json_round_trip(self):
-        spec = GenerativeModelSpec("exp", 50, seed=9)
-        again = GenerativeModelSpec.from_jsonable(spec.to_jsonable())
-        assert again == spec
+        spec = GenerativeModelSpec("exp", 50, signal_dim=16)
+        text = json.dumps({"model": spec.g_kind, "n_noise": spec.n_noise,
+                           "signal_dim": spec.signal_dim})
+        assert GenerativeModelSpec.from_jsonable(json.loads(text)) == spec
+        assert GenerativeModelSpec.from_jsonable({"model": "exp"}) == GenerativeModelSpec("exp")
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [({"model": "linear", "noise": 9}, "unknown key 'noise'"),
+         ({"model": "linear", "seed": 1}, "unknown key 'seed'"),
+         ({"model": "linear", "n_noise": 2.7}, "key 'n_noise'"),
+         ({"model": "linear", "n_noise": True}, "key 'n_noise'"),
+         ({"model": "linear", "signal_dim": "8"}, "key 'signal_dim'"),
+         ({"model": 1}, "key 'model'"),
+         ({"n_noise": 3}, "'model'"),
+         (["linear"], "JSON object")],
+        ids=["misspelled-n-noise", "seed", "float-n-noise", "bool-n-noise",
+             "string-signal-dim", "number-model", "missing-model", "list"])
+    def test_from_jsonable_rejects_bad_keys(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            GenerativeModelSpec.from_jsonable(data)
 
 
 class TestGFunction:
@@ -64,51 +84,51 @@ class TestGFunction:
 
 class TestSampling:
     def test_shapes_and_action_range(self):
-        ds = sample_trajectories(GenerativeModelSpec("linear", 50, seed=1), 7, 11)
+        ds = sample_trajectories(GenerativeModelSpec("linear", 50), 7, 11, rng=1)
         assert ds.states.shape == (7, 12, 114)
         assert ds.actions.shape == (7, 11)
         assert set(np.unique(ds.actions)) <= {1, 2}
 
     def test_constant_columns_fixed_over_time(self):
-        spec = GenerativeModelSpec("quad", 50, seed=2)
-        ds = sample_trajectories(spec, 5, 30)
+        spec = GenerativeModelSpec("quad", 50)
+        ds = sample_trajectories(spec, 5, 30, rng=2)
         cols = list(spec.constant_indices)
         first = ds.states[:, :1, cols]
         assert np.array_equal(ds.states[:, :, cols], np.broadcast_to(first, (5, 31, len(cols))))
 
     def test_white_columns_redrawn(self):
-        spec = GenerativeModelSpec("quad", 50, seed=3)
-        ds = sample_trajectories(spec, 5, 10)
+        spec = GenerativeModelSpec("quad", 50)
+        ds = sample_trajectories(spec, 5, 10, rng=3)
         cols = list(spec.white_indices)
         diffs = np.diff(ds.states[:, :, cols], axis=1)
         assert np.all(np.abs(diffs).max(axis=(0, 1)) > 0)
 
     def test_truncated_g_keeps_states_bounded_in_mean(self):
-        spec = GenerativeModelSpec("exp", 0, seed=4)
-        ds = sample_trajectories(spec, 20, 50)
-        _, u_mean = transition_mean(spec, ds.states[:, 0], np.zeros(20))
+        spec = GenerativeModelSpec("exp", 0)
+        ds = sample_trajectories(spec, 20, 50, rng=4)
+        u_mean = _utility_mean(g_function(spec.g_kind), ds.states[:, 0], np.zeros(20))
         # means are combinations of g values, |g| <= 3: |mean| <= 9
         assert np.all(np.abs(u_mean) <= 9.0 + 1e-12)
 
     def test_marginal_moments_at_t1(self):
         # all coordinates start Normal(0, 0.25)
-        spec = GenerativeModelSpec("linear", 0, seed=5)
-        ds = sample_trajectories(spec, 100_000, 1)
+        spec = GenerativeModelSpec("linear", 0)
+        ds = sample_trajectories(spec, 100_000, 1, rng=5)
         first = ds.states[:, 0, :]
         assert abs(first.mean()) < 5e-3
         assert np.allclose(first.var(axis=0), 0.25, atol=0.02)
 
     def test_utility_conditional_noise_variance(self):
-        spec = GenerativeModelSpec("linear", 0, seed=6)
-        ds = sample_trajectories(spec, 100_000, 1)
-        _, u_mean = transition_mean(spec, ds.states[:, 0], ds.actions[:, 0] - 1.0)
+        spec = GenerativeModelSpec("linear", 0)
+        ds = sample_trajectories(spec, 100_000, 1, rng=6)
+        u_mean = _utility_mean(g_function(spec.g_kind), ds.states[:, 0], ds.actions[:, 0] - 1.0)
         resid = ds.utilities[:, 0] - u_mean
         assert resid.var() == pytest.approx(0.01, rel=0.05)
 
     def test_transition_conditional_moments(self):
         # one coordinate-level check of the block law: given A=0, columns
         # 1,2 follow Normal(g(S_1), 0.01) and columns 3,4 Normal(0, 0.25)
-        spec = GenerativeModelSpec("quad", 0, seed=7)
+        spec = GenerativeModelSpec("quad", 0)
         rng = substream(8)
         states = np.tile(rng.normal(size=(1, 64)), (200_000, 1))
         nxt, _ = step_process(spec, states, np.zeros(200_000), substream(9))
@@ -119,33 +139,34 @@ class TestSampling:
         assert nxt[:, 2].var() == pytest.approx(0.25, rel=0.05)
 
     def test_utility_mean_formula(self):
-        spec = GenerativeModelSpec("linear", 0, seed=10)
         s = np.zeros((2, 64))
         s[0, :4] = [1.0, 2.0, 3.0, 4.0]
         s[1, :4] = [1.0, 2.0, 3.0, 4.0]
-        _, u = transition_mean(spec, s, np.array([0.0, 1.0]))
+        u = _utility_mean(g_function("linear"), s, np.array([0.0, 1.0]))
         # A=0: 2(s1+s2) - (s3+s4) = 6 - 7 = -1;  A=1: 2(s3+s4) - (s1+s2) = 14 - 3 = 11
         assert u[0] == pytest.approx(-1.0)
         assert u[1] == pytest.approx(11.0)
 
     def test_deterministic_given_seed(self):
-        spec = GenerativeModelSpec("quad", 10, seed=11)
+        spec = GenerativeModelSpec("quad", 10)
         a = sample_trajectories(spec, 4, 6, rng=3)
         b = sample_trajectories(spec, 4, 6, rng=3)
         assert a.equals(b)
 
     def test_dependent_block_ignores_signal(self):
         # dependent noise evolves from its own block: replacing the signal
-        # block leaves the dependent-column conditional means unchanged
-        spec = GenerativeModelSpec("linear", 12, seed=12)
+        # block leaves the dependent columns of a step on the same stream
+        # unchanged
+        spec = GenerativeModelSpec("linear", 12)
         rng = substream(13)
         s1 = rng.normal(size=(5, spec.state_dim))
         s2 = s1.copy()
         s2[:, :64] = rng.normal(size=(5, 64))
-        m1, _ = transition_mean(spec, s1, np.zeros(5))
-        m2, _ = transition_mean(spec, s2, np.zeros(5))
+        n1, _ = step_process(spec, s1, np.zeros(5), substream(14))
+        n2, _ = step_process(spec, s2, np.zeros(5), substream(14))
         dep = list(spec.dependent_indices)
-        assert np.array_equal(m1[:, dep], m2[:, dep])
+        assert not np.array_equal(n1[:, :64], n2[:, :64])
+        assert np.array_equal(n1[:, dep], n2[:, dep])
 
 
 class TestOracleMaps:
