@@ -39,14 +39,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import TrajectoryDataset, Transitions, flatten_transitions
 from .dcov import TestReport, draw_permuted_side, stratified_pooled_test
-from .features import ACTIVATIONS, NetworkFeatureMap, mlp_backward, mlp_forward
+from .features import NetworkFeatureMap, mlp_backward, mlp_forward
 from .rng import derive_seed, substream
 from .screening import ScreenResult, screen
 
@@ -76,46 +76,25 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Network shapes.
+    """Network shape chosen by the caller; the data set the rest.
 
-    The feature network has ``depth`` affine+activation layers taking the
-    state from ``input_dim`` through ``depth - 1`` hidden layers of
+    The feature network has ``depth`` affine+sigmoid layers taking a state
+    of ``p`` coordinates through ``depth - 1`` hidden layers of
     ``hidden_width`` units to ``feature_dim``.  Each head mirrors that:
-    ``depth`` layers from ``feature_dim`` to ``output_dim``, with the final
-    head layer affine (the response is not range-bounded, so no activation
-    is applied to it).
+    ``depth`` layers from ``feature_dim`` to the ``p + 1`` response
+    coordinates ``(U, S')``, with the final head layer affine (the response
+    is not range-bounded, so no sigmoid is applied to it).  ``p`` is the
+    state dimension of the training data.
     """
 
-    input_dim: int
     feature_dim: int
-    output_dim: int
     hidden_width: int = 4
     depth: int = 1
-    n_actions: int = 2
-    activation: str = "sigmoid"
 
     def __post_init__(self):
-        for name in ("input_dim", "feature_dim", "output_dim", "hidden_width", "depth", "n_actions"):
+        for name in ("feature_dim", "hidden_width", "depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-    @classmethod
-    def for_dataset(cls, ds: TrajectoryDataset, feature_dim: int, hidden_width: int,
-                    depth: int, activation: str = "sigmoid") -> "Architecture":
-        """Shapes taking ``ds``'s state to ``feature_dim`` features and ``(U, S')``."""
-        return cls(
-            input_dim=ds.state_dim, feature_dim=feature_dim, output_dim=ds.state_dim + 1,
-            hidden_width=hidden_width, depth=depth, n_actions=ds.n_actions,
-            activation=activation,
-        )
-
-    def feature_widths(self) -> list:
-        return [self.input_dim] + [self.hidden_width] * (self.depth - 1) + [self.feature_dim]
-
-    def head_widths(self) -> list:
-        return [self.feature_dim] + [self.hidden_width] * (self.depth - 1) + [self.output_dim]
 
 
 def _check_lam(lam) -> None:
@@ -125,26 +104,23 @@ def _check_lam(lam) -> None:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Training hyperparameters.
+    """Training schedule.
 
-    The step size decays as ``alpha0 / (1 + b / beta)`` over outer
-    iterations ``b``; training runs exactly ``n_max`` of them.  Weights
-    initialize uniformly on ``+-sqrt(6 / (fan_in + fan_out))`` and biases at
-    zero, from the stream given by ``seed``.  ``check_every`` is the cadence
-    of the full-data cost trace and of the divergence check; it does not
-    change the fitted parameters.
+    Each outer iteration draws a ``batch_fraction`` of every action's
+    transitions.  The step size decays as ``alpha0 / (1 + b / beta)`` over
+    outer iterations ``b``; training runs exactly ``n_max`` of them.
+    ``check_every`` is the cadence of the full-data cost trace and of the
+    divergence check; it does not change the fitted parameters.  The penalty
+    and the seed are arguments of `fit_adnn` and `cross_validate_adnn`.
     """
 
-    lam: float = 0.0
     batch_fraction: float = 0.1
     alpha0: float = 0.05
     beta: float = 200.0
     n_max: int = 5000
-    seed: int = 0
     check_every: int = 100
 
     def __post_init__(self):
-        _check_lam(self.lam)
         if not 0 < self.batch_fraction < 1:
             raise ValueError(f"batch_fraction must be in (0, 1), got {self.batch_fraction}")
         if self.n_max < 0:
@@ -172,10 +148,6 @@ class AdnnModel:
     trace: list = field(default_factory=list)
 
     @property
-    def activation(self) -> str:
-        return self.architecture.activation
-
-    @property
     def actions(self) -> list:
         return sorted(self.heads)
 
@@ -187,14 +159,12 @@ class AdnnModel:
                     input_dim: Optional[int] = None) -> NetworkFeatureMap:
         return NetworkFeatureMap(
             layers=[(w.copy(), b.copy()) for w, b in self.feature_layers],
-            activation=self.activation,
             input_indices=input_indices,
             input_dim=input_dim,
         )
 
     def features(self, states: np.ndarray) -> np.ndarray:
-        return mlp_forward(np.asarray(states, dtype=np.float64), self.feature_layers,
-                           self.activation)
+        return mlp_forward(np.asarray(states, dtype=np.float64), self.feature_layers)
 
     def predict(self, states: np.ndarray, action: int) -> np.ndarray:
         """Predicted response ``(U, next-state)`` rows under one action."""
@@ -203,7 +173,7 @@ class AdnnModel:
     def _head_forward(self, feats: np.ndarray, action: int) -> np.ndarray:
         if action not in self.heads:
             raise ValueError(f"unknown action {action}; model has {self.actions}")
-        return mlp_forward(feats, self.heads[action], self.activation, affine_last=True)
+        return mlp_forward(feats, self.heads[action], affine_last=True)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +181,8 @@ class AdnnModel:
 # ---------------------------------------------------------------------------
 
 
-def _init_model(arch: Architecture, actions: Sequence[int], rng: np.random.Generator) -> AdnnModel:
+def _init_model(arch: Architecture, state_dim: int, actions: Sequence[int],
+                rng: np.random.Generator) -> AdnnModel:
     def init_layers(widths):
         layers = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
@@ -220,8 +191,9 @@ def _init_model(arch: Architecture, actions: Sequence[int], rng: np.random.Gener
             layers.append((w, np.zeros(fan_out)))
         return layers
 
-    feature_layers = init_layers(arch.feature_widths())
-    heads = {a: init_layers(arch.head_widths()) for a in sorted(actions)}
+    hidden = [arch.hidden_width] * (arch.depth - 1)
+    feature_layers = init_layers([state_dim] + hidden + [arch.feature_dim])
+    heads = {a: init_layers([arch.feature_dim] + hidden + [state_dim + 1]) for a in sorted(actions)}
     return AdnnModel(architecture=arch, feature_layers=feature_layers, heads=heads)
 
 
@@ -278,9 +250,9 @@ def _batch_gradients(s, y, constants, model, action):
     take, pad, lam = constants
     layers = model.feature_layers + model.heads[action]
     cache = []
-    out = mlp_forward(s, layers, model.activation, affine_last=True, cache=cache)
+    out = mlp_forward(s, layers, affine_last=True, cache=cache)
     delta = np.where(pad, 0.0, 2.0 * (out - y) / take)
-    grads = mlp_backward(cache, layers, delta, model.activation)
+    grads = mlp_backward(cache, layers, delta)
     k = len(model.feature_layers)
     feature_grads, head_grads = grads[:k], grads[k:]
 
@@ -328,8 +300,9 @@ def _replica(stacked: AdnnModel, r: int) -> AdnnModel:
 def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
     """Train replicas ``(train dataset, lam, seed)`` of one architecture in lock step.
 
-    Every replica follows the training of a lone `fit_adnn` call on its own
-    data with ``replace(cfg, lam=lam, seed=seed)``: it draws its
+    The replicas' data share one state dimension, which sets the input and
+    response widths.  Every replica follows the training of a lone
+    ``fit_adnn(data, arch, cfg, lam=lam, seed=seed)`` call: it draws its
     initialisation and then, per iteration and action, its minibatch rows
     from ``substream(seed)`` in the same order.  Replicas with equal seeds and
     equal per-action row counts would draw identical values, so they share
@@ -339,7 +312,7 @@ def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
     order, each with its own cost trace; a non-finite cost in any replica
     raises `ConvergenceError`.
     """
-    n_actions = replicas[0][0].n_actions
+    n_actions, state_dim = replicas[0][0].n_actions, replicas[0][0].state_dim
     actions = sorted(actions_subset) if actions_subset is not None else list(
         range(1, n_actions + 1)
     )
@@ -372,8 +345,8 @@ def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
         states = [tr.states[rows[a]] for (tr, _, _), rows in zip(data, action_rows)]
         responses = [y[rows[a]] for (_, y, _), rows in zip(data, action_rows)]
         pools[a] = (
-            np.concatenate(states + [np.zeros((1, arch.input_dim))]),
-            np.concatenate(responses + [np.zeros((1, arch.output_dim))]),
+            np.concatenate(states + [np.zeros((1, state_dim))]),
+            np.concatenate(responses + [np.zeros((1, state_dim + 1))]),
         )
         pad_index[a] = np.full((len(replicas), takes[a].max()), sizes[a].sum())
     constants = {a: _batch_constants(takes[a], lams) for a in actions}
@@ -386,7 +359,7 @@ def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
     streams, inits = [], [None] * len(replicas)
     for (seed, *_), members in groups.items():
         rng = substream(seed)
-        init = _init_model(arch, actions, rng)
+        init = _init_model(arch, state_dim, actions, rng)
         for r in members:
             inits[r] = init
         # per action: population and batch size, and where its rows start
@@ -439,17 +412,23 @@ def fit_adnn(
     ds: TrajectoryDataset,
     arch: Architecture,
     cfg: FitConfig,
+    lam: float = 0.0,
+    seed: int = 0,
     actions_subset: Optional[Sequence[int]] = None,
 ) -> AdnnModel:
     """Alternating minibatch subgradient training.
 
-    Per outer iteration, each trained action draws
+    The network takes ``ds``'s states to ``arch.feature_dim`` features, and
+    each head predicts the response ``(U, S')``.  ``lam`` is the group-lasso
+    penalty, at least 0; ``seed`` keys the initialisation and the minibatch
+    draws.  Per outer iteration, each trained action draws
     ``floor(batch_fraction * n_a)`` of its transitions without replacement
     and descends on (shared layers, its head).  Training runs exactly
     ``n_max`` iterations.  The full-data cost is traced at initialisation,
     every ``check_every`` iterations and after the last; a non-finite cost
-    after an iteration raises `ConvergenceError`.  Identical inputs and seed reproduce the
-    fitted parameters bit for bit, whatever ``check_every`` is.
+    after an iteration raises `ConvergenceError`.  Identical inputs, penalty
+    and seed reproduce the fitted parameters bit for bit, whatever
+    ``check_every`` is.
 
     This is the one-replica call of the lock-step trainer that
     `cross_validate_adnn` runs on all its fits of one shape; a replica
@@ -460,13 +439,7 @@ def fit_adnn(
     (used by the per-action baseline); transitions with other actions are
     ignored.
     """
-    if arch.input_dim != ds.state_dim:
-        raise ValueError(f"architecture input_dim {arch.input_dim} != state dim {ds.state_dim}")
-    if arch.output_dim != ds.state_dim + 1:
-        raise ValueError(
-            f"architecture output_dim {arch.output_dim} != state dim + 1 = {ds.state_dim + 1}"
-        )
-    return _train_replicas(arch, cfg, [(ds, cfg.lam, cfg.seed)], actions_subset)[0]
+    return _train_replicas(arch, cfg, [(ds, lam, seed)], actions_subset)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -495,27 +468,28 @@ def cross_validate_adnn(
     grid: Sequence[tuple],
     folds: int = 5,
     cfg: FitConfig = FitConfig(),
-    activation: str = "sigmoid",
+    seed: int = 0,
     actions_subset: Optional[Sequence[int]] = None,
 ) -> CrossValidationResult:
     """Pick (width, depth, penalty) by subject-level cross-validation.
 
-    Whole trajectories stay in one fold.  The validation score is the
-    unpenalized squared prediction error per held-out subject, averaged
-    over folds; ties break toward smaller depth, then smaller width, then
-    larger penalty.  Fit seeds are keyed by ``(width, depth, fold)``, so
-    cells that differ only in ``lam`` share their initialisation and
-    minibatch streams, duplicate cells score identically, and scores do not
-    depend on grid order.
+    Every fit trains with the schedule ``cfg``, and ``seed`` keys the fold
+    split and every fit's seed.  Whole trajectories stay in one fold.  The
+    validation score is the unpenalized squared prediction error per
+    held-out subject, averaged over folds; ties break toward smaller depth,
+    then smaller width, then larger penalty.  Fit seeds are keyed by
+    ``(width, depth, fold)``, so cells that differ only in ``lam`` share
+    their initialisation and minibatch streams, duplicate cells score
+    identically, and scores do not depend on grid order.
 
     All (fold, penalty) replicas of one (width, depth) train in lock step in
     one call of the trainer behind `fit_adnn`.  Each replica ends with the
-    parameters of ``fit_adnn(train fold, arch, replace(cfg, lam=lam,
-    seed=derive_seed(cfg.seed, width, depth, fold)))``; the penalties of one
-    fold draw their initialisation and each step's minibatch rows once,
-    together.  A duplicate cell trains once.  A penalty below zero raises
-    ValueError, and a non-finite cost in any replica raises
-    `ConvergenceError`.
+    parameters of ``fit_adnn(train fold, Architecture(feature_dim, width,
+    depth), cfg, lam=lam, seed=derive_seed(seed, width, depth, fold))``; the
+    penalties of one fold draw their initialisation and each step's
+    minibatch rows once, together.  A duplicate cell trains once.  A penalty
+    below zero raises ValueError, and a non-finite cost in any replica
+    raises `ConvergenceError`.
     """
     cells = list(grid)
     if not cells:
@@ -524,7 +498,7 @@ def cross_validate_adnn(
         raise ValueError(f"folds must be >= 2, got {folds}")
     if folds > ds.n_subjects:
         raise ValueError(f"folds {folds} > n_subjects {ds.n_subjects}")
-    perm = substream(cfg.seed, 0xF01D).permutation(ds.n_subjects)
+    perm = substream(seed, 0xF01D).permutation(ds.n_subjects)
     fold_members = np.array_split(perm, folds)
     fold_sets = [
         (np.setdiff1d(perm, members), members) for members in fold_members
@@ -544,9 +518,9 @@ def cross_validate_adnn(
                            valid.n_subjects))
     cell_scores = {}
     for (width, depth), lams in shapes.items():
-        arch = Architecture.for_dataset(ds, feature_dim, width, depth, activation)
+        arch = Architecture(feature_dim, width, depth)
         replicas = [
-            (train, lam, derive_seed(cfg.seed, width, depth, fi))
+            (train, lam, derive_seed(seed, width, depth, fi))
             for fi, (train, _, _) in enumerate(folds_data)
             for lam in lams
         ]
@@ -641,16 +615,17 @@ def select_feature_dimension(
             feature_dim=r,
             grid=cells,
             folds=folds,
-            cfg=replace(config.cv_fit or config.fit, seed=derive_seed(seed, r, 0)),
-            activation=config.activation,
+            cfg=config.cv_fit or config.fit,
+            seed=derive_seed(seed, r, 0),
             actions_subset=actions_subset,
         )
         width, depth, lam = cv.best
-        arch = Architecture.for_dataset(ds, r, width, depth, config.activation)
         model = fit_adnn(
             ds,
-            arch,
-            replace(config.fit, lam=lam, seed=derive_seed(seed, r, 1)),
+            Architecture(r, width, depth),
+            config.fit,
+            lam=lam,
+            seed=derive_seed(seed, r, 1),
             actions_subset=actions_subset,
         )
         report = residual_independence_pvalue(
@@ -710,7 +685,10 @@ class PipelineConfig:
     (0, 1).  ``folds`` must be at least 2 and ``col_tol`` at least 0.
     ``dims``, when given, must be nonempty ascending positive integers, and
     each ``grid`` cell a ``(width, depth, lam)`` of two positive integers and
-    a penalty ``>= 0``.
+    a penalty ``>= 0``.  ``fit`` is the training schedule of the refit at
+    each dimension and ``cv_fit`` that of the CV fits; the grid cells set
+    their penalties and ``seed`` keys every stream.  The networks are
+    sigmoid.
     """
 
     tau: float = 0.1
@@ -723,7 +701,6 @@ class PipelineConfig:
     n_permutations: int = 999
     min_stratum: int = 5
     col_tol: float = 0.05
-    activation: str = "sigmoid"
     seed: int = 0
     max_iterations: int = 10
     screen_n_max: Optional[int] = None

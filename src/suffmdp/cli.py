@@ -9,12 +9,17 @@ pipeline), ``qlearn`` (fit a Q approximator over a stored feature map),
 ``construct --grid-file`` reads a `PipelineConfig` JSON object, the same
 format as an experiment config's ``pipeline`` section; keys it leaves out
 take the config defaults.  ``--tau``, ``--perms`` and ``--seed`` override
-the file's ``tau``, ``n_permutations`` and ``seed`` when given.
+the file's ``tau``, ``n_permutations`` and ``seed`` when given.  In an
+experiment config, ``pipeline.seed`` must keep its default of 0: each
+replicate's pipeline seed derives from ``master_seed`` (``--seed``).
+``qlearn`` and ``evaluate`` read a feature map in the JSON form that
+``construct`` writes; a network map's ``activation`` must be ``sigmoid``.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags, malformed
-inputs), 2 on unexpected runtime failures.  All randomness flows from
-the seed (``--seed``, or a config file's); outputs carry no timestamps, so
-identical inputs give byte-identical outputs.
+inputs such as a config, feature map or Q file with an unknown or missing
+key), 2 on unexpected runtime failures.  All randomness flows from the seed
+(``--seed``, or a config file's); outputs carry no timestamps, so identical
+inputs give byte-identical outputs.
 """
 
 from __future__ import annotations

@@ -52,7 +52,11 @@ def resolve_threads(threads: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Harness settings; method names are matched case-insensitively."""
+    """Harness settings; method names are matched case-insensitively.
+
+    Each replicate's pipeline seed derives from ``master_seed``, so
+    ``pipeline.seed`` must keep its default.
+    """
 
     models: tuple = ("linear",)
     noise_counts: tuple = (0,)
@@ -87,6 +91,9 @@ class ExperimentConfig:
         for m in self.q_methods:
             if m not in Q_METHODS:
                 raise ValueError(f"unknown Q method {m!r}")
+        if self.pipeline.seed != PipelineConfig.seed:
+            raise ValueError(f"pipeline.seed {self.pipeline.seed} is replaced per replicate; "
+                             "set master_seed instead")
 
 
 @dataclass

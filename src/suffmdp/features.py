@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "ACTIVATIONS",
     "mlp_forward",
     "mlp_backward",
     "layers_to_jsonable",
@@ -38,67 +37,45 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _sigmoid_deriv(z, activated):
-    return activated * (1.0 - activated)
-
-
-def _arctan(z):
-    # Monotone map onto (0, 1).
-    return np.arctan(z) / np.pi + 0.5
-
-
-def _arctan_deriv(z, activated):
-    return 1.0 / (np.pi * (1.0 + z * z))
-
-
-# name -> (function, derivative given (pre-activation, activated output))
-ACTIVATIONS = {
-    "sigmoid": (_sigmoid, _sigmoid_deriv),
-    "arctan": (_arctan, _arctan_deriv),
-}
-
-
 def _transpose(w):
     # a 1-D final weight is its own transpose
     return w if w.ndim == 1 else w.swapaxes(-1, -2)
 
 
-def mlp_forward(x, layers, activation="sigmoid", affine_last=False, cache=None):
-    """Apply ``(W, b)`` layers, ``x -> act(x @ W.T + b)``, to row-stacked inputs
-    (or to one 1-D input).
+def mlp_forward(x, layers, affine_last=False, cache=None):
+    """Apply ``(W, b)`` layers, ``x -> sigmoid(x @ W.T + b)``, to row-stacked
+    inputs (or to one 1-D input).
 
     The pair is rank-generic: ``W`` may carry leading stack axes, ``(R, out,
     in)`` against inputs ``(R, rows, in)``, with biases shaped ``(R, 1, out)``
     so that they broadcast over the row axis.  With ``affine_last`` the final
-    layer skips the activation; a 1-D final weight then gives one value per
+    layer skips the sigmoid; a 1-D final weight then gives one value per
     row.  When ``cache`` is a list, each layer appends its ``(input,
     pre-activation, output)`` for :func:`mlp_backward`.
     """
-    act = ACTIVATIONS[activation][0]
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         z = x @ _transpose(w) + b
-        out = z if affine_last and i == last else act(z)
+        out = z if affine_last and i == last else _sigmoid(z)
         if cache is not None:
             cache.append((x, z, out))
         x = out
     return x
 
 
-def mlp_backward(cache, layers, delta, activation="sigmoid"):
+def mlp_backward(cache, layers, delta):
     """Parameter gradients ``[(dW, db)]`` of a loss through a cached forward pass.
 
     ``delta`` is the loss gradient with respect to the network output;
-    ``cache`` and ``activation`` are those of the :func:`mlp_forward` call.
-    Gradients sum over the row axis and are shaped like the parameters, stack
-    axes included.
+    ``cache`` is that of the :func:`mlp_forward` call.  Gradients sum over
+    the row axis and are shaped like the parameters, stack axes included.
     """
-    dact = ACTIVATIONS[activation][1]
     grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         x, z, out = cache[i]
-        # an affine layer cached its pre-activation as its output
-        dz = delta if out is z else delta * dact(z, out)
+        # an affine layer cached its pre-activation as its output; the
+        # sigmoid's derivative is out * (1 - out)
+        dz = delta if out is z else delta * (out * (1.0 - out))
         bias_shape = np.shape(layers[i][1])
         grads[i] = (dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2).reshape(bias_shape))
         if i:
@@ -205,30 +182,28 @@ class LinearFeatureMap(FeatureMap):
 
 
 class NetworkFeatureMap(FeatureMap):
-    """Composed affine+activation layers, optionally over a column subset.
+    """Composed affine+sigmoid layers, optionally over a column subset.
 
     ``layers`` is a list of ``(W, b)`` pairs with ``W`` of shape
-    ``(out, in)``; the activation applies after every layer.  When
+    ``(out, in)``; the sigmoid applies after every layer.  When
     ``input_indices`` is set, the map first selects those raw columns, so a
     map fitted on a reduced variable set still accepts full state vectors.
+    The JSON form records ``"activation": "sigmoid"``, and the reader
+    rejects any other.
     """
 
     def __init__(
         self,
         layers: Sequence[tuple],
-        activation: str = "sigmoid",
         input_indices: Optional[Sequence[int]] = None,
         input_dim: Optional[int] = None,
     ):
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
         self.layers = [
             (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))
             for w, b in layers
         ]
         if not self.layers:
             raise ValueError("need at least one layer")
-        self.activation = activation
         self.input_indices = (
             None if input_indices is None else [int(j) for j in input_indices]
         )
@@ -248,12 +223,12 @@ class NetworkFeatureMap(FeatureMap):
         x = np.asarray(states, dtype=np.float64)
         if self.input_indices is not None:
             x = x[:, self.input_indices]
-        return mlp_forward(x, self.layers, self.activation)
+        return mlp_forward(x, self.layers)
 
     def to_jsonable(self):
         return {
             "kind": "network",
-            "activation": self.activation,
+            "activation": "sigmoid",
             "input_dim": self.input_dim,
             "input_indices": self.input_indices,
             "layers": layers_to_jsonable(self.layers),
@@ -309,22 +284,29 @@ class ConcatFeatureMap(FeatureMap):
 
 
 def feature_map_from_jsonable(data: dict) -> FeatureMap:
+    """Feature map from its ``to_jsonable`` form; ValueError names a missing
+    key, an unknown ``kind`` or a network ``activation`` other than ``sigmoid``."""
     kind = data.get("kind")
-    if kind == "identity":
-        return IdentityFeatureMap(data["input_dim"])
-    if kind == "coordinates":
-        return CoordinateFeatureMap(data["input_dim"], data["indices"])
-    if kind == "linear":
-        return LinearFeatureMap(np.asarray(data["weights"]), np.asarray(data["offset"]))
-    if kind == "network":
-        return NetworkFeatureMap(
-            layers=layers_from_jsonable(data["layers"]),
-            activation=data["activation"],
-            input_indices=data.get("input_indices"),
-            input_dim=data.get("input_dim"),
-        )
-    if kind == "oracle3":
-        return TruncatedGFeatureMap(data["g_kind"], data["input_dim"])
-    if kind == "concat":
-        return ConcatFeatureMap([feature_map_from_jsonable(p) for p in data["parts"]])
+    try:
+        if kind == "identity":
+            return IdentityFeatureMap(data["input_dim"])
+        if kind == "coordinates":
+            return CoordinateFeatureMap(data["input_dim"], data["indices"])
+        if kind == "linear":
+            return LinearFeatureMap(np.asarray(data["weights"]), np.asarray(data["offset"]))
+        if kind == "network":
+            activation = data["activation"]
+            if activation != "sigmoid":
+                raise ValueError(f"network activation must be 'sigmoid', got {activation!r}")
+            return NetworkFeatureMap(
+                layers=layers_from_jsonable(data["layers"]),
+                input_indices=data.get("input_indices"),
+                input_dim=data.get("input_dim"),
+            )
+        if kind == "oracle3":
+            return TruncatedGFeatureMap(data["g_kind"], data["input_dim"])
+        if kind == "concat":
+            return ConcatFeatureMap([feature_map_from_jsonable(p) for p in data["parts"]])
+    except KeyError as exc:
+        raise ValueError(f"{kind} feature map JSON has no key {exc}") from None
     raise ValueError(f"unknown feature map kind {kind!r}")

@@ -94,12 +94,19 @@ QApproximator = Union[LinearQ, NeuralQ]
 
 
 def q_approximator_from_jsonable(data: dict) -> QApproximator:
-    if data.get("kind") == "linear":
-        return LinearQ({int(a): np.asarray(w) for a, w in data["weights"].items()}, data["gamma"])
-    if data.get("kind") == "neural":
-        return NeuralQ({int(a): layers_from_jsonable(ls) for a, ls in data["nets"].items()},
-                       data["gamma"])
-    raise ValueError(f"unknown Q approximator kind {data.get('kind')!r}")
+    """Q approximator from its ``to_jsonable`` form; ValueError names a
+    missing key or an unknown ``kind``."""
+    kind = data.get("kind")
+    try:
+        if kind == "linear":
+            return LinearQ({int(a): np.asarray(w) for a, w in data["weights"].items()},
+                           data["gamma"])
+        if kind == "neural":
+            return NeuralQ({int(a): layers_from_jsonable(ls) for a, ls in data["nets"].items()},
+                           data["gamma"])
+    except KeyError as exc:
+        raise ValueError(f"{kind} Q approximator JSON has no key {exc}") from None
+    raise ValueError(f"unknown Q approximator kind {kind!r}")
 
 
 def greedy_actions(q: QApproximator, feats: np.ndarray) -> np.ndarray:

@@ -5,6 +5,16 @@ from an integer seed plus a tuple key (e.g. ``(seed, round, variable)`` or
 ``(seed, t, action)``).  Streams keyed this way are independent of loop
 order and of how work is split across threads, which is what makes results
 bit-reproducible under any level of concurrency.
+
+A stream is a function of the 32-bit words of ``(seed, *key)``: each
+integer gives its little-endian words, and numpy's ``SeedSequence`` pads
+fewer than four words with zeros.  Keys with equal words share a stream.
+So keys that differ only by trailing zeros collide when the longer fits in
+four words: ``substream(1)`` draws what ``substream(1, 0)`` draws, and
+``derive_seed(1, 2, 3) == derive_seed(1, 2, 3, 0)``.  So can keys of one
+length whose integers reach 2**32, which take more than one word.  Each call
+site therefore keys a fixed number of integers below 2**32 under its own
+base seed.
 """
 
 from __future__ import annotations

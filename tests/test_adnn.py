@@ -25,6 +25,7 @@ from suffmdp.adnn import (
     PipelineConfig,
 )
 from suffmdp.core import TrajectoryDataset, config_from_jsonable, flatten_transitions
+from suffmdp.experiment import ExperimentConfig
 from suffmdp.features import NetworkFeatureMap
 from suffmdp.rng import derive_seed, substream
 from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
@@ -32,10 +33,7 @@ from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
 
 def make_model(input_dim=3, feature_dim=2, hidden=4, depth=2, n_actions=2,
                seed=0, scale=1.0):
-    arch = Architecture(
-        input_dim=input_dim, feature_dim=feature_dim, output_dim=input_dim + 1,
-        hidden_width=hidden, depth=depth, n_actions=n_actions,
-    )
+    arch = Architecture(feature_dim=feature_dim, hidden_width=hidden, depth=depth)
     rng = substream(seed)
 
     def layers(widths):
@@ -46,8 +44,9 @@ def make_model(input_dim=3, feature_dim=2, hidden=4, depth=2, n_actions=2,
 
     return AdnnModel(
         architecture=arch,
-        feature_layers=layers(arch.feature_widths()),
-        heads={a: layers(arch.head_widths()) for a in range(1, n_actions + 1)},
+        feature_layers=layers([input_dim] + [hidden] * (depth - 1) + [feature_dim]),
+        heads={a: layers([feature_dim] + [hidden] * (depth - 1) + [input_dim + 1])
+               for a in range(1, n_actions + 1)},
     )
 
 
@@ -85,7 +84,7 @@ class TestForward:
         assert np.array_equal(features_of(s, m), features_of(bumped, m))
 
     def test_single_layer_selection_is_activation_of_coordinate(self):
-        arch = Architecture(input_dim=3, feature_dim=1, output_dim=4, depth=1)
+        arch = Architecture(feature_dim=1, depth=1)
         model = AdnnModel(
             architecture=arch,
             feature_layers=[(np.array([[1.0, 0.0, 0.0]]), np.zeros(1))],
@@ -103,7 +102,7 @@ class TestForward:
         assert np.allclose(predict_one(s, 1, m), predict_one(s, 2, m))
 
     def test_affine_head_with_zero_weights_returns_bias(self):
-        arch = Architecture(input_dim=2, feature_dim=2, output_dim=3, depth=1)
+        arch = Architecture(feature_dim=2, depth=1)
         bias = np.array([1.5, -2.0, 0.25])
         model = AdnnModel(
             architecture=arch,
@@ -149,7 +148,7 @@ class TestCost:
             np.concatenate([ds.states, ds.states], axis=2),
             ds.actions, ds.utilities, n_actions=1,
         )
-        arch = Architecture(input_dim=2, feature_dim=2, output_dim=3, depth=1, n_actions=1)
+        arch = Architecture(feature_dim=2, depth=1)
         model = AdnnModel(
             architecture=arch,
             feature_layers=[(np.array([[3.0, 4.0], [0.0, 0.0]]), np.zeros(2))],
@@ -165,7 +164,7 @@ class TestCost:
         utilities = np.full((3, 3), 2.5)
         actions = np.ones((3, 3), dtype=np.int64)
         ds = TrajectoryDataset(states, actions, utilities, n_actions=1)
-        arch = Architecture(input_dim=1, feature_dim=1, output_dim=2, depth=1, n_actions=1)
+        arch = Architecture(feature_dim=1, depth=1)
         model = AdnnModel(
             architecture=arch,
             feature_layers=[(np.zeros((1, 1)), np.zeros(1))],
@@ -253,7 +252,7 @@ class TestSubgradient:
                 seed=100 + case,
                 scale=0.7,
             )
-            ds = _random_dataset(model.architecture.input_dim, seed=case)
+            ds = _random_dataset(model.first_layer.shape[1], seed=case)
             s, y = action_batch(ds, 1, size=6)
             lam = 0.05
             f_g, h_g = replica_gradients(s, y, model, lam, 1)
@@ -267,7 +266,7 @@ class TestSubgradient:
         utilities = np.full((2, 2), 1.0)
         actions = np.ones((2, 2), dtype=np.int64)
         ds = TrajectoryDataset(states, actions, utilities, n_actions=1)
-        arch = Architecture(input_dim=1, feature_dim=1, output_dim=2, depth=1, n_actions=1)
+        arch = Architecture(feature_dim=1, depth=1)
         model = AdnnModel(
             architecture=arch,
             feature_layers=[(np.zeros((1, 1)), np.zeros(1))],
@@ -321,29 +320,27 @@ def _random_dataset(p, seed=0, n=8, horizon=4, n_actions=1):
 class TestFit:
     def test_zero_iterations_returns_initialization(self):
         ds = _random_dataset(2, seed=1)
-        arch = Architecture(input_dim=2, feature_dim=1, output_dim=3, n_actions=1)
-        cfg = FitConfig(n_max=0, seed=3)
-        m1 = fit_adnn(ds, arch, cfg)
-        m2 = fit_adnn(ds, arch, dataclasses.replace(cfg, n_max=0))
+        arch = Architecture(feature_dim=1)
+        cfg = FitConfig(n_max=0)
+        m1 = fit_adnn(ds, arch, cfg, seed=3)
+        m2 = fit_adnn(ds, arch, dataclasses.replace(cfg, n_max=0), seed=3)
         for (w1, b1), (w2, b2) in zip(m1.feature_layers, m2.feature_layers):
             assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
         assert len(m1.trace) == 1
 
     def test_single_action_training_reduces_cost(self):
         ds = linear_response_dataset(seed=2)
-        arch = Architecture(input_dim=1, feature_dim=2, output_dim=2,
-                            hidden_width=4, depth=1, n_actions=1)
-        cfg = FitConfig(alpha0=0.1, n_max=400, seed=1, check_every=10)
-        model = fit_adnn(ds, arch, cfg)
+        arch = Architecture(feature_dim=2, hidden_width=4, depth=1)
+        cfg = FitConfig(alpha0=0.1, n_max=400, check_every=10)
+        model = fit_adnn(ds, arch, cfg, seed=1)
         assert model.trace[-1][1] < model.trace[0][1]
 
     def test_learns_linear_slope(self):
         # utility = 2 s + noise; compare against the least-squares slope
         ds = linear_response_dataset(n=60, horizon=10, slope=2.0, seed=3)
-        arch = Architecture(input_dim=1, feature_dim=2, output_dim=2,
-                            hidden_width=4, depth=1, n_actions=1)
-        cfg = FitConfig(alpha0=0.3, beta=800.0, n_max=4000, seed=2, check_every=20)
-        model = fit_adnn(ds, arch, cfg)
+        arch = Architecture(feature_dim=2, hidden_width=4, depth=1)
+        cfg = FitConfig(alpha0=0.3, beta=800.0, n_max=4000, check_every=20)
+        model = fit_adnn(ds, arch, cfg, seed=2)
         s = ds.states[:, :-1].reshape(-1, 1)
         u = ds.utilities.reshape(-1)
         design = np.column_stack([np.ones_like(s[:, 0]), s[:, 0]])
@@ -355,9 +352,9 @@ class TestFit:
 
     def test_deterministic_given_seed(self):
         ds = _random_dataset(2, seed=4, n_actions=2, n=10)
-        arch = Architecture(input_dim=2, feature_dim=1, output_dim=3, n_actions=2)
-        cfg = FitConfig(alpha0=0.1, n_max=50, seed=11)
-        m1, m2 = fit_adnn(ds, arch, cfg), fit_adnn(ds, arch, cfg)
+        arch = Architecture(feature_dim=1)
+        cfg = FitConfig(alpha0=0.1, n_max=50)
+        m1, m2 = fit_adnn(ds, arch, cfg, seed=11), fit_adnn(ds, arch, cfg, seed=11)
         for (w1, _), (w2, _) in zip(m1.feature_layers, m2.feature_layers):
             assert np.array_equal(w1, w2)
         for a in (1, 2):
@@ -369,18 +366,18 @@ class TestFit:
         # initialisation, every check_every-th iteration and the last, so
         # min(n_max, (len(trace) - 1) * check_every) counts the iterations run
         ds = _random_dataset(2, seed=4, n_actions=2, n=10)
-        arch = Architecture(input_dim=2, feature_dim=1, output_dim=3, n_actions=2)
+        arch = Architecture(feature_dim=1)
         params = []
         for every in (1, 7, 100):
-            cfg = FitConfig(lam=0.05, alpha0=0.1, n_max=250, seed=11, check_every=every)
-            model = fit_adnn(ds, arch, cfg)
+            cfg = FitConfig(alpha0=0.1, n_max=250, check_every=every)
+            model = fit_adnn(ds, arch, cfg, lam=0.05, seed=11)
             assert len(model.trace) == 1 + math.ceil(cfg.n_max / every)
             assert min(cfg.n_max, (len(model.trace) - 1) * every) == cfg.n_max
             params.append(model.feature_layers + model.heads[1] + model.heads[2])
         for layers in params[1:]:
             for (w, b), (w_ref, b_ref) in zip(layers, params[0], strict=True):
                 assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
-        untrained = fit_adnn(ds, arch, FitConfig(n_max=0, seed=11, check_every=7))
+        untrained = fit_adnn(ds, arch, FitConfig(n_max=0, check_every=7), seed=11)
         assert len(untrained.trace) == 1
 
     @pytest.mark.parametrize("n_max", [50, 250])
@@ -388,37 +385,37 @@ class TestFit:
         # n_max=50 is caught by the check after the last iteration, 250 by the
         # check at iteration 100
         ds = sample_trajectories(GenerativeModelSpec("linear", signal_dim=4), 20, 4, rng=1)
-        arch = Architecture.for_dataset(ds, 2, 4, 1)
+        arch = Architecture(2, 4, 1)
         with np.errstate(all="ignore"), pytest.raises(
             ConvergenceError, match=f"iteration {min(n_max, 100)}: non-finite cost"
         ):
-            fit_adnn(ds, arch, FitConfig(alpha0=1e6, n_max=n_max, seed=1))
+            fit_adnn(ds, arch, FitConfig(alpha0=1e6, n_max=n_max), seed=1)
 
     def test_actions_subset_trains_one_head(self):
         ds = _random_dataset(2, seed=5, n_actions=2, n=12)
-        arch = Architecture(input_dim=2, feature_dim=1, output_dim=3, n_actions=2)
-        model = fit_adnn(ds, arch, FitConfig(n_max=20, seed=0), actions_subset=[2])
+        arch = Architecture(feature_dim=1)
+        model = fit_adnn(ds, arch, FitConfig(n_max=20), seed=0, actions_subset=[2])
         assert model.actions == [2]
 
     def test_batch_fraction_too_small_rejected(self):
         ds = _random_dataset(2, seed=6, n=2, horizon=2)
-        arch = Architecture(input_dim=2, feature_dim=1, output_dim=3, n_actions=1)
+        arch = Architecture(feature_dim=1)
         with pytest.raises(ValueError, match="batch fraction too small"):
-            fit_adnn(ds, arch, FitConfig(batch_fraction=0.05, n_max=5, seed=0))
+            fit_adnn(ds, arch, FitConfig(batch_fraction=0.05, n_max=5), seed=0)
 
     def test_missing_action_rejected(self):
         ds = linear_response_dataset(seed=7)  # single action level
         ds2 = TrajectoryDataset(ds.states, ds.actions, ds.utilities, n_actions=2)
-        arch = Architecture(input_dim=1, feature_dim=1, output_dim=2, n_actions=2)
+        arch = Architecture(feature_dim=1)
         with pytest.raises(ValueError, match="absent"):
-            fit_adnn(ds2, arch, FitConfig(n_max=5, seed=0))
+            fit_adnn(ds2, arch, FitConfig(n_max=5), seed=0)
 
 
 class TestCrossValidation:
     def test_single_cell_returned(self):
         ds = _random_dataset(2, seed=10, n=8)
         cv = cross_validate_adnn(ds, feature_dim=1, grid=[(2, 1, 0.01)],
-                                 folds=2, cfg=FitConfig(n_max=20, seed=0))
+                                 folds=2, cfg=FitConfig(n_max=20), seed=0)
         assert cv.best == (2, 1, 0.01)
 
     def test_duplicate_cells_tie_break_deterministic(self):
@@ -427,7 +424,7 @@ class TestCrossValidation:
         ds = _random_dataset(2, seed=11, n=8)
         grid = [(2, 1, 0.01), (2, 1, 0.5), (2, 1, 0.01)]
         cv = cross_validate_adnn(ds, feature_dim=1, grid=grid,
-                                 folds=2, cfg=FitConfig(n_max=0, seed=0))
+                                 folds=2, cfg=FitConfig(n_max=0), seed=0)
         scores = [s for _, s in cv.scores]
         assert scores[0] == scores[1] == scores[2]
         assert cv.best == (2, 1, 0.5)
@@ -435,19 +432,19 @@ class TestCrossValidation:
     def test_scores_do_not_depend_on_grid_order(self):
         ds = _random_dataset(2, seed=18, n=8)
         grid = [(2, 1, 0.01), (2, 1, 0.5), (3, 1, 0.01), (3, 1, 0.5)]
-        cfg = FitConfig(n_max=30, seed=4, check_every=10)
+        cfg = FitConfig(n_max=30, check_every=10)
         forward = cross_validate_adnn(ds, feature_dim=1, grid=grid,
-                                      folds=2, cfg=cfg)
+                                      folds=2, cfg=cfg, seed=4)
         backward = cross_validate_adnn(ds, feature_dim=1, grid=grid[::-1],
-                                       folds=2, cfg=cfg)
+                                       folds=2, cfg=cfg, seed=4)
         assert dict(forward.scores) == dict(backward.scores)
         assert forward.best == backward.best
 
     def test_huge_penalty_scores_worse(self):
         ds = linear_response_dataset(n=30, horizon=8, seed=12)
-        cfg = FitConfig(alpha0=0.2, n_max=400, seed=3, check_every=10)
+        cfg = FitConfig(alpha0=0.2, n_max=400, check_every=10)
         cv = cross_validate_adnn(
-            ds, feature_dim=2, grid=[(4, 1, 0.001), (4, 1, 1e6)], folds=3, cfg=cfg
+            ds, feature_dim=2, grid=[(4, 1, 0.001), (4, 1, 1e6)], folds=3, cfg=cfg, seed=3
         )
         scores = dict(cv.scores)
         assert scores[(4, 1, 0.001)] < scores[(4, 1, 1e6)]
@@ -459,11 +456,11 @@ class TestCrossValidation:
         # every cell scores exactly what lone fit_adnn fits of its folds score
         ds = _random_dataset(2, seed=19, n=11, horizon=6, n_actions=2)
         grid = [(2, 1, 0.01), (3, 2, 0.2), (2, 1, 0.2), (3, 2, 0.01), (2, 1, 0.01)]
-        cfg = FitConfig(alpha0=0.2, batch_fraction=0.3, n_max=40, seed=6, check_every=15)
-        cv = cross_validate_adnn(ds, feature_dim=2, grid=grid, folds=3, cfg=cfg,
+        cfg, seed = FitConfig(alpha0=0.2, batch_fraction=0.3, n_max=40, check_every=15), 6
+        cv = cross_validate_adnn(ds, feature_dim=2, grid=grid, folds=3, cfg=cfg, seed=seed,
                                  actions_subset=subset)
 
-        perm = substream(cfg.seed, 0xF01D).permutation(ds.n_subjects)
+        perm = substream(seed, 0xF01D).permutation(ds.n_subjects)
         folds = [(np.setdiff1d(perm, m), m) for m in np.array_split(perm, 3)]
         actions = subset or [1, 2]
         takes = {
@@ -473,14 +470,11 @@ class TestCrossValidation:
         assert all(len(t) > 1 for t in takes.values())  # batches are padded
         reference = []
         for width, depth, lam in grid:
-            arch = Architecture.for_dataset(ds, 2, width, depth)
+            arch = Architecture(2, width, depth)
             errors = []
             for fi, (train, valid) in enumerate(folds):
-                fit_cfg = dataclasses.replace(
-                    cfg, lam=lam, seed=derive_seed(cfg.seed, width, depth, fi)
-                )
-                model = fit_adnn(ds.subset_subjects(train), arch, fit_cfg,
-                                 actions_subset=subset)
+                model = fit_adnn(ds.subset_subjects(train), arch, cfg, lam=lam,
+                                 seed=derive_seed(seed, width, depth, fi), actions_subset=subset)
                 held_out = ds.subset_subjects(valid)
                 tr = flatten_transitions(held_out)
                 squared = sum(
@@ -497,7 +491,7 @@ class TestCrossValidation:
         ds = _random_dataset(2, seed=20, n=8)
         with pytest.raises(ValueError, match="lam must be >= 0"):
             cross_validate_adnn(ds, 1, [(2, 1, 0.1), (2, 1, -0.5)], folds=2,
-                                cfg=FitConfig(n_max=1, seed=0))
+                                cfg=FitConfig(n_max=1), seed=0)
 
     def test_divergence_raises(self):
         # the experiment harness retries at half step size on this error; a
@@ -507,15 +501,15 @@ class TestCrossValidation:
             ConvergenceError, match="iteration 50: non-finite cost"
         ):
             cross_validate_adnn(ds, 2, [(4, 1, 0.01), (4, 1, 0.1)], folds=2,
-                                cfg=FitConfig(alpha0=1e6, n_max=50, seed=1))
+                                cfg=FitConfig(alpha0=1e6, n_max=50), seed=1)
 
     def test_trace_values_are_python_floats(self):
         ds = _random_dataset(2, seed=21, n=10, n_actions=2)
-        arch = Architecture(input_dim=2, feature_dim=1, output_dim=3, n_actions=2)
-        cfg = FitConfig(lam=0.05, batch_fraction=0.3, n_max=30, seed=2, check_every=10)
+        arch = Architecture(feature_dim=1)
+        cfg = FitConfig(batch_fraction=0.3, n_max=30, check_every=10)
         halves = ds.subset_subjects(np.arange(5)), ds.subset_subjects(np.arange(5, 10))
         replicas = [(halves[0], 0.05, 3), (halves[0], 0.5, 3), (halves[1], 0.05, 4)]
-        models = [fit_adnn(ds, arch, cfg)] + _train_replicas(arch, cfg, replicas)
+        models = [fit_adnn(ds, arch, cfg, lam=0.05, seed=2)] + _train_replicas(arch, cfg, replicas)
         for model in models:
             assert len(model.trace) == 4
             assert all(type(c) is float for entry in model.trace for c in entry.values())
@@ -524,7 +518,7 @@ class TestCrossValidation:
         ds = _random_dataset(2, seed=13, n=4)
         with pytest.raises(ValueError, match="folds"):
             cross_validate_adnn(ds, 1, [(2, 1, 0.0)], folds=9,
-                                cfg=FitConfig(n_max=1, seed=0))
+                                cfg=FitConfig(n_max=1), seed=0)
 
 
 class TestActiveInputs:
@@ -568,7 +562,7 @@ class TestDimensionSelection:
         ds = linear_response_dataset(n=25, horizon=12, seed=16)
         cfg = PipelineConfig(
             dims=(1,), tau_dim=0.05, grid=((4, 1, 0.001),),
-            fit=FitConfig(alpha0=0.3, beta=800.0, n_max=3000, seed=5, check_every=25),
+            fit=FitConfig(alpha0=0.3, beta=800.0, n_max=3000, check_every=25),
             folds=2, n_permutations=999,
         )
         sel = select_feature_dimension(ds, cfg, seed=7)
@@ -692,10 +686,12 @@ class TestPipeline:
 
     def test_config_loader_rejects_wrong_json_kinds(self):
         for key, bad in (("folds", "2"), ("folds", 2.0), ("folds", True), ("folds", None),
-                         ("tau", "0.1"), ("activation", 1), ("dims", 2),
-                         ("screen_n_max", "3")):
+                         ("tau", "0.1"), ("dims", 2), ("screen_n_max", "3")):
             with pytest.raises(ValueError, match=f"'{key}' of PipelineConfig"):
                 config_from_jsonable(PipelineConfig, {key: bad})
+        # PipelineConfig has no string field left; a number for one elsewhere
+        with pytest.raises(ValueError, match="'oracle_variant' of ExperimentConfig"):
+            config_from_jsonable(ExperimentConfig, {"oracle_variant": 1})
         with pytest.raises(ValueError, match="PipelineConfig must be a JSON object"):
             config_from_jsonable(PipelineConfig, [])
         cfg = config_from_jsonable(PipelineConfig, {"tau": 1, "dims": [1, 2],

@@ -20,6 +20,8 @@ import pytest
 
 from suffmdp import adnn, cli
 from suffmdp.adnn import FitConfig, PipelineConfig
+from suffmdp.core import config_from_jsonable
+from suffmdp.experiment import ExperimentConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,6 +123,16 @@ def test_grid_file_is_a_whole_pipeline_config(inputs, tmp_path, file_values, fla
         assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
 
 
+def test_experiment_config_echo_loads_back():
+    # the golden experiment_out.json is the experiment run's output byte for byte
+    echo = json.loads((GOLDEN / "experiment_out.json").read_text())["config"]
+    run_config = dataclasses.replace(
+        config_from_jsonable(ExperimentConfig, EXPERIMENT),
+        threads=1, output_csv="experiment.csv", output_json="experiment_out.json",
+    )
+    assert config_from_jsonable(ExperimentConfig, echo) == run_config
+
+
 def test_experiment_csv_does_not_depend_on_threads(inputs, tmp_path):
     argv = dict((r[0], r[1]) for r in RUNS)["experiment"].replace(
         "--threads 1", "--threads 2")
@@ -143,18 +155,24 @@ class TestExitCodes:
     def test_missing_file_gives_1(self, inputs):
         assert run("screen --data absent.csv", inputs) == 1
 
-    # the deleted FitConfig.tolerance is an unknown key like any other
+    # the deleted FitConfig.tolerance/lam/seed and PipelineConfig.activation
+    # are unknown keys like any other
     @pytest.mark.parametrize(
         "section,key,value,owner",
         [("top", "replicatez", 1, "ExperimentConfig"),
          ("pipeline", "replicatez", 1, "PipelineConfig"),
          ("fit", "replicatez", 1, "FitConfig"),
-         ("fit", "tolerance", 1e-5, "FitConfig")],
-        ids=["top", "pipeline", "fit", "fit-tolerance"])
+         ("fit", "tolerance", 1e-5, "FitConfig"),
+         ("fit", "lam", 0.1, "FitConfig"),
+         ("cv_fit", "seed", 3, "FitConfig"),
+         ("pipeline", "activation", "sigmoid", "PipelineConfig")],
+        ids=["top", "pipeline", "fit", "fit-tolerance", "fit-lam", "cv_fit-seed",
+             "pipeline-activation"])
     def test_misspelled_config_key_gives_1(self, inputs, section, key, value, owner, capsys):
         config = json.loads(json.dumps(EXPERIMENT))
         target = {"top": config, "pipeline": config["pipeline"],
-                  "fit": config["pipeline"]["fit"]}[section]
+                  "fit": config["pipeline"]["fit"],
+                  "cv_fit": config["pipeline"]["cv_fit"]}[section]
         target[key] = value
         (inputs / "bad.json").write_text(json.dumps(config))
         assert run("experiment --config {in}/bad.json", inputs) == 1
@@ -218,6 +236,31 @@ class TestExitCodes:
             "{in}/gen.json", "{in}/bad.json")
         assert run(argv, inputs) == 1
         assert key in capsys.readouterr().err
+
+    def test_pipeline_seed_in_experiment_gives_1(self, inputs, capsys):
+        # each replicate's pipeline seed derives from master_seed
+        config = dict(EXPERIMENT, pipeline=dict(EXPERIMENT["pipeline"], seed=12345))
+        (inputs / "bad.json").write_text(json.dumps(config))
+        assert run("experiment --config {in}/bad.json", inputs) == 1
+        assert "master_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,stored,edit,message",
+        [("qlearn-linear", "model.json", lambda m: m.update(activation="arctan"),
+          "activation must be 'sigmoid'"),
+         ("evaluate", "model.json", lambda m: m.update(activation="arctan"),
+          "activation must be 'sigmoid'"),
+         ("qlearn-linear", "model.json", lambda m: m.pop("layers"), "no key 'layers'"),
+         ("evaluate", "q_nn.json", lambda q: q.pop("nets"), "no key 'nets'")],
+        ids=["qlearn-arctan", "evaluate-arctan", "qlearn-no-layers", "evaluate-no-nets"])
+    def test_bad_stored_model_gives_1(self, inputs, command, stored, edit, message, capsys):
+        payload = json.loads((GOLDEN / stored).read_text())
+        edit(payload)
+        (inputs / "bad.json").write_text(json.dumps(payload))
+        argv = dict((r[0], r[1]) for r in RUNS)[command].replace(
+            "{golden}/" + stored, "{in}/bad.json")
+        assert run(argv, inputs) == 1
+        assert message in capsys.readouterr().err
 
     def test_runtime_failure_gives_2(self, inputs, monkeypatch):
         def broken(*args, **kwargs):

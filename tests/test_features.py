@@ -4,32 +4,27 @@ import numpy as np
 import pytest
 
 from suffmdp.features import (
-    ACTIVATIONS,
     ConcatFeatureMap,
     CoordinateFeatureMap,
     IdentityFeatureMap,
     LinearFeatureMap,
     NetworkFeatureMap,
     TruncatedGFeatureMap,
+    _sigmoid as sigmoid,
     feature_map_from_jsonable,
     mlp_forward,
 )
 from suffmdp.rng import substream
 
 
-def random_network(seed=0, input_dim=5, widths=(4, 3), activation="sigmoid",
-                   input_indices=None, full_dim=None):
+def random_network(seed=0, input_dim=5, widths=(4, 3), input_indices=None, full_dim=None):
     rng = substream(seed)
     layers = []
     prev = input_dim
     for w in widths:
         layers.append((rng.normal(size=(w, prev)), rng.normal(size=w)))
         prev = w
-    return NetworkFeatureMap(layers, activation=activation,
-                             input_indices=input_indices, input_dim=full_dim)
-
-
-sigmoid = ACTIVATIONS["sigmoid"][0]
+    return NetworkFeatureMap(layers, input_indices=input_indices, input_dim=full_dim)
 
 
 class TestSigmoid:
@@ -71,11 +66,6 @@ class TestNetworkMap:
         x = substream(2).normal(size=(7, 8))
         direct = random_network().transform(x[:, [2, 4, 6, 1, 0]])
         assert np.allclose(fm.transform(x), direct)
-
-    def test_arctan_activation(self):
-        fm = random_network(activation="arctan")
-        out = fm.transform(substream(3).normal(size=(10, 5)))
-        assert np.all((out > 0) & (out < 1))
 
     def test_index_count_must_match_first_layer(self):
         with pytest.raises(ValueError):
@@ -152,3 +142,24 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             feature_map_from_jsonable({"kind": "mystery"})
+
+    def test_network_activation_other_than_sigmoid_rejected(self):
+        # the networks apply the sigmoid only; an arctan map must not load as one
+        data = random_network().to_jsonable()
+        assert data["activation"] == "sigmoid"
+        for bad in ("arctan", None):
+            with pytest.raises(ValueError, match="activation must be 'sigmoid'"):
+                feature_map_from_jsonable(dict(data, activation=bad))
+
+    @pytest.mark.parametrize("key", ["layers", "activation"])
+    def test_network_missing_key_named(self, key):
+        data = random_network().to_jsonable()
+        del data[key]
+        with pytest.raises(ValueError, match=f"network feature map JSON has no key '{key}'"):
+            feature_map_from_jsonable(data)
+
+    def test_missing_key_in_concat_part_named(self):
+        data = ConcatFeatureMap([IdentityFeatureMap(3), CoordinateFeatureMap(3, [2])]).to_jsonable()
+        del data["parts"][1]["indices"]
+        with pytest.raises(ValueError, match="coordinates feature map JSON has no key 'indices'"):
+            feature_map_from_jsonable(data)

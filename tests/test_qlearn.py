@@ -6,7 +6,7 @@ import pytest
 
 from suffmdp.baselines import pca_feature_map
 from suffmdp.core import TrajectoryDataset, Transitions, flatten_transitions
-from suffmdp.features import ACTIVATIONS, CoordinateFeatureMap, IdentityFeatureMap
+from suffmdp.features import CoordinateFeatureMap, IdentityFeatureMap, _sigmoid
 from suffmdp.qlearn import (
     LinearQ,
     NeuralQ,
@@ -47,6 +47,19 @@ def test_q_approximator_json_round_trip(kind):
 def test_unknown_q_kind_rejected():
     with pytest.raises(ValueError, match="unknown Q approximator kind"):
         q_approximator_from_jsonable({"kind": "tabular"})
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [({"kind": "linear", "gamma": 0.9}, "linear Q approximator JSON has no key 'weights'"),
+     ({"kind": "neural", "gamma": 0.9}, "neural Q approximator JSON has no key 'nets'"),
+     ({"kind": "neural", "nets": {}}, "neural Q approximator JSON has no key 'gamma'"),
+     ({"kind": "neural", "gamma": 0.9, "nets": {"1": [{"bias": [0.0]}]}},
+      "neural Q approximator JSON has no key 'weights'")],
+    ids=["linear-weights", "neural-nets", "neural-gamma", "layer-weights"])
+def test_missing_q_key_named(data, message):
+    with pytest.raises(ValueError, match=message):
+        q_approximator_from_jsonable(data)
 
 
 @pytest.mark.parametrize("definition", ["per_step_mean", "discounted_sum"])
@@ -149,9 +162,8 @@ def _reference_linear(feats, feats_next, actions, utilities, n_act, epochs, seed
 
 def _reference_forward(x, net):
     # the package's sigmoid: this checks the update loop, not the activation
-    sigmoid = ACTIVATIONS["sigmoid"][0]
     (w1, b1), (w2, b2) = net
-    hidden = sigmoid(x @ np.swapaxes(w1, -1, -2) + b1)
+    hidden = _sigmoid(x @ np.swapaxes(w1, -1, -2) + b1)
     return hidden @ w2 + b2, hidden
 
 
