@@ -16,8 +16,9 @@ replicate's pipeline seed derives from ``master_seed`` (``--seed``).
 ``construct`` writes; a network map's ``activation`` must be ``sigmoid``.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags, malformed
-inputs such as a config, feature map or Q file with an unknown or missing
-key), 2 on unexpected runtime failures.  All randomness flows from the seed
+inputs such as a config, feature map or Q file that is not a JSON object or
+has an unknown or missing key or a value of the wrong JSON kind), 2 on
+unexpected runtime failures.  All randomness flows from the seed
 (``--seed``, or a config file's); outputs carry no timestamps, so identical
 inputs give byte-identical outputs.
 """
@@ -112,7 +113,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="replicated comparison harness")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes that run replicates "
+                        "(default: the CPUs this process may use)")
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-csv", default=None)

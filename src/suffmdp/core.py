@@ -8,9 +8,9 @@ in ``S^{t+1}``, so the terminal row of a trajectory carries no action or
 utility.
 
 Datasets are immutable after construction (backing arrays are marked
-read-only) and safe to share across threads.  ``flatten_transitions`` stacks
-the steps of all subjects into one read-only array view, which model
-fitting, the residual test and Q-learning share.
+read-only).  ``flatten_transitions`` stacks the steps of all subjects into
+one read-only array view, which model fitting, the residual test and
+Q-learning share.
 
 Config dataclasses serialize with ``dataclasses.asdict`` and load back
 through ``config_from_jsonable``.
@@ -83,9 +83,9 @@ def check_json_object(owner: str, data, hints: dict) -> None:
             raise ValueError(f"key {key!r} of {owner} must be {kind}, got {value!r}")
 
 
-# JSON kinds accepted for each scalar or sequence field type.
+# JSON kinds accepted for each scalar, sequence or mapping field type.
 _JSON_KINDS = {int: (int,), float: (int, float), str: (str,), bool: (bool,),
-               tuple: (list, tuple)}
+               tuple: (list, tuple), dict: (dict,)}
 
 
 def _json_kind_mismatch(hint, value) -> Optional[str]:

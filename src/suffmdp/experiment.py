@@ -6,12 +6,14 @@ on the reduced data, and score the greedy policies on fresh rollouts.
 Results aggregate to one row per (model, noise, feature method) with Monte
 Carlo standard errors, mirroring a results-table layout.
 
-Every random quantity derives from the master seed and the replicate's
-coordinates, so the emitted tables are byte-identical across runs and
-across worker counts.  A replicate whose fit diverges is retried once with
-a halved step size, then excluded and counted.  One whose screening selects
-no variable is excluded at once, because screening does not depend on the
-step size; its failure entry has the outcome ``utility-independent-of-state``.
+Replicates run in worker processes forked from the caller.  Every random
+quantity derives from the master seed and the replicate's coordinates, and
+results are collected in task order, so the emitted tables are
+byte-identical across runs and across worker counts.  A replicate whose
+fit diverges is retried once with a halved step size, then excluded and
+counted.  One whose screening selects no variable is excluded at once,
+because screening does not depend on the step size; its failure entry has
+the outcome ``utility-independent-of-state``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -41,7 +42,8 @@ Q_METHODS = ("linear", "nn")
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker count: the explicit value, else the cores this process may run on."""
+    """Number of worker processes: the explicit value, else the cores this
+    process may run on."""
     if threads is not None:
         return max(1, int(threads))
     if hasattr(os, "sched_getaffinity"):
@@ -55,7 +57,8 @@ class ExperimentConfig:
     """Harness settings; method names are matched case-insensitively.
 
     Each replicate's pipeline seed derives from ``master_seed``, so
-    ``pipeline.seed`` must keep its default.
+    ``pipeline.seed`` must keep its default.  ``threads`` is the number of
+    forked worker processes that run replicates (see ``resolve_threads``).
     """
 
     models: tuple = ("linear",)
@@ -251,22 +254,50 @@ def _run_replicate(cfg: ExperimentConfig, mi: int, ni: int, rep: int) -> dict:
     return record
 
 
+def _run_task(task: tuple) -> dict:
+    # The pool pickles this function by name.  It looks _run_replicate up
+    # when called, so a forked worker runs what the caller's module holds.
+    return _run_replicate(*task)
+
+
+def _fork_context():
+    """The ``fork`` start method, or None on a platform without it.
+
+    Forked workers skip re-importing the package and inherit the caller's
+    module state.
+    """
+    import multiprocessing  # here, so that `import suffmdp` does not load it
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run all replicates and aggregate per-cell means and standard errors."""
+    """Run all replicates and aggregate per-cell means and standard errors.
+
+    Replicates run on up to ``resolve_threads(cfg.threads)`` worker
+    processes forked from the caller.  They run in the caller when there is
+    one worker or one replicate in all, or when the platform cannot fork.
+    An exception raised in a replicate reaches the caller with its type and
+    message.  A fork copies only the calling thread, so call this from a
+    process whose other threads hold no lock a replicate needs.
+    """
     tasks = [
-        (mi, ni, rep)
+        (cfg, mi, ni, rep)
         for mi in range(len(cfg.models))
         for ni in range(len(cfg.noise_counts))
         for rep in range(cfg.replicates)
     ]
-    workers = resolve_threads(cfg.threads)
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda args: _run_replicate(cfg, *args), tasks)
-            )
+    workers = min(resolve_threads(cfg.threads), len(tasks))
+    context = _fork_context() if workers > 1 else None
+    if context is None:
+        records = [_run_task(task) for task in tasks]
     else:
-        records = [_run_replicate(cfg, *args) for args in tasks]
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            records = list(pool.map(_run_task, tasks))  # in task order
 
     failures = []
     for record in records:

@@ -12,6 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import check_json_object
+
 __all__ = [
     "mlp_forward",
     "mlp_backward",
@@ -91,10 +93,18 @@ def layers_to_jsonable(layers) -> list:
 
 
 def layers_from_jsonable(entries) -> list:
-    return [
-        (np.asarray(e["weights"], dtype=np.float64), np.asarray(e["bias"], dtype=np.float64))
-        for e in entries
-    ]
+    """Layers from their ``layers_to_jsonable`` form.
+
+    ValueError for an entry that is not a JSON object or whose ``weights``
+    is not a list; KeyError names a missing key.  A bias is a list, or a
+    number in a scalar output layer.
+    """
+    layers = []
+    for e in entries:
+        check_json_object("network layer", e, {"weights": tuple, "bias": object})
+        layers.append((np.asarray(e["weights"], dtype=np.float64),
+                       np.asarray(e["bias"], dtype=np.float64)))
+    return layers
 
 
 class FeatureMap(ABC):
@@ -283,10 +293,32 @@ class ConcatFeatureMap(FeatureMap):
         return {"kind": "concat", "parts": [p.to_jsonable() for p in self.parts]}
 
 
-def feature_map_from_jsonable(data: dict) -> FeatureMap:
-    """Feature map from its ``to_jsonable`` form; ValueError names a missing
-    key, an unknown ``kind`` or a network ``activation`` other than ``sigmoid``."""
+# The keys of each kind's ``to_jsonable`` form besides ``kind``, with their
+# JSON kinds; a network's ``activation`` is checked by value.
+_MAP_KEYS = {
+    "identity": {"input_dim": int},
+    "coordinates": {"input_dim": int, "indices": tuple},
+    "linear": {"weights": tuple, "offset": tuple},
+    "network": {"activation": object, "input_dim": Optional[int],
+                "input_indices": Optional[tuple], "layers": tuple},
+    "oracle3": {"g_kind": str, "input_dim": int},
+    "concat": {"parts": tuple},
+}
+
+
+def feature_map_from_jsonable(data) -> FeatureMap:
+    """Feature map from its ``to_jsonable`` form.
+
+    ValueError for data that is not a JSON object, an unknown ``kind``, an
+    unknown or missing key, a value of the wrong JSON kind (nested layers
+    and parts too) and a network ``activation`` other than ``sigmoid``.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a feature map must be a JSON object, got {data!r}")
     kind = data.get("kind")
+    if kind not in list(_MAP_KEYS):  # a list, so that an unhashable kind is unknown too
+        raise ValueError(f"unknown feature map kind {kind!r}")
+    check_json_object(f"{kind} feature map", data, {"kind": str, **_MAP_KEYS[kind]})
     try:
         if kind == "identity":
             return IdentityFeatureMap(data["input_dim"])
@@ -305,8 +337,6 @@ def feature_map_from_jsonable(data: dict) -> FeatureMap:
             )
         if kind == "oracle3":
             return TruncatedGFeatureMap(data["g_kind"], data["input_dim"])
-        if kind == "concat":
-            return ConcatFeatureMap([feature_map_from_jsonable(p) for p in data["parts"]])
+        return ConcatFeatureMap([feature_map_from_jsonable(p) for p in data["parts"]])
     except KeyError as exc:
         raise ValueError(f"{kind} feature map JSON has no key {exc}") from None
-    raise ValueError(f"unknown feature map kind {kind!r}")

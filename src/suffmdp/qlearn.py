@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Transitions
+from .core import Transitions, check_json_object
 from .features import FeatureMap, layers_from_jsonable, layers_to_jsonable, mlp_forward
 from .rng import substream
 from .simgen import GenerativeModelSpec, step_process
@@ -93,20 +93,34 @@ class NeuralQ:
 QApproximator = Union[LinearQ, NeuralQ]
 
 
-def q_approximator_from_jsonable(data: dict) -> QApproximator:
-    """Q approximator from its ``to_jsonable`` form; ValueError names a
-    missing key or an unknown ``kind``."""
+# Each kind's key, beside ``kind`` and ``gamma``, for the JSON object that
+# maps each action to its parameters.
+_Q_PARAMS = {"linear": "weights", "neural": "nets"}
+
+
+def q_approximator_from_jsonable(data) -> QApproximator:
+    """Q approximator from its ``to_jsonable`` form.
+
+    ValueError for data that is not a JSON object, an unknown ``kind``, an
+    unknown or missing key, and a value of the wrong JSON kind (per-action
+    parameters and network layers too).
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a Q approximator must be a JSON object, got {data!r}")
     kind = data.get("kind")
+    if kind not in list(_Q_PARAMS):  # a list, so that an unhashable kind is unknown too
+        raise ValueError(f"unknown Q approximator kind {kind!r}")
+    key = _Q_PARAMS[kind]
+    check_json_object(f"{kind} Q approximator", data, {"kind": str, "gamma": float, key: dict})
     try:
+        params = data[key]
+        check_json_object(f"{kind} Q approximator {key}", params, dict.fromkeys(params, tuple))
         if kind == "linear":
-            return LinearQ({int(a): np.asarray(w) for a, w in data["weights"].items()},
-                           data["gamma"])
-        if kind == "neural":
-            return NeuralQ({int(a): layers_from_jsonable(ls) for a, ls in data["nets"].items()},
-                           data["gamma"])
+            return LinearQ({int(a): np.asarray(w) for a, w in params.items()}, data["gamma"])
+        return NeuralQ({int(a): layers_from_jsonable(ls) for a, ls in params.items()},
+                       data["gamma"])
     except KeyError as exc:
         raise ValueError(f"{kind} Q approximator JSON has no key {exc}") from None
-    raise ValueError(f"unknown Q approximator kind {kind!r}")
 
 
 def greedy_actions(q: QApproximator, feats: np.ndarray) -> np.ndarray:
@@ -157,8 +171,7 @@ def fit_q_linear(
     # arithmetic, so per-row values come from Python lists.  It keeps one
     # `@` per action rather than one stacked `W @ xn`, because a gemv rounds
     # differently from per-row dot products and the fits must stay bit for
-    # bit; and `@` rather than `ndarray.dot`, which releases the GIL around
-    # each small BLAS call so that the experiment's worker threads convoy.
+    # bit.
     ws = [np.zeros(x.shape[1]) for _ in range(n_act)]  # action a at index a - 1
     acts, utils = actions.tolist(), utilities.tolist()
     rng = substream(seed)

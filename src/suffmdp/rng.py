@@ -3,8 +3,8 @@
 Every stochastic operation in the package draws from a generator derived
 from an integer seed plus a tuple key (e.g. ``(seed, round, variable)`` or
 ``(seed, t, action)``).  Streams keyed this way are independent of loop
-order and of how work is split across threads, which is what makes results
-bit-reproducible under any level of concurrency.
+order and of how work is split across worker processes, which is what makes
+results bit-reproducible at any worker count.
 
 A stream is a function of the 32-bit words of ``(seed, *key)``: each
 integer gives its little-endian words, and numpy's ``SeedSequence`` pads

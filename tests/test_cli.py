@@ -75,6 +75,10 @@ RUNS = [
 ]
 
 
+def _without(payload: dict, key: str) -> dict:
+    return {k: v for k, v in payload.items() if k != key}
+
+
 def write_inputs(directory: Path) -> None:
     for name, payload in INPUTS.items():
         (directory / name).write_text(json.dumps(payload))
@@ -246,16 +250,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command,stored,edit,message",
-        [("qlearn-linear", "model.json", lambda m: m.update(activation="arctan"),
+        [("qlearn-linear", "model.json", lambda m: dict(m, activation="arctan"),
           "activation must be 'sigmoid'"),
-         ("evaluate", "model.json", lambda m: m.update(activation="arctan"),
+         ("evaluate", "model.json", lambda m: dict(m, activation="arctan"),
           "activation must be 'sigmoid'"),
-         ("qlearn-linear", "model.json", lambda m: m.pop("layers"), "no key 'layers'"),
-         ("evaluate", "q_nn.json", lambda q: q.pop("nets"), "no key 'nets'")],
-        ids=["qlearn-arctan", "evaluate-arctan", "qlearn-no-layers", "evaluate-no-nets"])
+         ("qlearn-linear", "model.json", lambda m: _without(m, "layers"), "no key 'layers'"),
+         ("evaluate", "q_nn.json", lambda q: _without(q, "nets"), "no key 'nets'"),
+         ("qlearn-linear", "model.json", lambda m: [m], "feature map must be a JSON object"),
+         ("qlearn-linear", "model.json", lambda m: dict(m, layers=5),
+          "key 'layers' of network feature map must be of type tuple"),
+         ("qlearn-linear", "model.json",
+          lambda m: dict(m, layers=[dict(m["layers"][0], weights=5)]),
+          "key 'weights' of network layer must be of type tuple"),
+         ("qlearn-linear", "model.json", lambda m: dict(m, layers=[5]),
+          "network layer must be a JSON object"),
+         ("evaluate", "model.json", lambda m: {"kind": "concat", "parts": [m, 5]},
+          "feature map must be a JSON object"),
+         ("evaluate", "q_nn.json", lambda q: [q], "Q approximator must be a JSON object"),
+         ("evaluate", "q_nn.json", lambda q: dict(q, nets=5),
+          "key 'nets' of neural Q approximator must be of type dict"),
+         ("evaluate", "q_nn.json", lambda q: dict(q, nets={**q["nets"], "1": 5}),
+          "key '1' of neural Q approximator nets must be of type tuple")],
+        ids=["qlearn-arctan", "evaluate-arctan", "qlearn-no-layers", "evaluate-no-nets",
+             "qlearn-model-list", "qlearn-layers-number", "qlearn-layer-weights-number",
+             "qlearn-layer-number", "evaluate-concat-part-number", "evaluate-q-list",
+             "evaluate-nets-number", "evaluate-action-net-number"])
     def test_bad_stored_model_gives_1(self, inputs, command, stored, edit, message, capsys):
-        payload = json.loads((GOLDEN / stored).read_text())
-        edit(payload)
+        payload = edit(json.loads((GOLDEN / stored).read_text()))
         (inputs / "bad.json").write_text(json.dumps(payload))
         argv = dict((r[0], r[1]) for r in RUNS)[command].replace(
             "{golden}/" + stored, "{in}/bad.json")

@@ -1,10 +1,15 @@
+import multiprocessing
 import os
 
 import pytest
 
-from suffmdp import adnn
+from suffmdp import adnn, experiment
 from suffmdp.adnn import FitConfig, PipelineConfig
 from suffmdp.experiment import ExperimentConfig, resolve_threads, run_experiment
+from suffmdp.rng import derive_seed
+
+SMALL = dict(n_subjects=12, horizon=4, replicates=3, feature_methods=("raw", "oracle"),
+             q_methods=("linear",), n_rollouts=5, eval_horizon=4, q_epochs_linear=1)
 
 
 def test_empty_screening_fails_once_without_retry(monkeypatch):
@@ -62,3 +67,45 @@ def test_default_threads_fall_back_to_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert resolve_threads(None) == 8
+
+
+def test_replicate_error_reaches_the_caller(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("replicate broke")
+
+    monkeypatch.setattr(experiment, "fit_q_linear", broken)
+    with pytest.raises(RuntimeError, match="replicate broke"):
+        run_experiment(ExperimentConfig(threads=2, **SMALL))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="replicates run in the caller without the fork start method")
+def test_replicates_run_in_worker_processes(monkeypatch):
+    # the patch is seen by the workers because they are forked after it
+    def where(cfg, mi, ni, rep):
+        return {"model": cfg.models[mi], "n_noise": cfg.noise_counts[ni], "replicate": rep,
+                "methods": {}, "_failures": [], "pid": os.getpid()}
+
+    monkeypatch.setattr(experiment, "_run_replicate", where)
+    result = run_experiment(ExperimentConfig(threads=2, **SMALL))
+    assert [r["replicate"] for r in result.detail] == [0, 1, 2]
+    assert os.getpid() not in {r["pid"] for r in result.detail}
+
+
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    # replicate 1's linear Q fit on raw features diverges at both step sizes
+    fit_q_linear = experiment.fit_q_linear
+    bad_seed = derive_seed(0, 0, 0, 1, 2, 0, 0)
+
+    def diverging_once(*args, seed, **kwargs):
+        if seed == bad_seed:
+            raise adnn.ConvergenceError("diverged")
+        return fit_q_linear(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_q_linear", diverging_once)
+    serial = run_experiment(ExperimentConfig(threads=1, **SMALL))
+    forked = run_experiment(ExperimentConfig(threads=2, **SMALL))
+    assert [(f["replicate"], f["feature_method"]) for f in serial.failures] == [(1, "raw")]
+    assert forked.failures == serial.failures
+    assert forked.detail == serial.detail
+    assert forked.to_csv_text() == serial.to_csv_text()

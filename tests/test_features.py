@@ -143,6 +143,25 @@ class TestSerialization:
         with pytest.raises(ValueError):
             feature_map_from_jsonable({"kind": "mystery"})
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [([{"kind": "identity", "input_dim": 3}], "feature map must be a JSON object, got"),
+         ({"kind": ["identity"]}, "unknown feature map kind"),
+         ({"kind": "concat", "parts": 5}, "key 'parts' of concat feature map must be of type tuple"),
+         ({"kind": "concat", "parts": [{"kind": "identity", "input_dim": 3}, "x"]},
+          "feature map must be a JSON object, got 'x'"),
+         ({"kind": "linear", "weights": 5, "offset": [0.0]},
+          "key 'weights' of linear feature map must be of type tuple"),
+         ({"kind": "identity", "input_dim": "3"},
+          "key 'input_dim' of identity feature map must be of type int"),
+         ({"kind": "identity", "input_dim": 3, "layers": []},
+          "unknown key 'layers' for identity feature map")],
+        ids=["list", "list-kind", "parts-number", "part-string", "weights-number",
+             "input-dim-string", "unknown-key"])
+    def test_wrong_json_kind_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            feature_map_from_jsonable(data)
+
     def test_network_activation_other_than_sigmoid_rejected(self):
         # the networks apply the sigmoid only; an arctan map must not load as one
         data = random_network().to_jsonable()

@@ -62,6 +62,25 @@ def test_missing_q_key_named(data, message):
         q_approximator_from_jsonable(data)
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [([{"kind": "linear"}], "Q approximator must be a JSON object, got"),
+     ({"kind": "linear", "gamma": 0.9, "weights": [[0.0]]},
+      "key 'weights' of linear Q approximator must be of type dict"),
+     ({"kind": "linear", "gamma": 0.9, "weights": {"1": 0.5}},
+      "key '1' of linear Q approximator weights must be of type tuple"),
+     ({"kind": "neural", "gamma": "0.9", "nets": {}},
+      "key 'gamma' of neural Q approximator must be of type float"),
+     ({"kind": "neural", "gamma": 0.9, "nets": {"1": [[0.0]]}},
+      "network layer must be a JSON object"),
+     ({"kind": "linear", "gamma": 0.9, "weights": {}, "nets": {}},
+      "unknown key 'nets' for linear Q approximator")],
+    ids=["list", "linear-weights", "action-weights", "gamma", "layer", "unknown-key"])
+def test_wrong_json_kind_rejected(data, message):
+    with pytest.raises(ValueError, match=message):
+        q_approximator_from_jsonable(data)
+
+
 @pytest.mark.parametrize("definition", ["per_step_mean", "discounted_sum"])
 def test_evaluate_policy_deterministic_given_seed(definition):
     spec = GenerativeModelSpec("linear", 0)
