@@ -12,6 +12,8 @@ take the config defaults.  ``--tau``, ``--perms`` and ``--seed`` override
 the file's ``tau``, ``n_permutations`` and ``seed`` when given.  In an
 experiment config, ``pipeline.seed`` must keep its default of 0: each
 replicate's pipeline seed derives from ``master_seed`` (``--seed``).
+An experiment's output paths are flags only: ``--out-csv`` (else the CSV
+goes to stdout) and ``--out-json``; the config file has no key for them.
 ``qlearn`` and ``evaluate`` read a feature map in the JSON form that
 ``construct`` writes; a network map's ``activation`` must be ``sigmoid``.
 
@@ -216,26 +218,16 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = config_from_jsonable(experiment_mod.ExperimentConfig, _load_json(args.config))
-    updates = {}
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    if args.replicates is not None:
-        updates["replicates"] = args.replicates
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.out_csv is not None:
-        updates["output_csv"] = args.out_csv
-    if args.out_json is not None:
-        updates["output_json"] = args.out_json
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
+    flags = {"threads": args.threads, "replicates": args.replicates, "master_seed": args.seed}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     result = experiment_mod.run_experiment(cfg)
-    if cfg.output_csv:
-        result.write_csv(cfg.output_csv)
+    if args.out_csv:
+        with open(args.out_csv, "w") as fh:
+            fh.write(result.to_csv_text())
     else:
         print(result.to_csv_text(), end="")
-    if cfg.output_json:
-        result.write_json(cfg.output_json)
+    if args.out_json:
+        _write_json(args.out_json, result.to_jsonable())
     return 0
 
 

@@ -218,14 +218,6 @@ class TrajectoryDataset:
             n_actions=self.n_actions,
         )
 
-    def equals(self, other: "TrajectoryDataset") -> bool:
-        return (
-            self.n_actions == other.n_actions
-            and np.array_equal(self.states, other.states)
-            and np.array_equal(self.actions, other.actions)
-            and np.array_equal(self.utilities, other.utilities)
-        )
-
 
 @dataclass(frozen=True)
 class Transitions:

@@ -6,6 +6,11 @@ on the reduced data, and score the greedy policies on fresh rollouts.
 Results aggregate to one row per (model, noise, feature method) with Monte
 Carlo standard errors, mirroring a results-table layout.
 
+The Q fits and PCA keep their functions' defaults: discount 0.9, 10 hidden
+units in the neural Q, step-size decay ``beta`` 1e4, and PCA components
+explaining 90% of the state variance.  The step size starts at the fit's
+default ``alpha0`` (0.05 linear, 0.01 neural) and halves on a retry.
+
 Replicates run in worker processes forked from the caller.  Every random
 quantity derives from the master seed and the replicate's coordinates, and
 results are collected in task order, so the emitted tables are
@@ -19,7 +24,7 @@ the outcome ``utility-independent-of-state``.
 from __future__ import annotations
 
 import dataclasses
-import json
+import inspect
 import os
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -59,6 +64,7 @@ class ExperimentConfig:
     Each replicate's pipeline seed derives from ``master_seed``, so
     ``pipeline.seed`` must keep its default.  ``threads`` is the number of
     forked worker processes that run replicates (see ``resolve_threads``).
+    The Q fits' other settings and PCA's are fixed (see the module docstring).
     """
 
     models: tuple = ("linear",)
@@ -71,19 +77,11 @@ class ExperimentConfig:
     master_seed: int = 0
     n_rollouts: int = 300
     eval_horizon: int = 90
-    gamma: float = 0.9
     oracle_variant: str = "first4"
-    pca_var_explained: float = 0.9
     pipeline: PipelineConfig = PipelineConfig()
     q_epochs_linear: int = 20
     q_epochs_nn: int = 2
-    q_hidden_width: int = 10
-    q_alpha0_linear: float = 0.05
-    q_alpha0_nn: float = 0.01
-    q_beta: float = 10000.0
     threads: Optional[int] = None
-    output_csv: Optional[str] = None
-    output_json: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "feature_methods", tuple(m.lower() for m in self.feature_methods))
@@ -136,10 +134,6 @@ class ExperimentResult:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
     def to_jsonable(self) -> dict:
         return {
             "config": dataclasses.asdict(self.config),
@@ -147,27 +141,21 @@ class ExperimentResult:
             "failures": self.failures,
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_jsonable(), fh, indent=2, sort_keys=True)
-
 
 def _build_feature_map(method, ds, gen_spec, cfg: ExperimentConfig, seed: int,
                        alpha_scale: float = 1.0):
-    """Returns (feature_map, n_var, n_dim) for one method on one dataset.
+    """Returns (feature_map, n_var) for one method on one dataset.
 
     The adnn map is None when screening selects no variable.
     """
     p = ds.state_dim
     if method == "raw":
-        return IdentityFeatureMap(p), p, p
+        return IdentityFeatureMap(p), p
     if method == "oracle":
-        fmap = oracle_feature_map(gen_spec, cfg.oracle_variant)
         n_var = {"first4": 4, "first16": 16, "nonlinear3": 4}[cfg.oracle_variant]
-        return fmap, n_var, fmap.dim
+        return oracle_feature_map(gen_spec, cfg.oracle_variant), n_var
     if method == "pca":
-        fmap, k = pca_feature_map(ds, cfg.pca_var_explained)
-        return fmap, p, k
+        return pca_feature_map(ds)[0], p
 
     # CV fits too: a diverged CV fit retried at its old step size fails again
     def scaled(fit):
@@ -177,13 +165,13 @@ def _build_feature_map(method, ds, gen_spec, cfg: ExperimentConfig, seed: int,
         cfg.pipeline, seed=seed,
         fit=scaled(cfg.pipeline.fit), cv_fit=scaled(cfg.pipeline.cv_fit),
     )
-    if method == "adnn":
-        result = construct_sufficient_features(ds, pipe)
-        return result.feature_map, len(result.variables), result.feature_dim
-    if method == "tnn":
-        result = fit_tnn(ds, pipe)
-        return result.feature_map, len(result.variables), result.feature_dim
-    raise ValueError(f"unknown feature method {method!r}")
+    result = (construct_sufficient_features if method == "adnn" else fit_tnn)(ds, pipe)
+    return result.feature_map, len(result.variables)
+
+
+# the Q fits' own starting step sizes; a retry halves them
+_ALPHA0 = {name: inspect.signature(fit).parameters["alpha0"].default
+           for name, fit in (("linear", fit_q_linear), ("nn", fit_q_nn))}
 
 
 def _run_replicate(cfg: ExperimentConfig, mi: int, ni: int, rep: int) -> dict:
@@ -203,30 +191,25 @@ def _run_replicate(cfg: ExperimentConfig, mi: int, ni: int, rep: int) -> dict:
         outcome = "diverged"
         for attempt, alpha_scale in enumerate((1.0, 0.5)):
             try:
-                fmap, n_var, n_dim = _build_feature_map(
+                fmap, n_var = _build_feature_map(
                     method, ds, gen_spec, cfg, feat_seed, alpha_scale
                 )
                 if fmap is None:
                     outcome = "utility-independent-of-state"
                     err_msgs.append("screening selected no variables")
                     break
-                entry = {"n_var": n_var, "n_dim": n_dim}
+                entry = {"n_var": n_var, "n_dim": fmap.dim}
                 for qi, q_method in enumerate(cfg.q_methods):
                     fit_seed = derive_seed(cfg.master_seed, mi, ni, rep, 2, fi, qi)
                     if q_method == "linear":
-                        q = fit_q_linear(
-                            transitions, fmap, gamma=cfg.gamma,
-                            epochs=cfg.q_epochs_linear,
-                            alpha0=cfg.q_alpha0_linear * alpha_scale,
-                            beta=cfg.q_beta, seed=fit_seed, n_actions=ds.n_actions,
-                        )
+                        fit, epochs = fit_q_linear, cfg.q_epochs_linear
                     else:
-                        q = fit_q_nn(
-                            transitions, fmap, gamma=cfg.gamma,
-                            hidden_width=cfg.q_hidden_width, epochs=cfg.q_epochs_nn,
-                            alpha0=cfg.q_alpha0_nn * alpha_scale, beta=cfg.q_beta,
-                            seed=fit_seed, n_actions=ds.n_actions,
-                        )
+                        fit, epochs = fit_q_nn, cfg.q_epochs_nn
+                    q = fit(
+                        transitions, fmap, epochs=epochs,
+                        alpha0=_ALPHA0[q_method] * alpha_scale,
+                        seed=fit_seed, n_actions=ds.n_actions,
+                    )
                     eval_seed = derive_seed(cfg.master_seed, mi, ni, rep, 3, qi)
                     value = evaluate_policy(
                         gen_spec, fmap, q,
@@ -304,16 +287,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         failures.extend(record.pop("_failures"))
 
     cells = []
-    for mi, model in enumerate(cfg.models):
-        for ni, noise in enumerate(cfg.noise_counts):
-            group = [
-                r for r in records
-                if r["model"] == model and r["n_noise"] == noise
-            ]
+    names = ["n_var", "n_dim"] + [f"{q}_q" for q in cfg.q_methods]
+    start = 0
+    for model in cfg.models:
+        for noise in cfg.noise_counts:
+            # records are in task order, so this cell's replicates come next
+            group = records[start:start + cfg.replicates]
+            start += cfg.replicates
             for method in cfg.feature_methods:
                 entries = [r["methods"][method] for r in group if method in r["methods"]]
                 stats = {}
-                names = ["n_var", "n_dim"] + [f"{q}_q" for q in cfg.q_methods]
                 for name in names:
                     values = np.array([e[name] for e in entries], dtype=np.float64)
                     if values.size:

@@ -92,18 +92,35 @@ def layers_to_jsonable(layers) -> list:
     ]
 
 
+def float_array_from_jsonable(owner: str, value) -> np.ndarray:
+    """``value``, a number or a rectangular nest of lists of numbers, as a
+    float64 array.
+
+    ValueError naming ``owner`` when it holds a string, null or object, or
+    rows of unequal length.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # rows of unequal length
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ValueError(f"{owner} must hold numbers only")
+    return array.astype(np.float64)
+
+
 def layers_from_jsonable(entries) -> list:
     """Layers from their ``layers_to_jsonable`` form.
 
-    ValueError for an entry that is not a JSON object or whose ``weights``
-    is not a list; KeyError names a missing key.  A bias is a list, or a
-    number in a scalar output layer.
+    ValueError for an entry that is not a JSON object, whose ``weights`` is
+    not a list, or whose weights or bias hold anything but numbers; KeyError
+    names a missing key.  A bias is a list, or a number in a scalar output
+    layer.
     """
     layers = []
     for e in entries:
         check_json_object("network layer", e, {"weights": tuple, "bias": object})
-        layers.append((np.asarray(e["weights"], dtype=np.float64),
-                       np.asarray(e["bias"], dtype=np.float64)))
+        layers.append((float_array_from_jsonable("network layer weights", e["weights"]),
+                       float_array_from_jsonable("network layer bias", e["bias"])))
     return layers
 
 
@@ -198,6 +215,8 @@ class NetworkFeatureMap(FeatureMap):
     ``(out, in)``; the sigmoid applies after every layer.  When
     ``input_indices`` is set, the map first selects those raw columns, so a
     map fitted on a reduced variable set still accepts full state vectors.
+    ``input_dim`` is the raw state dimension (by default the first layer's
+    input count); an index outside ``0..input_dim-1`` raises ValueError.
     The JSON form records ``"activation": "sigmoid"``, and the reader
     rejects any other.
     """
@@ -224,6 +243,9 @@ class NetworkFeatureMap(FeatureMap):
                 f"{len(self.input_indices)} columns are selected"
             )
         self.input_dim = int(input_dim) if input_dim is not None else net_in
+        if any(not 0 <= j < self.input_dim for j in self.input_indices or ()):
+            raise ValueError(f"input_indices {self.input_indices} outside "
+                             f"0..{self.input_dim - 1}")
 
     @property
     def dim(self) -> int:
@@ -311,7 +333,9 @@ def feature_map_from_jsonable(data) -> FeatureMap:
 
     ValueError for data that is not a JSON object, an unknown ``kind``, an
     unknown or missing key, a value of the wrong JSON kind (nested layers
-    and parts too) and a network ``activation`` other than ``sigmoid``.
+    and parts too), weights that are not all numbers, a network
+    ``activation`` other than ``sigmoid`` and a network input index outside
+    ``0..input_dim-1``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a feature map must be a JSON object, got {data!r}")
@@ -325,7 +349,10 @@ def feature_map_from_jsonable(data) -> FeatureMap:
         if kind == "coordinates":
             return CoordinateFeatureMap(data["input_dim"], data["indices"])
         if kind == "linear":
-            return LinearFeatureMap(np.asarray(data["weights"]), np.asarray(data["offset"]))
+            return LinearFeatureMap(
+                float_array_from_jsonable("linear feature map weights", data["weights"]),
+                float_array_from_jsonable("linear feature map offset", data["offset"]),
+            )
         if kind == "network":
             activation = data["activation"]
             if activation != "sigmoid":

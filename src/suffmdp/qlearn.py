@@ -20,12 +20,13 @@ discounted sum per rollout ("discounted_sum").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
 from .core import Transitions, check_json_object
-from .features import FeatureMap, layers_from_jsonable, layers_to_jsonable, mlp_forward
+from .features import (FeatureMap, float_array_from_jsonable, layers_from_jsonable,
+                       layers_to_jsonable, mlp_forward)
 from .rng import substream
 from .simgen import GenerativeModelSpec, step_process
 
@@ -47,7 +48,7 @@ class LinearQ:
 
     weights: dict  # action -> (1 + feature_dim,) coefficient vector
     gamma: float
-    kind: str = "linear"
+    kind: ClassVar[str] = "linear"
 
     @property
     def actions(self) -> list:
@@ -71,7 +72,7 @@ class NeuralQ:
 
     nets: dict  # action -> [(W1, b1), (w2, b2)]
     gamma: float
-    kind: str = "neural"
+    kind: ClassVar[str] = "neural"
 
     @property
     def actions(self) -> list:
@@ -102,8 +103,9 @@ def q_approximator_from_jsonable(data) -> QApproximator:
     """Q approximator from its ``to_jsonable`` form.
 
     ValueError for data that is not a JSON object, an unknown ``kind``, an
-    unknown or missing key, and a value of the wrong JSON kind (per-action
-    parameters and network layers too).
+    unknown or missing key, a value of the wrong JSON kind (per-action
+    parameters and network layers too), and weights that are not all
+    numbers.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a Q approximator must be a JSON object, got {data!r}")
@@ -116,7 +118,8 @@ def q_approximator_from_jsonable(data) -> QApproximator:
         params = data[key]
         check_json_object(f"{kind} Q approximator {key}", params, dict.fromkeys(params, tuple))
         if kind == "linear":
-            return LinearQ({int(a): np.asarray(w) for a, w in params.items()}, data["gamma"])
+            return LinearQ({int(a): float_array_from_jsonable("linear Q weights", w)
+                            for a, w in params.items()}, data["gamma"])
         return NeuralQ({int(a): layers_from_jsonable(ls) for a, ls in params.items()},
                        data["gamma"])
     except KeyError as exc:

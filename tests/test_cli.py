@@ -130,10 +130,7 @@ def test_grid_file_is_a_whole_pipeline_config(inputs, tmp_path, file_values, fla
 def test_experiment_config_echo_loads_back():
     # the golden experiment_out.json is the experiment run's output byte for byte
     echo = json.loads((GOLDEN / "experiment_out.json").read_text())["config"]
-    run_config = dataclasses.replace(
-        config_from_jsonable(ExperimentConfig, EXPERIMENT),
-        threads=1, output_csv="experiment.csv", output_json="experiment_out.json",
-    )
+    run_config = dataclasses.replace(config_from_jsonable(ExperimentConfig, EXPERIMENT), threads=1)
     assert config_from_jsonable(ExperimentConfig, echo) == run_config
 
 
@@ -159,19 +156,21 @@ class TestExitCodes:
     def test_missing_file_gives_1(self, inputs):
         assert run("screen --data absent.csv", inputs) == 1
 
-    # the deleted FitConfig.tolerance/lam/seed and PipelineConfig.activation
-    # are unknown keys like any other
+    # the deleted FitConfig.tolerance/lam/seed, PipelineConfig.activation and
+    # ExperimentConfig.gamma/output_csv are unknown keys like any other
     @pytest.mark.parametrize(
         "section,key,value,owner",
         [("top", "replicatez", 1, "ExperimentConfig"),
+         ("top", "gamma", 0.9, "ExperimentConfig"),
+         ("top", "output_csv", "experiment.csv", "ExperimentConfig"),
          ("pipeline", "replicatez", 1, "PipelineConfig"),
          ("fit", "replicatez", 1, "FitConfig"),
          ("fit", "tolerance", 1e-5, "FitConfig"),
          ("fit", "lam", 0.1, "FitConfig"),
          ("cv_fit", "seed", 3, "FitConfig"),
          ("pipeline", "activation", "sigmoid", "PipelineConfig")],
-        ids=["top", "pipeline", "fit", "fit-tolerance", "fit-lam", "cv_fit-seed",
-             "pipeline-activation"])
+        ids=["top", "experiment-gamma", "experiment-output_csv", "pipeline", "fit",
+             "fit-tolerance", "fit-lam", "cv_fit-seed", "pipeline-activation"])
     def test_misspelled_config_key_gives_1(self, inputs, section, key, value, owner, capsys):
         config = json.loads(json.dumps(EXPERIMENT))
         target = {"top": config, "pipeline": config["pipeline"],
@@ -270,11 +269,19 @@ class TestExitCodes:
          ("evaluate", "q_nn.json", lambda q: dict(q, nets=5),
           "key 'nets' of neural Q approximator must be of type dict"),
          ("evaluate", "q_nn.json", lambda q: dict(q, nets={**q["nets"], "1": 5}),
-          "key '1' of neural Q approximator nets must be of type tuple")],
+          "key '1' of neural Q approximator nets must be of type tuple"),
+         ("qlearn-linear", "model.json",
+          lambda m: dict(m, input_indices=m["input_indices"][:-1] + [99]), "outside 0..63"),
+         ("qlearn-linear", "model.json",
+          lambda m: dict(m, input_indices=m["input_indices"][:-1] + [-1]), "outside 0..63"),
+         ("qlearn-linear", "model.json",
+          lambda m: dict(m, layers=[dict(m["layers"][0], weights=[[{}]])]),
+          "network layer weights must hold numbers only")],
         ids=["qlearn-arctan", "evaluate-arctan", "qlearn-no-layers", "evaluate-no-nets",
              "qlearn-model-list", "qlearn-layers-number", "qlearn-layer-weights-number",
              "qlearn-layer-number", "evaluate-concat-part-number", "evaluate-q-list",
-             "evaluate-nets-number", "evaluate-action-net-number"])
+             "evaluate-nets-number", "evaluate-action-net-number", "qlearn-index-99",
+             "qlearn-index-negative", "qlearn-layer-weights-object"])
     def test_bad_stored_model_gives_1(self, inputs, command, stored, edit, message, capsys):
         payload = edit(json.loads((GOLDEN / stored).read_text()))
         (inputs / "bad.json").write_text(json.dumps(payload))

@@ -12,6 +12,12 @@ from suffmdp.rng import substream
 from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
 
 
+def same_data(a, b) -> bool:
+    return a.n_actions == b.n_actions and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("states", "actions", "utilities")
+    )
+
+
 def small_dataset(n=3, horizon=4, p=2, n_actions=2, seed=0):
     rng = substream(seed)
     return TrajectoryDataset(
@@ -101,7 +107,7 @@ class TestFlatten:
             utilities=tr.utilities.reshape(n, horizon),
             n_actions=2,
         )
-        assert rebuilt.equals(ds)
+        assert same_data(rebuilt, ds)
         assert np.array_equal(tr.next_states.reshape(n, horizon, p), ds.states[:, 1:])
 
     def test_view_is_read_only(self):
@@ -117,7 +123,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "d.csv"
         save_dataset_csv(ds, path)
         loaded = load_dataset_csv(path)
-        assert loaded.equals(ds)
+        assert same_data(loaded, ds)
 
     def test_generated_file_shape(self, tmp_path):
         # 30 subjects, T=90, 50 noise coordinates => 114 state columns
@@ -128,7 +134,7 @@ class TestCsvRoundTrip:
         assert loaded.n_subjects == 30
         assert loaded.horizon == 90
         assert loaded.state_dim == 114
-        assert loaded.equals(ds)
+        assert same_data(loaded, ds)
 
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "tiny.csv"

@@ -56,6 +56,16 @@ def test_retry_halves_the_cv_step_size(monkeypatch, cv_fit):
     assert [f["outcome"] for f in result.failures] == ["diverged"]
 
 
+def test_duplicate_models_keep_their_own_replicates():
+    # each row reads the replicates of its own position in `models`, whose
+    # data seeds differ, not every replicate of the same model name
+    cfg = ExperimentConfig(threads=1, **dict(SMALL, models=("linear", "linear"), replicates=2,
+                                             feature_methods=("raw",)))
+    first, second = run_experiment(cfg).cells
+    assert first.n_ok == second.n_ok == 2
+    assert first.stats != second.stats
+
+
 def test_default_threads_follow_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

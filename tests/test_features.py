@@ -27,6 +27,11 @@ def random_network(seed=0, input_dim=5, widths=(4, 3), input_indices=None, full_
     return NetworkFeatureMap(layers, input_indices=input_indices, input_dim=full_dim)
 
 
+def network_json(weights=((0.5, 1.0),), bias=(0.0,)):
+    return {"kind": "network", "activation": "sigmoid", "input_dim": 2, "input_indices": None,
+            "layers": [{"weights": weights, "bias": bias}]}
+
+
 class TestSigmoid:
     @pytest.mark.parametrize("scale", [0.01, 0.1, 1.0, 10.0, 100.0, 300.0])
     def test_within_four_ulp_of_expit(self, scale):
@@ -70,6 +75,11 @@ class TestNetworkMap:
     def test_index_count_must_match_first_layer(self):
         with pytest.raises(ValueError):
             random_network(input_indices=[0, 1], full_dim=8)
+
+    @pytest.mark.parametrize("bad", [8, -1], ids=["past-input-dim", "negative"])
+    def test_index_outside_input_dim_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"outside 0\.\.7"):
+            random_network(input_indices=[0, 1, 2, 3, bad], full_dim=8)
 
 
 def test_mlp_one_dimensional_last_weight_gives_one_value_per_row():
@@ -155,9 +165,19 @@ class TestSerialization:
          ({"kind": "identity", "input_dim": "3"},
           "key 'input_dim' of identity feature map must be of type int"),
          ({"kind": "identity", "input_dim": 3, "layers": []},
-          "unknown key 'layers' for identity feature map")],
+          "unknown key 'layers' for identity feature map"),
+         ({"kind": "linear", "weights": [[{}, 1.0]], "offset": [0.0]},
+          "linear feature map weights must hold numbers only"),
+         ({"kind": "linear", "weights": [[0.5, -1.0]], "offset": ["0"]},
+          "linear feature map offset must hold numbers only"),
+         (network_json(weights=[[{}, 1.0]]), "network layer weights must hold numbers only"),
+         (network_json(bias=[None]), "network layer bias must hold numbers only"),
+         (network_json(weights=[[0.5, 1.0], [0.5]]),
+          "network layer weights must hold numbers only")],
         ids=["list", "list-kind", "parts-number", "part-string", "weights-number",
-             "input-dim-string", "unknown-key"])
+             "input-dim-string", "unknown-key", "linear-weights-object",
+             "linear-offset-string", "network-weights-object", "network-bias-null",
+             "network-weights-ragged"])
     def test_wrong_json_kind_rejected(self, data, message):
         with pytest.raises(ValueError, match=message):
             feature_map_from_jsonable(data)

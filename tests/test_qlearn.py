@@ -74,11 +74,27 @@ def test_missing_q_key_named(data, message):
      ({"kind": "neural", "gamma": 0.9, "nets": {"1": [[0.0]]}},
       "network layer must be a JSON object"),
      ({"kind": "linear", "gamma": 0.9, "weights": {}, "nets": {}},
-      "unknown key 'nets' for linear Q approximator")],
-    ids=["list", "linear-weights", "action-weights", "gamma", "layer", "unknown-key"])
+      "unknown key 'nets' for linear Q approximator"),
+     ({"kind": "linear", "gamma": 0.9, "weights": {"1": [0.0, 1.0], "2": [{}, 1.0]}},
+      "linear Q weights must hold numbers only"),
+     ({"kind": "linear", "gamma": 0.9, "weights": {"1": [0.5, None]}},
+      "linear Q weights must hold numbers only"),
+     ({"kind": "linear", "gamma": 0.9, "weights": {"1": ["0.5", 1.0]}},
+      "linear Q weights must hold numbers only")],
+    ids=["list", "linear-weights", "action-weights", "gamma", "layer", "unknown-key",
+         "weights-object", "weights-null", "weights-string"])
 def test_wrong_json_kind_rejected(data, message):
     with pytest.raises(ValueError, match=message):
         q_approximator_from_jsonable(data)
+
+
+def test_q_kind_is_not_a_constructor_argument():
+    # a kind given at construction could write a file the reader rejects
+    weights = {1: np.array([0.0, 1.0])}
+    with pytest.raises(TypeError):
+        LinearQ(weights, 0.9, "neural")
+    assert LinearQ(weights, 0.9).to_jsonable()["kind"] == "linear"
+    assert NeuralQ({}, 0.9).to_jsonable()["kind"] == "neural"
 
 
 @pytest.mark.parametrize("definition", ["per_step_mean", "discounted_sum"])
