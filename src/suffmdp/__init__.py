@@ -49,7 +49,6 @@ from .features import (
     IdentityFeatureMap,
     LinearFeatureMap,
     NetworkFeatureMap,
-    TruncatedGFeatureMap,
     feature_map_from_jsonable,
 )
 from .qlearn import (
@@ -64,6 +63,7 @@ from .qlearn import (
 from .screening import ScreenResult, screen
 from .simgen import (
     GenerativeModelSpec,
+    TruncatedGFeatureMap,
     g_function,
     oracle_feature_map,
     sample_trajectories,

@@ -142,7 +142,6 @@ class AdnnModel:
     one after `fit_adnn` returns.
     """
 
-    architecture: Architecture
     feature_layers: list
     heads: dict
     trace: list = field(default_factory=list)
@@ -194,7 +193,7 @@ def _init_model(arch: Architecture, state_dim: int, actions: Sequence[int],
     hidden = [arch.hidden_width] * (arch.depth - 1)
     feature_layers = init_layers([state_dim] + hidden + [arch.feature_dim])
     heads = {a: init_layers([arch.feature_dim] + hidden + [state_dim + 1]) for a in sorted(actions)}
-    return AdnnModel(architecture=arch, feature_layers=feature_layers, heads=heads)
+    return AdnnModel(feature_layers=feature_layers, heads=heads)
 
 
 def _penalty(model: AdnnModel, lam: float) -> float:
@@ -279,7 +278,6 @@ def _stack(models: Sequence[AdnnModel]) -> AdnnModel:
 
     first = models[0]
     return AdnnModel(
-        architecture=first.architecture,
         feature_layers=stack([m.feature_layers for m in models]),
         heads={a: stack([m.heads[a] for m in models]) for a in first.heads},
     )
@@ -291,7 +289,6 @@ def _replica(stacked: AdnnModel, r: int) -> AdnnModel:
         return [(w[r], b[r, 0]) for w, b in layers]
 
     return AdnnModel(
-        architecture=stacked.architecture,
         feature_layers=pick(stacked.feature_layers),
         heads={a: pick(ls) for a, ls in stacked.heads.items()},
     )
@@ -582,7 +579,6 @@ class DimensionSelection:
     model: AdnnModel
     reports: list  # [(dim, best cell, cv score, TestReport)]
     none_sufficient: bool
-    tau: float
 
 
 def select_feature_dimension(
@@ -641,12 +637,10 @@ def select_feature_dimension(
         reports.append((r, cv.best, best_score, report))
         if report.p_value > tau:
             return DimensionSelection(
-                feature_dim=r, model=model, reports=reports,
-                none_sufficient=False, tau=tau,
+                feature_dim=r, model=model, reports=reports, none_sufficient=False,
             )
     return DimensionSelection(
-        feature_dim=dims[-1], model=model, reports=reports,
-        none_sufficient=True, tau=tau,
+        feature_dim=dims[-1], model=model, reports=reports, none_sufficient=True,
     )
 
 

@@ -61,12 +61,12 @@ def pca_feature_map(ds: TrajectoryDataset, var_explained: float = 0.9):
 
 @dataclass(frozen=True)
 class TnnResult:
-    """Per-action fits plus their union variable set and concatenated map."""
+    """Per-action fits plus their union variable set and concatenated map
+    (whose ``dim`` is the total feature dimension)."""
 
     per_action: dict  # action -> (model, feature_dim, active variables)
     variables: list
     feature_map: ConcatFeatureMap
-    feature_dim: int
 
 
 def fit_tnn(ds: TrajectoryDataset, config: PipelineConfig = PipelineConfig()) -> TnnResult:
@@ -79,7 +79,6 @@ def fit_tnn(ds: TrajectoryDataset, config: PipelineConfig = PipelineConfig()) ->
     per_action = {}
     parts = []
     union: set[int] = set()
-    total_dim = 0
     for a in range(1, ds.n_actions + 1):
         selection = select_feature_dimension(
             ds, config, seed=derive_seed(config.seed, a), actions_subset=[a]
@@ -87,11 +86,9 @@ def fit_tnn(ds: TrajectoryDataset, config: PipelineConfig = PipelineConfig()) ->
         active = active_inputs(selection.model, config.col_tol)
         per_action[a] = (selection.model, selection.feature_dim, active)
         union.update(active)
-        total_dim += selection.feature_dim
         parts.append(selection.model.feature_map())
     return TnnResult(
         per_action=per_action,
         variables=sorted(union),
         feature_map=ConcatFeatureMap(parts),
-        feature_dim=total_dim,
     )

@@ -15,14 +15,24 @@ replicate's pipeline seed derives from ``master_seed`` (``--seed``).
 An experiment's output paths are flags only: ``--out-csv`` (else the CSV
 goes to stdout) and ``--out-json``; the config file has no key for them.
 ``qlearn`` and ``evaluate`` read a feature map in the JSON form that
-``construct`` writes; a network map's ``activation`` must be ``sigmoid``.
+``construct`` writes: ``kind`` is ``network``, the only map kind that is
+stored, and ``activation`` is ``sigmoid``.
 
-Exit codes: 0 on success, 1 on validation errors (bad flags, malformed
-inputs such as a config, feature map or Q file that is not a JSON object or
-has an unknown or missing key or a value of the wrong JSON kind), 2 on
-unexpected runtime failures.  All randomness flows from the seed
-(``--seed``, or a config file's); outputs carry no timestamps, so identical
-inputs give byte-identical outputs.
+Exit codes: 0 on success, 1 on validation errors, 2 on unexpected runtime
+failures.  Validation errors include bad flags and malformed inputs such as
+a config, feature map or Q file that is not a JSON object or has an unknown
+or missing key or a value of the wrong JSON kind.  They also include:
+
+- a feature map of a kind other than ``network``;
+- a feature map whose ``input_dim`` is not the state width of the data
+  (``qlearn``) or of the generative model (``evaluate``);
+- stored input indices that are not integers;
+- a boolean among network weights, biases or linear-Q weights;
+- an experiment's ``replicates``, or a set ``threads``, below 1.
+
+All randomness flows from the seed (``--seed``, or a config file's);
+outputs carry no timestamps, so identical inputs give byte-identical
+outputs.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ def resolve_threads(threads: Optional[int] = None) -> int:
     """Number of worker processes: the explicit value, else the cores this
     process may run on."""
     if threads is not None:
-        return max(1, int(threads))
+        return threads
     if hasattr(os, "sched_getaffinity"):
         # cpu_count() counts the host's cores, not those an affinity mask allows
         return len(os.sched_getaffinity(0))
@@ -64,6 +64,7 @@ class ExperimentConfig:
     Each replicate's pipeline seed derives from ``master_seed``, so
     ``pipeline.seed`` must keep its default.  ``threads`` is the number of
     forked worker processes that run replicates (see ``resolve_threads``).
+    ``replicates`` and a set ``threads`` must be at least 1.
     The Q fits' other settings and PCA's are fixed (see the module docstring).
     """
 
@@ -92,6 +93,10 @@ class ExperimentConfig:
         for m in self.q_methods:
             if m not in Q_METHODS:
                 raise ValueError(f"unknown Q method {m!r}")
+        if self.replicates < 1:
+            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.pipeline.seed != PipelineConfig.seed:
             raise ValueError(f"pipeline.seed {self.pipeline.seed} is replaced per replicate; "
                              "set master_seed instead")

@@ -1,8 +1,10 @@
 """Feature maps: functions from the raw state space R^p to a reduced R^q.
 
-All maps operate on row-stacked state matrices and serialize to JSON with a
-``kind`` tag so fitted maps can be stored and reloaded independently of the
-models that produced them.
+All maps operate on row-stacked state matrices.  Only the network map, the
+one the pipeline fits, serializes: its JSON form carries ``kind:
+"network"``, so that a fitted map can be stored and reloaded apart from the
+model that produced it.  The other maps are built in memory from a dataset
+or a generative model (the oracle maps live in `suffmdp.simgen`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "CoordinateFeatureMap",
     "LinearFeatureMap",
     "NetworkFeatureMap",
-    "TruncatedGFeatureMap",
     "ConcatFeatureMap",
     "feature_map_from_jsonable",
 ]
@@ -96,16 +97,23 @@ def float_array_from_jsonable(owner: str, value) -> np.ndarray:
     """``value``, a number or a rectangular nest of lists of numbers, as a
     float64 array.
 
-    ValueError naming ``owner`` when it holds a string, null or object, or
-    rows of unequal length.
+    ValueError naming ``owner`` when it holds a string, null, boolean or
+    object, or rows of unequal length.
     """
     try:
         array = np.asarray(value)
     except ValueError:  # rows of unequal length
         array = None
-    if array is None or array.dtype.kind not in "iuf":
+    # numpy casts a boolean mixed with numbers to one of them
+    if array is None or array.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"{owner} must hold numbers only")
     return array.astype(np.float64)
+
+
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
 
 
 def layers_from_jsonable(entries) -> list:
@@ -136,10 +144,6 @@ class FeatureMap(ABC):
     def transform(self, states: np.ndarray) -> np.ndarray:
         """Apply the map to an (m, p) state matrix, returning (m, dim)."""
 
-    @abstractmethod
-    def to_jsonable(self) -> dict:
-        ...
-
 
 class IdentityFeatureMap(FeatureMap):
     def __init__(self, input_dim: int):
@@ -151,9 +155,6 @@ class IdentityFeatureMap(FeatureMap):
 
     def transform(self, states):
         return np.asarray(states, dtype=np.float64)
-
-    def to_jsonable(self):
-        return {"kind": "identity", "input_dim": self.input_dim}
 
 
 class CoordinateFeatureMap(FeatureMap):
@@ -171,13 +172,6 @@ class CoordinateFeatureMap(FeatureMap):
 
     def transform(self, states):
         return np.asarray(states, dtype=np.float64)[:, self.indices]
-
-    def to_jsonable(self):
-        return {
-            "kind": "coordinates",
-            "input_dim": self.input_dim,
-            "indices": self.indices,
-        }
 
 
 class LinearFeatureMap(FeatureMap):
@@ -200,13 +194,6 @@ class LinearFeatureMap(FeatureMap):
     def transform(self, states):
         return np.asarray(states, dtype=np.float64) @ self.weights.T + self.offset
 
-    def to_jsonable(self):
-        return {
-            "kind": "linear",
-            "weights": self.weights.tolist(),
-            "offset": self.offset.tolist(),
-        }
-
 
 class NetworkFeatureMap(FeatureMap):
     """Composed affine+sigmoid layers, optionally over a column subset.
@@ -216,9 +203,10 @@ class NetworkFeatureMap(FeatureMap):
     ``input_indices`` is set, the map first selects those raw columns, so a
     map fitted on a reduced variable set still accepts full state vectors.
     ``input_dim`` is the raw state dimension (by default the first layer's
-    input count); an index outside ``0..input_dim-1`` raises ValueError.
-    The JSON form records ``"activation": "sigmoid"``, and the reader
-    rejects any other.
+    input count); an index that is not an integer in ``0..input_dim-1``
+    raises ValueError, and so does a state matrix whose column count is not
+    ``input_dim``.  The JSON form records ``"activation": "sigmoid"``, and
+    the reader rejects any other.
     """
 
     def __init__(
@@ -233,9 +221,13 @@ class NetworkFeatureMap(FeatureMap):
         ]
         if not self.layers:
             raise ValueError("need at least one layer")
-        self.input_indices = (
-            None if input_indices is None else [int(j) for j in input_indices]
-        )
+        if input_indices is not None:
+            # a bool is an int to Python, but not an index
+            if any(isinstance(j, bool) or not isinstance(j, (int, np.integer))
+                   for j in input_indices):
+                raise ValueError(f"input_indices must be integers, got {list(input_indices)}")
+            input_indices = [int(j) for j in input_indices]
+        self.input_indices = input_indices
         net_in = self.layers[0][0].shape[1]
         if self.input_indices is not None and len(self.input_indices) != net_in:
             raise ValueError(
@@ -253,6 +245,9 @@ class NetworkFeatureMap(FeatureMap):
 
     def transform(self, states):
         x = np.asarray(states, dtype=np.float64)
+        if x.shape[-1] != self.input_dim:
+            raise ValueError(f"the feature map takes states of {self.input_dim} "
+                             f"columns, got {x.shape[-1]}")
         if self.input_indices is not None:
             x = x[:, self.input_indices]
         return mlp_forward(x, self.layers)
@@ -265,35 +260,6 @@ class NetworkFeatureMap(FeatureMap):
             "input_indices": self.input_indices,
             "layers": layers_to_jsonable(self.layers),
         }
-
-
-class TruncatedGFeatureMap(FeatureMap):
-    """Three-dimensional map ``(g(s1), g(s2), g(s3) + g(s4))``.
-
-    ``g`` is the transition nonlinearity of a generative model (identity,
-    truncated quadratic, or truncated exponential); see :mod:`suffmdp.simgen`.
-    """
-
-    def __init__(self, g_kind: str, input_dim: int):
-        from .simgen import g_function  # local import to avoid a cycle
-
-        if input_dim < 4:
-            raise ValueError("needs at least 4 state coordinates")
-        self.g_kind = g_kind
-        self.input_dim = int(input_dim)
-        self._g = g_function(g_kind)
-
-    @property
-    def dim(self) -> int:
-        return 3
-
-    def transform(self, states):
-        s = np.asarray(states, dtype=np.float64)
-        g = self._g(s[:, :4])
-        return np.column_stack([g[:, 0], g[:, 1], g[:, 2] + g[:, 3]])
-
-    def to_jsonable(self):
-        return {"kind": "oracle3", "g_kind": self.g_kind, "input_dim": self.input_dim}
 
 
 class ConcatFeatureMap(FeatureMap):
@@ -311,59 +277,36 @@ class ConcatFeatureMap(FeatureMap):
     def transform(self, states):
         return np.hstack([part.transform(states) for part in self.parts])
 
-    def to_jsonable(self):
-        return {"kind": "concat", "parts": [p.to_jsonable() for p in self.parts]}
+
+# The keys of a network map's JSON form, with their JSON kinds;
+# ``activation`` is checked by value.
+_MAP_KEYS = {"kind": str, "activation": object, "input_dim": Optional[int],
+             "input_indices": Optional[tuple], "layers": tuple}
 
 
-# The keys of each kind's ``to_jsonable`` form besides ``kind``, with their
-# JSON kinds; a network's ``activation`` is checked by value.
-_MAP_KEYS = {
-    "identity": {"input_dim": int},
-    "coordinates": {"input_dim": int, "indices": tuple},
-    "linear": {"weights": tuple, "offset": tuple},
-    "network": {"activation": object, "input_dim": Optional[int],
-                "input_indices": Optional[tuple], "layers": tuple},
-    "oracle3": {"g_kind": str, "input_dim": int},
-    "concat": {"parts": tuple},
-}
+def feature_map_from_jsonable(data) -> NetworkFeatureMap:
+    """Network feature map from its ``to_jsonable`` form.
 
-
-def feature_map_from_jsonable(data) -> FeatureMap:
-    """Feature map from its ``to_jsonable`` form.
-
-    ValueError for data that is not a JSON object, an unknown ``kind``, an
-    unknown or missing key, a value of the wrong JSON kind (nested layers
-    and parts too), weights that are not all numbers, a network
-    ``activation`` other than ``sigmoid`` and a network input index outside
-    ``0..input_dim-1``.
+    ValueError for data that is not a JSON object, a ``kind`` other than
+    ``network`` (the only map that is stored), an unknown or missing key, a
+    value of the wrong JSON kind (nested layers too), weights that are not
+    all numbers, an ``activation`` other than ``sigmoid``, and input
+    indices that are not integers in ``0..input_dim-1``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a feature map must be a JSON object, got {data!r}")
     kind = data.get("kind")
-    if kind not in list(_MAP_KEYS):  # a list, so that an unhashable kind is unknown too
-        raise ValueError(f"unknown feature map kind {kind!r}")
-    check_json_object(f"{kind} feature map", data, {"kind": str, **_MAP_KEYS[kind]})
+    if kind != "network":
+        raise ValueError(f"unknown feature map kind {kind!r}; only 'network' maps are stored")
+    check_json_object("network feature map", data, _MAP_KEYS)
     try:
-        if kind == "identity":
-            return IdentityFeatureMap(data["input_dim"])
-        if kind == "coordinates":
-            return CoordinateFeatureMap(data["input_dim"], data["indices"])
-        if kind == "linear":
-            return LinearFeatureMap(
-                float_array_from_jsonable("linear feature map weights", data["weights"]),
-                float_array_from_jsonable("linear feature map offset", data["offset"]),
-            )
-        if kind == "network":
-            activation = data["activation"]
-            if activation != "sigmoid":
-                raise ValueError(f"network activation must be 'sigmoid', got {activation!r}")
-            return NetworkFeatureMap(
-                layers=layers_from_jsonable(data["layers"]),
-                input_indices=data.get("input_indices"),
-                input_dim=data.get("input_dim"),
-            )
-        if kind == "oracle3":
-            return TruncatedGFeatureMap(data["g_kind"], data["input_dim"])
-        return ConcatFeatureMap([feature_map_from_jsonable(p) for p in data["parts"]])
+        activation = data["activation"]
+        if activation != "sigmoid":
+            raise ValueError(f"network activation must be 'sigmoid', got {activation!r}")
+        return NetworkFeatureMap(
+            layers=layers_from_jsonable(data["layers"]),
+            input_indices=data.get("input_indices"),
+            input_dim=data.get("input_dim"),
+        )
     except KeyError as exc:
-        raise ValueError(f"{kind} feature map JSON has no key {exc}") from None
+        raise ValueError(f"network feature map JSON has no key {exc}") from None

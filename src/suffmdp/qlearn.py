@@ -20,7 +20,7 @@ discounted sum per rollout ("discounted_sum").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -134,18 +134,17 @@ def greedy_actions(q: QApproximator, feats: np.ndarray) -> np.ndarray:
     return actions[idx]
 
 
-def _prepare(transitions: Transitions, feature_map: FeatureMap, n_actions: Optional[int]):
+def _prepare(transitions: Transitions, feature_map: FeatureMap, n_actions: int):
     if not len(transitions):
         raise ValueError("transitions must be nonempty")
     if feature_map.dim == 0:
         raise ValueError("feature map has empty output; nothing to regress on")
     low, high = int(transitions.actions.min()), int(transitions.actions.max())
-    k = n_actions if n_actions is not None else high
-    if low < 1 or high > k:
-        raise ValueError(f"actions must lie in 1..{k}, got values from {low} to {high}")
+    if low < 1 or high > n_actions:
+        raise ValueError(f"actions must lie in 1..{n_actions}, got values from {low} to {high}")
     feats = feature_map.transform(transitions.states)
     feats_next = feature_map.transform(transitions.next_states)
-    return feats, feats_next, transitions.actions, transitions.utilities, k
+    return feats, feats_next, transitions.actions, transitions.utilities
 
 
 def fit_q_linear(
@@ -156,18 +155,18 @@ def fit_q_linear(
     alpha0: float = 0.05,
     beta: float = 10000.0,
     seed: int = 0,
-    n_actions: Optional[int] = None,
+    *,
+    n_actions: int,
 ) -> LinearQ:
     """Linear semi-gradient Q-learning from batch transitions.
 
     Runs ``epochs`` shuffled passes; the step size for the k-th update is
-    ``alpha0 / (1 + k / beta)``.  Weights start at zero.
+    ``alpha0 / (1 + k / beta)``.  Weights start at zero.  Actions must lie
+    in ``1..n_actions``; each level gets a weight vector.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    feats, feats_next, actions, utilities, n_act = _prepare(
-        transitions, feature_map, n_actions
-    )
+    feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
     x = np.column_stack([np.ones(len(feats)), feats])
     x_next = np.column_stack([np.ones(len(feats)), feats_next])
     # The loop is bound by interpreter and NumPy call overhead, not by
@@ -175,7 +174,7 @@ def fit_q_linear(
     # `@` per action rather than one stacked `W @ xn`, because a gemv rounds
     # differently from per-row dot products and the fits must stay bit for
     # bit.
-    ws = [np.zeros(x.shape[1]) for _ in range(n_act)]  # action a at index a - 1
+    ws = [np.zeros(x.shape[1]) for _ in range(n_actions)]  # action a at index a - 1
     acts, utils = actions.tolist(), utilities.tolist()
     rng = substream(seed)
     k = 0
@@ -199,24 +198,24 @@ def fit_q_nn(
     alpha0: float = 0.01,
     beta: float = 10000.0,
     seed: int = 0,
-    n_actions: Optional[int] = None,
+    *,
+    n_actions: int,
 ) -> NeuralQ:
     """Neural semi-gradient Q-learning from batch transitions.
 
     One network per action: sigmoid hidden layer of ``hidden_width`` units,
     linear output.  The bootstrap target is held fixed within each update.
+    Actions must lie in ``1..n_actions``; each level gets a network.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     if hidden_width < 1:
         raise ValueError(f"hidden_width must be >= 1, got {hidden_width}")
-    feats, feats_next, actions, utilities, n_act = _prepare(
-        transitions, feature_map, n_actions
-    )
+    feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
     f_dim = feats.shape[1]
     rng = substream(seed)
     w1s, w2s = [], []
-    for _ in range(n_act):
+    for _ in range(n_actions):
         lim1 = np.sqrt(6.0 / (f_dim + hidden_width))
         w1s.append(rng.uniform(-lim1, lim1, size=(hidden_width, f_dim)))
         lim2 = np.sqrt(6.0 / (hidden_width + 1))
@@ -228,12 +227,12 @@ def fit_q_nn(
     # network's on the BLAS this was checked with (tests/test_qlearn.py holds
     # the reference loop).
     stacked = [
-        (np.stack(w1s), np.zeros((n_act, 1, hidden_width))),
-        (np.stack(w2s)[:, None, :], np.zeros((n_act, 1, 1))),
+        (np.stack(w1s), np.zeros((n_actions, 1, hidden_width))),
+        (np.stack(w2s)[:, None, :], np.zeros((n_actions, 1, 1))),
     ]
     (w1, b1), (w2, b2) = stacked
     # per action, views of its slices; updates write through them
-    views = [(w1[a], b1[a, 0], w2[a, 0], b2[a, 0, 0, ...]) for a in range(n_act)]
+    views = [(w1[a], b1[a, 0], w2[a, 0], b2[a, 0, 0, ...]) for a in range(n_actions)]
     inputs = np.stack([feats_next, feats], axis=1)[:, :, None, None, :]
     # Lists and `@` for the reasons given in fit_q_linear.
     acts, utils = actions.tolist(), utilities.tolist()
@@ -256,7 +255,7 @@ def fit_q_nn(
             b2a += step
             k += 1
     return NeuralQ(
-        nets={a + 1: [(w1[a], b1[a, 0]), (w2[a, 0], b2[a, 0, 0])] for a in range(n_act)},
+        nets={a + 1: [(w1[a], b1[a, 0]), (w2[a, 0], b2[a, 0, 0])] for a in range(n_actions)},
         gamma=gamma,
     )
 

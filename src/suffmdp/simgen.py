@@ -1,4 +1,5 @@
-"""Synthetic decision-process generators used by the experiment harness.
+"""Synthetic decision-process generators used by the experiment harness,
+and the oracle feature maps known to be sufficient for them.
 
 The generative family has a 64-dimensional signal block, two action levels,
 and an index nonlinearity ``g`` (identity, ``min(u^2, 3)``, or
@@ -25,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .core import TrajectoryDataset, check_json_object
-from .features import CoordinateFeatureMap, FeatureMap, TruncatedGFeatureMap
+from .features import CoordinateFeatureMap, FeatureMap
 from .rng import substream
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "g_function",
     "sample_trajectories",
     "step_process",
+    "TruncatedGFeatureMap",
     "oracle_feature_map",
 ]
 
@@ -47,8 +48,8 @@ _G_KINDS = ("linear", "quad", "exp")
 
 
 def g_function(kind: str):
-    """The transition nonlinearity; ``identity`` is accepted for ``linear``."""
-    if kind in ("linear", "identity"):
+    """The transition nonlinearity of a model kind."""
+    if kind == "linear":
         return lambda u: np.asarray(u, dtype=np.float64)
     if kind == "quad":
         return lambda u: np.minimum(np.square(u), 3.0)
@@ -94,10 +95,6 @@ class GenerativeModelSpec:
     @property
     def state_dim(self) -> int:
         return self.signal_dim + self.n_dependent + self.n_white + self.n_constant
-
-    @property
-    def n_actions(self) -> int:
-        return 2
 
     # Column layout: [signal | dependent | white | constant], 0-based.
     @property
@@ -204,17 +201,16 @@ def sample_trajectories(
     spec: GenerativeModelSpec,
     n: int,
     horizon: int,
-    rng: Union[int, np.random.Generator],
+    rng: int,
 ) -> TrajectoryDataset:
     """Sample ``n`` i.i.d. trajectories of length ``horizon``.
 
-    ``rng`` is a generator or an integer seed of `rng.substream`.  Actions
-    are i.i.d. Bernoulli(0.5) over the two levels, stored as 1/2.
+    ``rng`` is an integer seed of `rng.substream`.  Actions are i.i.d.
+    Bernoulli(0.5) over the two levels, stored as 1/2.
     """
     if n < 1 or horizon < 1:
         raise ValueError("need n >= 1 and horizon >= 1")
-    if isinstance(rng, int):
-        rng = substream(rng)
+    rng = substream(rng)
     p = spec.state_dim
     states = np.empty((n, horizon + 1, p))
     actions = np.empty((n, horizon), dtype=np.int64)
@@ -230,6 +226,27 @@ def sample_trajectories(
         utilities=utilities,
         n_actions=2,
     )
+
+
+class TruncatedGFeatureMap(FeatureMap):
+    """Three-dimensional map ``(g(s1), g(s2), g(s3) + g(s4))`` for the model
+    kind ``g_kind``'s transition nonlinearity ``g``."""
+
+    def __init__(self, g_kind: str, input_dim: int):
+        if input_dim < 4:
+            raise ValueError("needs at least 4 state coordinates")
+        self.g_kind = g_kind
+        self.input_dim = int(input_dim)
+        self._g = g_function(g_kind)
+
+    @property
+    def dim(self) -> int:
+        return 3
+
+    def transform(self, states):
+        s = np.asarray(states, dtype=np.float64)
+        g = self._g(s[:, :4])
+        return np.column_stack([g[:, 0], g[:, 1], g[:, 2] + g[:, 3]])
 
 
 def oracle_feature_map(spec: GenerativeModelSpec, variant: str) -> FeatureMap:

@@ -33,7 +33,6 @@ from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
 
 def make_model(input_dim=3, feature_dim=2, hidden=4, depth=2, n_actions=2,
                seed=0, scale=1.0):
-    arch = Architecture(feature_dim=feature_dim, hidden_width=hidden, depth=depth)
     rng = substream(seed)
 
     def layers(widths):
@@ -43,7 +42,6 @@ def make_model(input_dim=3, feature_dim=2, hidden=4, depth=2, n_actions=2,
         ]
 
     return AdnnModel(
-        architecture=arch,
         feature_layers=layers([input_dim] + [hidden] * (depth - 1) + [feature_dim]),
         heads={a: layers([feature_dim] + [hidden] * (depth - 1) + [input_dim + 1])
                for a in range(1, n_actions + 1)},
@@ -84,9 +82,7 @@ class TestForward:
         assert np.array_equal(features_of(s, m), features_of(bumped, m))
 
     def test_single_layer_selection_is_activation_of_coordinate(self):
-        arch = Architecture(feature_dim=1, depth=1)
         model = AdnnModel(
-            architecture=arch,
             feature_layers=[(np.array([[1.0, 0.0, 0.0]]), np.zeros(1))],
             heads={1: [(np.zeros((4, 1)), np.zeros(4))], 2: [(np.zeros((4, 1)), np.zeros(4))]},
         )
@@ -102,10 +98,8 @@ class TestForward:
         assert np.allclose(predict_one(s, 1, m), predict_one(s, 2, m))
 
     def test_affine_head_with_zero_weights_returns_bias(self):
-        arch = Architecture(feature_dim=2, depth=1)
         bias = np.array([1.5, -2.0, 0.25])
         model = AdnnModel(
-            architecture=arch,
             feature_layers=[(np.eye(2), np.zeros(2))],
             heads={1: [(np.zeros((3, 2)), bias)]},
         )
@@ -148,9 +142,7 @@ class TestCost:
             np.concatenate([ds.states, ds.states], axis=2),
             ds.actions, ds.utilities, n_actions=1,
         )
-        arch = Architecture(feature_dim=2, depth=1)
         model = AdnnModel(
-            architecture=arch,
             feature_layers=[(np.array([[3.0, 4.0], [0.0, 0.0]]), np.zeros(2))],
             heads={1: [(np.zeros((3, 2)), np.zeros(3))]},
         )
@@ -164,9 +156,7 @@ class TestCost:
         utilities = np.full((3, 3), 2.5)
         actions = np.ones((3, 3), dtype=np.int64)
         ds = TrajectoryDataset(states, actions, utilities, n_actions=1)
-        arch = Architecture(feature_dim=1, depth=1)
         model = AdnnModel(
-            architecture=arch,
             feature_layers=[(np.zeros((1, 1)), np.zeros(1))],
             heads={1: [(np.zeros((2, 1)), np.array([2.5, 0.0]))]},
         )
@@ -191,7 +181,6 @@ def finite_difference_grads(s, y, model, lam, action, step=1e-5):
 
     def clone(m):
         return AdnnModel(
-            architecture=m.architecture,
             feature_layers=[(w.copy(), b.copy()) for w, b in m.feature_layers],
             heads={a: [(w.copy(), b.copy()) for w, b in ls] for a, ls in m.heads.items()},
         )
@@ -266,9 +255,7 @@ class TestSubgradient:
         utilities = np.full((2, 2), 1.0)
         actions = np.ones((2, 2), dtype=np.int64)
         ds = TrajectoryDataset(states, actions, utilities, n_actions=1)
-        arch = Architecture(feature_dim=1, depth=1)
         model = AdnnModel(
-            architecture=arch,
             feature_layers=[(np.zeros((1, 1)), np.zeros(1))],
             heads={1: [(np.zeros((2, 1)), np.array([1.0, 0.0]))]},
         )

@@ -57,6 +57,6 @@ def test_tnn_union_of_active_sets_and_summed_dimension():
         assert model.actions == [a]  # one head, trained on that action's rows
         union.update(active)
     assert result.variables == sorted(union)
-    assert result.feature_dim == sum(dim for _, dim, _ in result.per_action.values())
-    assert result.feature_map.dim == result.feature_dim
-    assert result.feature_map.transform(ds.states[:, 0]).shape == (20, result.feature_dim)
+    dim = result.feature_map.dim
+    assert dim == sum(d for _, d, _ in result.per_action.values())
+    assert result.feature_map.transform(ds.states[:, 0]).shape == (20, dim)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from suffmdp import adnn, cli
+from suffmdp import adnn, cli, experiment
 from suffmdp.adnn import FitConfig, PipelineConfig
 from suffmdp.core import config_from_jsonable
 from suffmdp.experiment import ExperimentConfig
@@ -264,7 +264,7 @@ class TestExitCodes:
          ("qlearn-linear", "model.json", lambda m: dict(m, layers=[5]),
           "network layer must be a JSON object"),
          ("evaluate", "model.json", lambda m: {"kind": "concat", "parts": [m, 5]},
-          "feature map must be a JSON object"),
+          "unknown feature map kind 'concat'"),
          ("evaluate", "q_nn.json", lambda q: [q], "Q approximator must be a JSON object"),
          ("evaluate", "q_nn.json", lambda q: dict(q, nets=5),
           "key 'nets' of neural Q approximator must be of type dict"),
@@ -276,18 +276,66 @@ class TestExitCodes:
           lambda m: dict(m, input_indices=m["input_indices"][:-1] + [-1]), "outside 0..63"),
          ("qlearn-linear", "model.json",
           lambda m: dict(m, layers=[dict(m["layers"][0], weights=[[{}]])]),
-          "network layer weights must hold numbers only")],
+          "network layer weights must hold numbers only"),
+         ("qlearn-linear", "model.json",
+          lambda m: dict(m, input_indices=m["input_indices"][:-1] + [{}]),
+          "input_indices must be integers"),
+         # int() would read 59.7 as column 59
+         ("qlearn-linear", "model.json",
+          lambda m: dict(m, input_indices=m["input_indices"][:-1] + [59.7]),
+          "input_indices must be integers"),
+         # numpy would read each true as 1.0
+         ("qlearn-linear", "model.json",
+          lambda m: dict(m, layers=[dict(m["layers"][0],
+                                         weights=[m["layers"][0]["weights"][0][:-1] + [True]])]),
+          "network layer weights must hold numbers only"),
+         ("evaluate", "q_nn.json",
+          lambda q: {"kind": "linear", "gamma": q["gamma"], "weights": {"1": [0.5, True]}},
+          "linear Q weights must hold numbers only")],
         ids=["qlearn-arctan", "evaluate-arctan", "qlearn-no-layers", "evaluate-no-nets",
              "qlearn-model-list", "qlearn-layers-number", "qlearn-layer-weights-number",
              "qlearn-layer-number", "evaluate-concat-part-number", "evaluate-q-list",
              "evaluate-nets-number", "evaluate-action-net-number", "qlearn-index-99",
-             "qlearn-index-negative", "qlearn-layer-weights-object"])
+             "qlearn-index-negative", "qlearn-layer-weights-object", "qlearn-index-object",
+             "qlearn-index-float", "qlearn-layer-weights-bool", "evaluate-linear-q-weights-bool"])
     def test_bad_stored_model_gives_1(self, inputs, command, stored, edit, message, capsys):
         payload = edit(json.loads((GOLDEN / stored).read_text()))
         (inputs / "bad.json").write_text(json.dumps(payload))
         argv = dict((r[0], r[1]) for r in RUNS)[command].replace(
             "{golden}/" + stored, "{in}/bad.json")
         assert run(argv, inputs) == 1
+        assert message in capsys.readouterr().err
+
+    def test_map_of_another_state_width_gives_1(self, inputs, tmp_path, capsys):
+        # the stored map reads 64 state columns
+        rows = (GOLDEN / "data.csv").read_text().splitlines()
+        cut = "".join(",".join(row.split(",")[:4 + 10]) + "\n" for row in rows)
+        (tmp_path / "narrow.csv").write_text(cut)
+        argv = dict((r[0], r[1]) for r in RUNS)["qlearn-linear"].replace(
+            "{golden}/data.csv", "narrow.csv")
+        assert run(argv, inputs) == 1
+        assert "states of 64 columns, got 10" in capsys.readouterr().err
+
+        (inputs / "narrow.json").write_text(json.dumps(dict(GEN_SPEC, signal_dim=16)))
+        argv = dict((r[0], r[1]) for r in RUNS)["evaluate"].replace(
+            "{in}/gen.json", "{in}/narrow.json")
+        assert run(argv, inputs) == 1
+        assert "states of 64 columns, got 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--replicates 0", "replicates must be >= 1"),
+         ("--replicates -2", "replicates must be >= 1"),
+         ("--threads 0", "threads must be >= 1"),
+         ("--threads -3", "threads must be >= 1")],
+        ids=["replicates-zero", "replicates-negative", "threads-zero", "threads-negative"])
+    def test_experiment_count_below_one_gives_1(self, inputs, flag, message, capsys,
+                                                monkeypatch):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(experiment, "_run_replicate", no_replicate)
+        assert run(f"experiment --config {{in}}/experiment.json {flag}", inputs) == 1
         assert message in capsys.readouterr().err
 
     def test_runtime_failure_gives_2(self, inputs, monkeypatch):

@@ -9,12 +9,12 @@ from suffmdp.features import (
     IdentityFeatureMap,
     LinearFeatureMap,
     NetworkFeatureMap,
-    TruncatedGFeatureMap,
     _sigmoid as sigmoid,
     feature_map_from_jsonable,
     mlp_forward,
 )
 from suffmdp.rng import substream
+from suffmdp.simgen import TruncatedGFeatureMap
 
 
 def random_network(seed=0, input_dim=5, widths=(4, 3), input_indices=None, full_dim=None):
@@ -67,7 +67,7 @@ class TestNetworkMap:
         assert np.all((out > 0) & (out < 1))
 
     def test_input_indices_select_columns(self):
-        fm = random_network(input_indices=[2, 4, 6, 1, 0], full_dim=8)
+        fm = random_network(input_indices=np.array([2, 4, 6, 1, 0]), full_dim=8)
         x = substream(2).normal(size=(7, 8))
         direct = random_network().transform(x[:, [2, 4, 6, 1, 0]])
         assert np.allclose(fm.transform(x), direct)
@@ -80,6 +80,18 @@ class TestNetworkMap:
     def test_index_outside_input_dim_rejected(self, bad):
         with pytest.raises(ValueError, match=r"outside 0\.\.7"):
             random_network(input_indices=[0, 1, 2, 3, bad], full_dim=8)
+
+    # int() would truncate 5.7 to column 5 and read True as column 1
+    @pytest.mark.parametrize("bad", [5.7, True, {}], ids=["float", "bool", "object"])
+    def test_index_not_integer_rejected(self, bad):
+        with pytest.raises(ValueError, match="input_indices must be integers"):
+            random_network(input_indices=[0, 2, 3, 4, bad], full_dim=8)
+
+    @pytest.mark.parametrize("width", [5, 9])
+    def test_state_width_must_be_input_dim(self, width):
+        fm = random_network(input_indices=[2, 4, 6, 1, 0], full_dim=8)
+        with pytest.raises(ValueError, match=f"states of 8 columns, got {width}"):
+            fm.transform(np.zeros((3, width)))
 
 
 def test_mlp_one_dimensional_last_weight_gives_one_value_per_row():
@@ -126,28 +138,27 @@ class TestOtherMaps:
 class TestSerialization:
     @pytest.mark.parametrize(
         "fm",
-        [
-            IdentityFeatureMap(4),
-            CoordinateFeatureMap(5, [1, 3]),
-            LinearFeatureMap(np.array([[0.5, -1.0]]), np.array([0.25])),
-            random_network(),
-            random_network(input_indices=[0, 2, 3, 5, 7], full_dim=9),
-            TruncatedGFeatureMap("exp", 8),
-            ConcatFeatureMap([IdentityFeatureMap(3), CoordinateFeatureMap(3, [2])]),
-        ],
-    )
+        [random_network(), random_network(input_indices=[0, 2, 3, 5, 7], full_dim=9)],
+        ids=["network", "network-column-subset"])
     def test_json_round_trip(self, fm):
-        rng = substream(7)
         loaded = feature_map_from_jsonable(fm.to_jsonable())
-        if isinstance(fm, LinearFeatureMap):
-            dim_in = fm.weights.shape[1]
-        elif isinstance(fm, ConcatFeatureMap):
-            dim_in = 3
-        else:
-            dim_in = fm.input_dim
-        x = rng.normal(size=(4, dim_in))
+        x = substream(7).normal(size=(4, fm.input_dim))
         assert loaded.dim == fm.dim
         assert np.allclose(loaded.transform(x), fm.transform(x))
+
+    # the JSON forms that the other maps used to write; no map but the
+    # network is stored
+    @pytest.mark.parametrize(
+        "data",
+        [{"kind": "identity", "input_dim": 4},
+         {"kind": "coordinates", "input_dim": 5, "indices": [1, 3]},
+         {"kind": "linear", "weights": [[0.5, -1.0]], "offset": [0.25]},
+         {"kind": "oracle3", "g_kind": "exp", "input_dim": 8},
+         {"kind": "concat", "parts": [{"kind": "identity", "input_dim": 3}]}],
+        ids=["identity", "coordinates", "linear", "oracle3", "concat"])
+    def test_stored_kind_must_be_network(self, data):
+        with pytest.raises(ValueError, match=f"unknown feature map kind '{data['kind']}'"):
+            feature_map_from_jsonable(data)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -155,29 +166,30 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "data,message",
-        [([{"kind": "identity", "input_dim": 3}], "feature map must be a JSON object, got"),
-         ({"kind": ["identity"]}, "unknown feature map kind"),
-         ({"kind": "concat", "parts": 5}, "key 'parts' of concat feature map must be of type tuple"),
-         ({"kind": "concat", "parts": [{"kind": "identity", "input_dim": 3}, "x"]},
-          "feature map must be a JSON object, got 'x'"),
-         ({"kind": "linear", "weights": 5, "offset": [0.0]},
-          "key 'weights' of linear feature map must be of type tuple"),
-         ({"kind": "identity", "input_dim": "3"},
-          "key 'input_dim' of identity feature map must be of type int"),
-         ({"kind": "identity", "input_dim": 3, "layers": []},
-          "unknown key 'layers' for identity feature map"),
+        [([network_json()], "feature map must be a JSON object, got"),
+         ({"kind": ["network"]}, "unknown feature map kind"),
+         ({"kind": "concat", "parts": 5}, "unknown feature map kind 'concat'"),
+         ({"kind": "concat", "parts": [network_json(), "x"]}, "unknown feature map kind 'concat'"),
+         (network_json(weights=5), "key 'weights' of network layer must be of type tuple"),
+         (dict(network_json(), input_dim="2"),
+          "key 'input_dim' of network feature map must be of type int"),
+         (dict(network_json(), offset=[0.0]), "unknown key 'offset' for network feature map"),
          ({"kind": "linear", "weights": [[{}, 1.0]], "offset": [0.0]},
-          "linear feature map weights must hold numbers only"),
+          "unknown feature map kind 'linear'"),
          ({"kind": "linear", "weights": [[0.5, -1.0]], "offset": ["0"]},
-          "linear feature map offset must hold numbers only"),
+          "unknown feature map kind 'linear'"),
          (network_json(weights=[[{}, 1.0]]), "network layer weights must hold numbers only"),
          (network_json(bias=[None]), "network layer bias must hold numbers only"),
          (network_json(weights=[[0.5, 1.0], [0.5]]),
-          "network layer weights must hold numbers only")],
+          "network layer weights must hold numbers only"),
+         # numpy would read each true as 1.0
+         (network_json(weights=[[0.5, True]]), "network layer weights must hold numbers only"),
+         (network_json(weights=[[0.5, 1.0], [0.5, 1.0]], bias=[0.0, True]),
+          "network layer bias must hold numbers only")],
         ids=["list", "list-kind", "parts-number", "part-string", "weights-number",
              "input-dim-string", "unknown-key", "linear-weights-object",
              "linear-offset-string", "network-weights-object", "network-bias-null",
-             "network-weights-ragged"])
+             "network-weights-ragged", "network-weights-bool", "network-bias-bool"])
     def test_wrong_json_kind_rejected(self, data, message):
         with pytest.raises(ValueError, match=message):
             feature_map_from_jsonable(data)
@@ -197,8 +209,8 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"network feature map JSON has no key '{key}'"):
             feature_map_from_jsonable(data)
 
-    def test_missing_key_in_concat_part_named(self):
-        data = ConcatFeatureMap([IdentityFeatureMap(3), CoordinateFeatureMap(3, [2])]).to_jsonable()
-        del data["parts"][1]["indices"]
-        with pytest.raises(ValueError, match="coordinates feature map JSON has no key 'indices'"):
+    def test_missing_key_in_network_layer_named(self):
+        data = random_network().to_jsonable()
+        del data["layers"][1]["bias"]
+        with pytest.raises(ValueError, match="network feature map JSON has no key 'bias'"):
             feature_map_from_jsonable(data)

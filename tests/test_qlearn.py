@@ -80,9 +80,16 @@ def test_missing_q_key_named(data, message):
      ({"kind": "linear", "gamma": 0.9, "weights": {"1": [0.5, None]}},
       "linear Q weights must hold numbers only"),
      ({"kind": "linear", "gamma": 0.9, "weights": {"1": ["0.5", 1.0]}},
-      "linear Q weights must hold numbers only")],
+      "linear Q weights must hold numbers only"),
+     # numpy would read the true as 1.0
+     ({"kind": "linear", "gamma": 0.9, "weights": {"1": [0.5, True]}},
+      "linear Q weights must hold numbers only"),
+     ({"kind": "neural", "gamma": 0.9,
+       "nets": {"1": [{"weights": [[0.5, True]], "bias": [0.0]}]}},
+      "network layer weights must hold numbers only")],
     ids=["list", "linear-weights", "action-weights", "gamma", "layer", "unknown-key",
-         "weights-object", "weights-null", "weights-string"])
+         "weights-object", "weights-null", "weights-string", "weights-bool",
+         "layer-weights-bool"])
 def test_wrong_json_kind_rejected(data, message):
     with pytest.raises(ValueError, match=message):
         q_approximator_from_jsonable(data)
@@ -126,7 +133,8 @@ def test_fit_q_linear_moves_toward_fixed_point():
     target = u / (1 - gamma)
     errors = []
     for epochs in (1, 5, 20, 60):
-        q = fit_q_linear(tr, IdentityFeatureMap(1), gamma=gamma, epochs=epochs, seed=0)
+        q = fit_q_linear(tr, IdentityFeatureMap(1), gamma=gamma, epochs=epochs, seed=0,
+                         n_actions=1)
         value = float(q.action_values(np.zeros((1, 1)))[0, 0])
         assert 0.0 < value < target
         errors.append(target - value)
@@ -143,7 +151,7 @@ def test_fit_q_nn_moves_toward_fixed_point():
     errors = []
     for epochs in (1, 5, 20, 60):
         q = fit_q_nn(tr, IdentityFeatureMap(1), gamma=gamma, hidden_width=3, epochs=epochs,
-                     seed=0)
+                     seed=0, n_actions=1)
         errors.append(abs(target - float(q.action_values(np.zeros((1, 1)))[0, 0])))
     assert errors == sorted(errors, reverse=True)
     assert errors[-1] < 0.05 * target
@@ -155,7 +163,7 @@ def test_fit_q_nn_prefers_the_rewarded_action():
     ds = TrajectoryDataset(states=rng.standard_normal((20, 6, 2)), actions=actions,
                            utilities=(actions == 2).astype(float), n_actions=2)
     q = fit_q_nn(flatten_transitions(ds), IdentityFeatureMap(2), gamma=0.5, hidden_width=4,
-                 epochs=5, seed=1)
+                 epochs=5, seed=1, n_actions=2)
     assert isinstance(q, NeuralQ) and q.actions == [1, 2]
     assert (greedy_actions(q, rng.standard_normal((50, 2))) == 2).all()
 
@@ -168,7 +176,7 @@ def _transitions(actions):
 
 
 @pytest.mark.parametrize("fit", [fit_q_linear, fit_q_nn], ids=["linear", "nn"])
-@pytest.mark.parametrize("actions,n_actions", [([1, 0, 2], None), ([1, 2, 2], 1)],
+@pytest.mark.parametrize("actions,n_actions", [([1, 0, 2], 2), ([1, 2, 2], 1)],
                          ids=["action-zero", "above-n-actions"])
 def test_actions_outside_range_rejected(fit, actions, n_actions):
     with pytest.raises(ValueError, match="actions must lie in 1.."):

@@ -69,7 +69,6 @@ class TestGFunction:
     def test_linear_is_identity(self):
         x = np.array([-2.0, 0.0, 5.0])
         assert np.array_equal(g_function("linear")(x), x)
-        assert np.array_equal(g_function("identity")(x), x)
 
     def test_truncations_never_exceed_three(self):
         x = np.linspace(-4, 4, 101)
