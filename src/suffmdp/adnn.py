@@ -10,13 +10,14 @@ Fitting works on the row-stacked steps of ``core.flatten_transitions``, and
 the shared network and a head run forward and backward as one network
 through ``features.mlp_forward`` and ``features.mlp_backward``.
 
-There is one training loop.  It trains replicas ``(training data, lam,
-seed)`` of one architecture in lock step, their parameters stacked on a
-leading replica axis, and every replica gets the parameters a lone fit with
-its data, penalty and seed would get.  `fit_adnn` is its one-replica call;
-cross-validation trains every (fold, penalty) replica of one (width, depth)
-in one call, and the penalties of one fold share their initialisation and
-minibatch draws.
+There is one training loop.  It takes fits ``(training data, seed)`` of one
+architecture and a list of penalties, and trains every (fit, penalty)
+replica in lock step, their parameters stacked on a leading replica axis.
+Each fit draws its initialisation and minibatch rows once, for all the
+penalties, so every replica takes the steps a lone fit with its data,
+penalty and seed would take.  `fit_adnn` is the call with one fit and one
+penalty; cross-validation makes one call per (width, depth), with the
+training folds as fits.
 
 The fit criterion is penalized least squares
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .core import TrajectoryDataset, Transitions, flatten_transitions
 from .dcov import TestReport, draw_permuted_side, stratified_pooled_test
-from .features import NetworkFeatureMap, mlp_backward, mlp_forward
+from .features import NetworkFeatureMap, init_layers, mlp_backward, mlp_forward, stack_layers
 from .rng import derive_seed, substream
 from .screening import ScreenResult, screen
 
@@ -182,17 +183,10 @@ class AdnnModel:
 
 def _init_model(arch: Architecture, state_dim: int, actions: Sequence[int],
                 rng: np.random.Generator) -> AdnnModel:
-    def init_layers(widths):
-        layers = []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-            layers.append((w, np.zeros(fan_out)))
-        return layers
-
     hidden = [arch.hidden_width] * (arch.depth - 1)
-    feature_layers = init_layers([state_dim] + hidden + [arch.feature_dim])
-    heads = {a: init_layers([arch.feature_dim] + hidden + [state_dim + 1]) for a in sorted(actions)}
+    feature_layers = init_layers([state_dim] + hidden + [arch.feature_dim], rng)
+    heads = {a: init_layers([arch.feature_dim] + hidden + [state_dim + 1], rng)
+             for a in sorted(actions)}
     return AdnnModel(feature_layers=feature_layers, heads=heads)
 
 
@@ -265,21 +259,11 @@ def _batch_gradients(s, y, constants, model, action):
 
 
 def _stack(models: Sequence[AdnnModel]) -> AdnnModel:
-    """One model holding ``models`` on a leading replica axis.
-
-    Biases are stacked as ``(R, 1, out)`` so that they broadcast over the row
-    axis of ``(R, rows, in)`` inputs in `features.mlp_forward`.
-    """
-    def stack(layer_lists):
-        return [
-            (np.stack([w for w, _ in layer]), np.stack([b for _, b in layer])[:, None, :])
-            for layer in zip(*layer_lists)
-        ]
-
-    first = models[0]
+    """One model holding ``models`` on a leading replica axis (see
+    `features.stack_layers`)."""
     return AdnnModel(
-        feature_layers=stack([m.feature_layers for m in models]),
-        heads={a: stack([m.heads[a] for m in models]) for a in first.heads},
+        feature_layers=stack_layers([m.feature_layers for m in models]),
+        heads={a: stack_layers([m.heads[a] for m in models]) for a in models[0].heads},
     )
 
 
@@ -294,29 +278,31 @@ def _replica(stacked: AdnnModel, r: int) -> AdnnModel:
     )
 
 
-def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
-    """Train replicas ``(train dataset, lam, seed)`` of one architecture in lock step.
+def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
+    """Train every fit ``(train dataset, seed)`` under every penalty in
+    ``lams``, in lock step.
 
-    The replicas' data share one state dimension, which sets the input and
-    response widths.  Every replica follows the training of a lone
-    ``fit_adnn(data, arch, cfg, lam=lam, seed=seed)`` call: it draws its
-    initialisation and then, per iteration and action, its minibatch rows
-    from ``substream(seed)`` in the same order.  Replicas with equal seeds and
-    equal per-action row counts would draw identical values, so they share
-    one stream and one draw per step.  Each step gathers every replica's
-    batch into one ``(R, max take, .)`` array, padded with a zero row, and
-    descends on all replicas at once.  Returns one model per replica, in
+    Replica ``d * len(lams) + l`` is fit ``d`` under ``lams[l]``.  The fits'
+    data share one state dimension, which sets the input and response
+    widths.  Every replica follows the training of a lone ``fit_adnn(data,
+    arch, cfg, lam=lam, seed=seed)`` call.  A fit draws its initialisation
+    and then, per iteration and action, its minibatch rows from
+    ``substream(seed)``, once for all its penalties.  Each step gathers
+    every replica's batch from the action's pool, where each fit's rows
+    appear once, into one ``(R, max take, .)`` array padded with a zero row,
+    and descends on all replicas at once.  A replica whose batches are
+    padded can end a few ulps from the lone fit, because the padded gradient
+    may sum its rows in another order.  Returns one model per replica, in
     order, each with its own cost trace; a non-finite cost in any replica
     raises `ConvergenceError`.
     """
-    n_actions, state_dim = replicas[0][0].n_actions, replicas[0][0].state_dim
-    actions = sorted(actions_subset) if actions_subset is not None else list(
-        range(1, n_actions + 1)
-    )
-    lams, data, action_rows = [], [], []
-    for train, lam, _ in replicas:
+    n_actions, state_dim = fits[0][0].n_actions, fits[0][0].state_dim
+    actions = list(range(1, n_actions + 1)) if actions_subset is None else sorted(actions_subset)
+    for lam in lams:
         _check_lam(lam)
-        lams.append(float(lam))
+    n_lams = len(lams)
+    data, action_rows = [], []
+    for train, _ in fits:
         tr = flatten_transitions(train)
         data.append((tr, tr.responses, train.n_subjects))
         rows_by_action = {}
@@ -332,56 +318,46 @@ def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
             rows_by_action[a] = rows
         action_rows.append(rows_by_action)
 
-    # per action: every replica's rows of that action end to end, then one
-    # zero row that pads the shorter batches
-    sizes, takes, offsets, pools, pad_index = {}, {}, {}, {}, {}
+    # per action: every fit's rows end to end, then a zero row that pads the
+    # shorter batches; index[a][d, l] is replica d * n_lams + l's batch
+    draws, pools, index, constants = {}, {}, {}, {}
     for a in actions:
-        sizes[a] = np.array([rows[a].size for rows in action_rows])
-        takes[a] = (cfg.batch_fraction * sizes[a]).astype(np.int64)
-        offsets[a] = np.cumsum(sizes[a]) - sizes[a]
+        sizes = np.array([rows[a].size for rows in action_rows])
+        takes = (cfg.batch_fraction * sizes).astype(np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        draws[a] = list(zip(sizes.tolist(), takes.tolist(), offsets.tolist()))
         states = [tr.states[rows[a]] for (tr, _, _), rows in zip(data, action_rows)]
         responses = [y[rows[a]] for (_, y, _), rows in zip(data, action_rows)]
         pools[a] = (
             np.concatenate(states + [np.zeros((1, state_dim))]),
             np.concatenate(responses + [np.zeros((1, state_dim + 1))]),
         )
-        pad_index[a] = np.full((len(replicas), takes[a].max()), sizes[a].sum())
-    constants = {a: _batch_constants(takes[a], lams) for a in actions}
+        index[a] = np.full((len(fits), n_lams, takes.max()), sizes.sum())
+        constants[a] = _batch_constants(np.repeat(takes, n_lams), list(lams) * len(fits))
 
-    # a replica's draws depend only on its seed and its per-action row
-    # counts, so replicas equal in both share one stream
-    groups = {}
-    for r, (_, _, seed) in enumerate(replicas):
-        groups.setdefault((seed,) + tuple(int(sizes[a][r]) for a in actions), []).append(r)
-    streams, inits = [], [None] * len(replicas)
-    for (seed, *_), members in groups.items():
-        rng = substream(seed)
-        init = _init_model(arch, state_dim, actions, rng)
-        for r in members:
-            inits[r] = init
-        # per action: population and batch size, and where its rows start
-        draws = {a: (int(sizes[a][r]), int(takes[a][r]), offsets[a][members, None])
-                 for a in actions}
-        streams.append((rng, np.array(members), draws))
-    model = _stack(inits)
+    rngs = [substream(seed) for _, seed in fits]
+    inits = [_init_model(arch, state_dim, actions, rng) for rng in rngs]
+    model = _stack([init for init in inits for _ in lams])
 
-    traces = [[] for _ in replicas]
+    traces = [[] for _ in range(len(fits) * n_lams)]
 
     def record_costs():
-        for r, ((tr, y, n), trace) in enumerate(zip(data, traces)):
-            trace.append(_costs_by_action(tr, y, n, _replica(model, r), lams[r], actions))
+        for r, trace in enumerate(traces):
+            tr, y, n = data[r // n_lams]
+            trace.append(_costs_by_action(tr, y, n, _replica(model, r), lams[r % n_lams],
+                                          actions))
 
     record_costs()
     for b in range(1, cfg.n_max + 1):
         alpha = cfg.step_size(b)
         for a in actions:
-            index = pad_index[a].copy()
-            for rng, members, draws in streams:
-                n, take, offset = draws[a]
-                index[members, :take] = offset + rng.choice(n, size=take, replace=False)
+            batches = index[a]
+            for rng, batch, (n, take, offset) in zip(rngs, batches, draws[a]):
+                batch[:, :take] = offset + rng.choice(n, size=take, replace=False)
+            rows = batches.reshape(len(traces), -1)
             states, responses = pools[a]
             f_grads, h_grads = _batch_gradients(
-                states.take(index, axis=0), responses.take(index, axis=0), constants[a],
+                states.take(rows, axis=0), responses.take(rows, axis=0), constants[a],
                 model, a,
             )
             # in place: the stacked arrays are the trainer's own (see _stack)
@@ -397,12 +373,7 @@ def _train_replicas(arch, cfg, replicas, actions_subset=None) -> list:
                 f"training diverged at iteration {b}: non-finite cost"
             )
 
-    fitted = []
-    for r, trace in enumerate(traces):
-        replica = _replica(model, r)
-        replica.trace = trace
-        fitted.append(replica)
-    return fitted
+    return [dataclasses.replace(_replica(model, r), trace=t) for r, t in enumerate(traces)]
 
 
 def fit_adnn(
@@ -427,16 +398,16 @@ def fit_adnn(
     and seed reproduce the fitted parameters bit for bit, whatever
     ``check_every`` is.
 
-    This is the one-replica call of the lock-step trainer that
-    `cross_validate_adnn` runs on all its fits of one shape; a replica
-    trained there has the parameters this function returns for its data,
-    penalty and seed.
+    This is the one-fit, one-penalty call of the lock-step trainer that
+    `cross_validate_adnn` runs on all its folds and penalties of one shape;
+    a replica trained there takes the steps this function takes for its
+    data, penalty and seed.
 
     ``actions_subset`` trains heads for a subset of action levels only
     (used by the per-action baseline); transitions with other actions are
     ignored.
     """
-    return _train_replicas(arch, cfg, [(ds, lam, seed)], actions_subset)[0]
+    return _train_replicas(arch, cfg, [(ds, seed)], [lam], actions_subset)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +450,16 @@ def cross_validate_adnn(
     their initialisation and minibatch streams, duplicate cells score
     identically, and scores do not depend on grid order.
 
-    All (fold, penalty) replicas of one (width, depth) train in lock step in
-    one call of the trainer behind `fit_adnn`.  Each replica ends with the
-    parameters of ``fit_adnn(train fold, Architecture(feature_dim, width,
-    depth), cfg, lam=lam, seed=derive_seed(seed, width, depth, fold))``; the
-    penalties of one fold draw their initialisation and each step's
-    minibatch rows once, together.  A duplicate cell trains once.  A penalty
-    below zero raises ValueError, and a non-finite cost in any replica
-    raises `ConvergenceError`.
+    Each (width, depth) is one call of the trainer behind `fit_adnn`: its
+    fits are the training folds, each seeded ``derive_seed(seed, width,
+    depth, fold)``, and its penalties are the shape's distinct ``lam``
+    values.  Every (fold, penalty) replica trains in lock step and takes the
+    steps of ``fit_adnn(train fold, Architecture(feature_dim, width,
+    depth), cfg, lam=lam, seed=derive_seed(seed, width, depth, fold))``,
+    up to the rounding of padded batches; a fold draws its initialisation
+    and each step's minibatch rows once, for all its penalties.  A duplicate
+    cell trains once.  A penalty below zero raises ValueError, and a
+    non-finite cost in any replica raises `ConvergenceError`.
     """
     cells = list(grid)
     if not cells:
@@ -501,8 +474,8 @@ def cross_validate_adnn(
         (np.setdiff1d(perm, members), members) for members in fold_members
     ]
 
-    # every (fold, lam) replica of one (width, depth) trains in one call;
-    # seeds are keyed by (width, depth, fold), not lam
+    # one trainer call per (width, depth) over its folds and distinct
+    # penalties; seeds are keyed by (width, depth, fold), not lam
     shapes = {}
     for width, depth, lam in cells:
         lams = shapes.setdefault((width, depth), [])
@@ -516,12 +489,9 @@ def cross_validate_adnn(
     cell_scores = {}
     for (width, depth), lams in shapes.items():
         arch = Architecture(feature_dim, width, depth)
-        replicas = [
-            (train, lam, derive_seed(seed, width, depth, fi))
-            for fi, (train, _, _) in enumerate(folds_data)
-            for lam in lams
-        ]
-        models = _train_replicas(arch, cfg, replicas, actions_subset)
+        fits = [(train, derive_seed(seed, width, depth, fi))
+                for fi, (train, _, _) in enumerate(folds_data)]
+        models = _train_replicas(arch, cfg, fits, lams, actions_subset)
         for k, lam in enumerate(lams):
             fold_errors = []
             for fi, (_, tr, n_valid) in enumerate(folds_data):

@@ -28,6 +28,8 @@ or missing key or a value of the wrong JSON kind.  They also include:
   (``qlearn``) or of the generative model (``evaluate``);
 - stored input indices that are not integers;
 - a boolean among network weights, biases or linear-Q weights;
+- a Q approximator whose actions are not the generative model's 1 and 2
+  (``evaluate``), and an experiment method listed twice;
 - an experiment's ``replicates``, or a set ``threads``, below 1.
 
 All randomness flows from the seed (``--seed``, or a config file's);
@@ -177,13 +179,12 @@ def _cmd_construct(args) -> int:
     flags = {"tau": args.tau, "n_permutations": args.perms, "seed": args.seed}
     config = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     result = construct_sufficient_features(ds, config)
-    if result.feature_map is None:
+    if args.out_report:
         _write_json(args.out_report, result.to_jsonable())
+    if result.feature_map is None:
         print("screening selected no variables; no model written", file=sys.stderr)
         return 0
     _write_json(args.out_model, result.feature_map.to_jsonable())
-    if args.out_report:
-        _write_json(args.out_report, result.to_jsonable())
     if args.out_weights:
         _write_weights_csv(args.out_weights, result)
     return 0

@@ -59,7 +59,8 @@ def resolve_threads(threads: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Harness settings; method names are matched case-insensitively.
+    """Harness settings; method names are matched case-insensitively, and
+    each may be listed once.
 
     Each replicate's pipeline seed derives from ``master_seed``, so
     ``pipeline.seed`` must keep its default.  ``threads`` is the number of
@@ -85,14 +86,15 @@ class ExperimentConfig:
     threads: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "feature_methods", tuple(m.lower() for m in self.feature_methods))
-        object.__setattr__(self, "q_methods", tuple(m.lower() for m in self.q_methods))
-        for m in self.feature_methods:
-            if m not in FEATURE_METHODS:
-                raise ValueError(f"unknown feature method {m!r}")
-        for m in self.q_methods:
-            if m not in Q_METHODS:
-                raise ValueError(f"unknown Q method {m!r}")
+        for name, kind, known in (("feature_methods", "feature", FEATURE_METHODS),
+                                  ("q_methods", "Q", Q_METHODS)):
+            methods = tuple(m.lower() for m in getattr(self, name))
+            object.__setattr__(self, name, methods)
+            for i, m in enumerate(methods):
+                if m not in known:
+                    raise ValueError(f"unknown {kind} method {m!r}")
+                if m in methods[:i]:
+                    raise ValueError(f"{kind} method {m!r} is listed twice")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.threads is not None and self.threads < 1:

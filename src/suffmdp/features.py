@@ -19,6 +19,8 @@ from .core import check_json_object
 __all__ = [
     "mlp_forward",
     "mlp_backward",
+    "init_layers",
+    "stack_layers",
     "layers_to_jsonable",
     "layers_from_jsonable",
     "FeatureMap",
@@ -84,6 +86,28 @@ def mlp_backward(cache, layers, delta):
         if i:
             delta = dz @ layers[i][0]
     return grads
+
+
+def init_layers(widths, rng: np.random.Generator) -> list:
+    """Glorot-uniform ``(W, b)`` layers through ``widths``, biases zero: each
+    ``(out, in)`` weight in turn from ``rng.uniform(-lim, lim)``, where
+    ``lim = sqrt(6 / (in + out))``."""
+    layers = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+        layers.append((w, np.zeros(fan_out)))
+    return layers
+
+
+def stack_layers(layer_lists) -> list:
+    """``R`` networks' ``(W, b)`` layers, one shape, as new arrays on a leading
+    axis: weights ``(R, out, in)``, and biases ``(R, 1, out)`` so that they
+    broadcast over the rows of ``(R, rows, in)`` inputs in `mlp_forward`."""
+    return [
+        (np.stack([w for w, _ in layer]), np.stack([b for _, b in layer])[:, None, :])
+        for layer in zip(*layer_lists)
+    ]
 
 
 def layers_to_jsonable(layers) -> list:

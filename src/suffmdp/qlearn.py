@@ -25,10 +25,10 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .core import Transitions, check_json_object
-from .features import (FeatureMap, float_array_from_jsonable, layers_from_jsonable,
-                       layers_to_jsonable, mlp_forward)
+from .features import (FeatureMap, float_array_from_jsonable, init_layers,
+                       layers_from_jsonable, layers_to_jsonable, mlp_forward, stack_layers)
 from .rng import substream
-from .simgen import GenerativeModelSpec, step_process
+from .simgen import ACTIONS, GenerativeModelSpec, step_process
 
 __all__ = [
     "LinearQ",
@@ -212,24 +212,17 @@ def fit_q_nn(
     if hidden_width < 1:
         raise ValueError(f"hidden_width must be >= 1, got {hidden_width}")
     feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
-    f_dim = feats.shape[1]
     rng = substream(seed)
-    w1s, w2s = [], []
-    for _ in range(n_actions):
-        lim1 = np.sqrt(6.0 / (f_dim + hidden_width))
-        w1s.append(rng.uniform(-lim1, lim1, size=(hidden_width, f_dim)))
-        lim2 = np.sqrt(6.0 / (hidden_width + 1))
-        w2s.append(rng.uniform(-lim2, lim2, size=hidden_width))
-    # Every action's network on a leading axis, action a at index a - 1, so
-    # that one rank-generic forward pass per update runs the next state and
-    # the state through all of them: (2, 1, 1, f) inputs against (k, f, h)
-    # weights.  Each product is still one row, so it rounds like the lone
-    # network's on the BLAS this was checked with (tests/test_qlearn.py holds
-    # the reference loop).
-    stacked = [
-        (np.stack(w1s), np.zeros((n_actions, 1, hidden_width))),
-        (np.stack(w2s)[:, None, :], np.zeros((n_actions, 1, 1))),
-    ]
+    # Every action's network (Glorot-uniform, drawn in action order) stacked
+    # on a leading axis, action a at index a - 1, so that one rank-generic
+    # forward pass per update runs the next state and the state through all
+    # of them: (2, 1, 1, f) inputs against (k, h, f) and (k, 1, h) weights.
+    # Each product is still one row, so it rounds like the lone network's on
+    # the BLAS this was checked with (tests/test_qlearn.py holds the
+    # reference loop).
+    stacked = stack_layers(
+        [init_layers([feats.shape[1], hidden_width, 1], rng) for _ in range(n_actions)]
+    )
     (w1, b1), (w2, b2) = stacked
     # per action, views of its slices; updates write through them
     views = [(w1[a], b1[a, 0], w2[a, 0], b2[a, 0, 0, ...]) for a in range(n_actions)]
@@ -286,7 +279,8 @@ def evaluate_policy(
     ``per_step_mean`` averages utilities over every step of every rollout;
     ``discounted_sum`` averages the per-rollout discounted cumulative
     utility at the approximator's discount.  The standard error is across
-    rollouts.  Deterministic given the seed.
+    rollouts.  Deterministic given the seed.  ValueError when ``q``'s action
+    levels are not the generative model's (`simgen.ACTIONS`).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 (no steps to average), got {horizon}")
@@ -294,6 +288,9 @@ def evaluate_policy(
         raise ValueError(f"n_rollouts must be >= 1, got {n_rollouts}")
     if definition not in ("per_step_mean", "discounted_sum"):
         raise ValueError(f"unknown definition {definition!r}")
+    if q.actions != list(ACTIONS):
+        raise ValueError(f"the Q approximator's actions {q.actions} are not the "
+                         f"generative model's {list(ACTIONS)}")
     rng = substream(seed)
     states = 0.5 * rng.standard_normal((n_rollouts, spec.state_dim))
     utilities = np.empty((n_rollouts, horizon))

@@ -34,6 +34,7 @@ from .features import CoordinateFeatureMap, FeatureMap
 from .rng import substream
 
 __all__ = [
+    "ACTIONS",
     "GenerativeModelSpec",
     "g_function",
     "sample_trajectories",
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 SIGNAL_DIM = 64
+
+# The stored action levels; ``A = level - 1`` in the formulas above.
+ACTIONS = (1, 2)
 
 _G_KINDS = ("linear", "quad", "exp")
 
@@ -206,7 +210,7 @@ def sample_trajectories(
     """Sample ``n`` i.i.d. trajectories of length ``horizon``.
 
     ``rng`` is an integer seed of `rng.substream`.  Actions are i.i.d.
-    Bernoulli(0.5) over the two levels, stored as 1/2.
+    Bernoulli(0.5) over the two levels of ``ACTIONS``.
     """
     if n < 1 or horizon < 1:
         raise ValueError("need n >= 1 and horizon >= 1")
@@ -224,7 +228,7 @@ def sample_trajectories(
         states=states,
         actions=actions,
         utilities=utilities,
-        n_actions=2,
+        n_actions=len(ACTIONS),
     )
 
 

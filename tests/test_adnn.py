@@ -294,6 +294,55 @@ class TestSubgradient:
                 assert np.array_equal(dw[r], dw_ref) and np.array_equal(db[r, 0], db_ref)
 
 
+def assert_same_model(model, reference):
+    for (w, b), (w_ref, b_ref) in zip(model.feature_layers, reference.feature_layers,
+                                      strict=True):
+        assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+    assert model.actions == reference.actions
+    for a in reference.actions:
+        for (w, b), (w_ref, b_ref) in zip(model.heads[a], reference.heads[a], strict=True):
+            assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+    assert model.trace == reference.trace
+
+
+class TestTrainReplicas:
+    CFG = FitConfig(alpha0=0.2, batch_fraction=0.3, n_max=25, check_every=10)
+
+    def test_one_fit_repeated_penalty_gives_identical_lone_fits(self):
+        ds = _random_dataset(3, seed=30, n=9, n_actions=2)
+        arch = Architecture(feature_dim=2, hidden_width=3, depth=2)
+        models = _train_replicas(arch, self.CFG, [(ds, 5)], [0.1, 0.1])
+        assert len(models) == 2
+        assert_same_model(models[1], models[0])
+        assert_same_model(models[0], fit_adnn(ds, arch, self.CFG, lam=0.1, seed=5))
+
+    @pytest.mark.parametrize("subset", [None, [1]], ids=["all-actions", "action-1"])
+    def test_replicas_in_fit_major_order_equal_lone_fits(self, subset):
+        # the second fit has the first's actions and its own states, so the
+        # fits take equal batches and no batch is padded (see the next test)
+        ds = _random_dataset(2, seed=31, n=8, horizon=5, n_actions=2)
+        other = _random_dataset(2, seed=32, n=8, horizon=5, n_actions=2)
+        fits = [(ds, 11), (TrajectoryDataset(other.states, ds.actions, other.utilities, 2), 12)]
+        lams = [0.0, 0.3]
+        arch = Architecture(feature_dim=1, hidden_width=2)
+        models = _train_replicas(arch, self.CFG, fits, lams, subset)
+        assert len(models) == len(fits) * len(lams)
+        for d, (train, seed) in enumerate(fits):
+            for l, lam in enumerate(lams):
+                lone = fit_adnn(train, arch, self.CFG, lam=lam, seed=seed, actions_subset=subset)
+                assert_same_model(models[d * len(lams) + l], lone)
+
+    @pytest.mark.xfail(reason="a padded batch's gradient can sum its rows in another order "
+                              "than the lone fit's unpadded one")
+    def test_padded_replica_equals_lone_fit(self):
+        # action 2 takes 5 rows in the first fit and 2 in the second
+        ds = _random_dataset(2, seed=31, n=13, horizon=5, n_actions=2)
+        fits = [(ds.subset_subjects(np.arange(8)), 11), (ds.subset_subjects(np.arange(8, 13)), 12)]
+        arch = Architecture(feature_dim=1, hidden_width=2)
+        models = _train_replicas(arch, self.CFG, fits, [0.0])
+        assert_same_model(models[1], fit_adnn(fits[1][0], arch, self.CFG, seed=12))
+
+
 def _random_dataset(p, seed=0, n=8, horizon=4, n_actions=1):
     rng = substream(1000 + seed)
     return TrajectoryDataset(
@@ -495,8 +544,10 @@ class TestCrossValidation:
         arch = Architecture(feature_dim=1)
         cfg = FitConfig(batch_fraction=0.3, n_max=30, check_every=10)
         halves = ds.subset_subjects(np.arange(5)), ds.subset_subjects(np.arange(5, 10))
-        replicas = [(halves[0], 0.05, 3), (halves[0], 0.5, 3), (halves[1], 0.05, 4)]
-        models = [fit_adnn(ds, arch, cfg, lam=0.05, seed=2)] + _train_replicas(arch, cfg, replicas)
+        fits = [(halves[0], 3), (halves[1], 4)]
+        models = ([fit_adnn(ds, arch, cfg, lam=0.05, seed=2)]
+                  + _train_replicas(arch, cfg, fits, [0.05, 0.5]))
+        assert len(models) == 5
         for model in models:
             assert len(model.trace) == 4
             assert all(type(c) is float for entry in model.trace for c in entry.values())

@@ -142,6 +142,28 @@ def test_experiment_csv_does_not_depend_on_threads(inputs, tmp_path):
     assert (tmp_path / "experiment.csv").read_bytes() == golden
 
 
+def test_construct_that_selects_nothing_writes_only_the_report(inputs, tmp_path, capsys):
+    # a constant utility is independent of the state, so screening selects
+    # nothing whatever the permutation count
+    rows = (GOLDEN / "data.csv").read_text().splitlines()
+    fields = [row.split(",") for row in rows]
+    for f in fields[1:]:
+        f[3] = f[3] and "1.5"
+    (tmp_path / "constant.csv").write_text("".join(",".join(f) + "\n" for f in fields))
+    argv = "construct --data constant.csv --perms 99 --out-model model.json"
+    assert run(argv, inputs) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and "screening selected no variables" in err
+    assert not (tmp_path / "model.json").exists()
+
+    assert run(argv + " --out-report report.json", inputs) == 0
+    assert capsys.readouterr().out == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["flags"] == ["utility-independent-of-state"]
+    assert report["variables"] == [] and report["feature_map"] is None
+    assert not (tmp_path / "model.json").exists()
+
+
 class TestExitCodes:
     def test_bad_flag_gives_1(self, inputs):
         assert run("screen --data {golden}/data.csv --perms many", inputs) == 1
@@ -291,19 +313,36 @@ class TestExitCodes:
           "network layer weights must hold numbers only"),
          ("evaluate", "q_nn.json",
           lambda q: {"kind": "linear", "gamma": q["gamma"], "weights": {"1": [0.5, True]}},
-          "linear Q weights must hold numbers only")],
+          "linear Q weights must hold numbers only"),
+         # the generative model's actions are 1 and 2; others gave a NaN value
+         ("evaluate", "q_nn.json", lambda q: dict(q, nets={**q["nets"], "3": q["nets"]["1"]}),
+          "actions [1, 2, 3] are not the generative model's [1, 2]"),
+         ("evaluate", "q_nn.json",
+          lambda q: dict(q, nets={"0": q["nets"]["1"], "1": q["nets"]["2"]}),
+          "actions [0, 1] are not the generative model's [1, 2]")],
         ids=["qlearn-arctan", "evaluate-arctan", "qlearn-no-layers", "evaluate-no-nets",
              "qlearn-model-list", "qlearn-layers-number", "qlearn-layer-weights-number",
              "qlearn-layer-number", "evaluate-concat-part-number", "evaluate-q-list",
              "evaluate-nets-number", "evaluate-action-net-number", "qlearn-index-99",
              "qlearn-index-negative", "qlearn-layer-weights-object", "qlearn-index-object",
-             "qlearn-index-float", "qlearn-layer-weights-bool", "evaluate-linear-q-weights-bool"])
+             "qlearn-index-float", "qlearn-layer-weights-bool", "evaluate-linear-q-weights-bool",
+             "evaluate-q-actions-1-3", "evaluate-q-actions-0-1"])
     def test_bad_stored_model_gives_1(self, inputs, command, stored, edit, message, capsys):
         payload = edit(json.loads((GOLDEN / stored).read_text()))
         (inputs / "bad.json").write_text(json.dumps(payload))
         argv = dict((r[0], r[1]) for r in RUNS)[command].replace(
             "{golden}/" + stored, "{in}/bad.json")
         assert run(argv, inputs) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,methods,message",
+        [("feature_methods", ["raw", "RAW", "pca"], "feature method 'raw' is listed twice"),
+         ("q_methods", ["linear", "linear"], "Q method 'linear' is listed twice")],
+        ids=["feature", "q"])
+    def test_duplicate_method_gives_1(self, inputs, key, methods, message, capsys):
+        (inputs / "bad.json").write_text(json.dumps(dict(EXPERIMENT, **{key: methods})))
+        assert run("experiment --config {in}/bad.json", inputs) == 1
         assert message in capsys.readouterr().err
 
     def test_map_of_another_state_width_gives_1(self, inputs, tmp_path, capsys):

@@ -66,6 +66,19 @@ def test_duplicate_models_keep_their_own_replicates():
     assert first.stats != second.stats
 
 
+@pytest.mark.parametrize(
+    "key,methods,message",
+    [("feature_methods", ("raw", "RAW", "pca"), "feature method 'raw' is listed twice"),
+     ("feature_methods", ("raw", "pca", "Pca"), "feature method 'pca' is listed twice"),
+     ("q_methods", ("linear", "linear"), "Q method 'linear' is listed twice")],
+    ids=["feature-case", "feature-later", "q"])
+def test_duplicate_methods_rejected(key, methods, message):
+    # a duplicate's fits would be computed and then overwritten, and the CSV
+    # would repeat its row
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{key: methods})
+
+
 def test_default_threads_follow_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -124,6 +124,16 @@ def test_evaluate_policy_deterministic_given_seed(definition):
     assert value(5).mean_outcome != first.mean_outcome
 
 
+@pytest.mark.parametrize("levels", [(1, 2, 3), (0, 1), (2,)], ids=["1-3", "0-1", "2-only"])
+def test_evaluate_policy_rejects_other_action_levels(levels):
+    # the generative model steps with actions 1 and 2 only; action 3 read as
+    # A = 2 gave a NaN value, and action 0 as A = -1
+    spec = GenerativeModelSpec("linear", 0)
+    q = LinearQ({a: np.zeros(1 + spec.state_dim) for a in levels}, gamma=0.9)
+    with pytest.raises(ValueError, match=r"not the generative model's \[1, 2\]"):
+        evaluate_policy(spec, IdentityFeatureMap(spec.state_dim), q, n_rollouts=2, horizon=2)
+
+
 def test_fit_q_linear_moves_toward_fixed_point():
     # one state, one action, utility u every step: Q = u / (1 - gamma)
     u, gamma = 1.0, 0.9
