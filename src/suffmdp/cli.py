@@ -27,10 +27,15 @@ or missing key or a value of the wrong JSON kind.  They also include:
 - a feature map whose ``input_dim`` is not the state width of the data
   (``qlearn``) or of the generative model (``evaluate``);
 - stored input indices that are not integers;
-- a boolean among network weights, biases or linear-Q weights;
+- a boolean, NaN or infinity among network weights, biases or linear-Q
+  weights (`json` reads the tokens ``NaN`` and ``Infinity``), and a Q
+  file's ``gamma`` outside (0, 1);
 - a Q approximator whose actions are not the generative model's 1 and 2
   (``evaluate``), and an experiment method listed twice;
 - an experiment's ``replicates``, or a set ``threads``, below 1.
+
+A ``qlearn`` fit that diverges (non-finite parameters) is a runtime failure:
+it exits 2 and writes no Q file.
 
 All randomness flows from the seed (``--seed``, or a config file's);
 outputs carry no timestamps, so identical inputs give byte-identical

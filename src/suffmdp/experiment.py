@@ -15,10 +15,11 @@ Replicates run in worker processes forked from the caller.  Every random
 quantity derives from the master seed and the replicate's coordinates, and
 results are collected in task order, so the emitted tables are
 byte-identical across runs and across worker counts.  A replicate whose
-fit diverges is retried once with a halved step size, then excluded and
-counted.  One whose screening selects no variable is excluded at once,
-because screening does not depend on the step size; its failure entry has
-the outcome ``utility-independent-of-state``.
+fit diverges (an ADNN cost, or a Q fit's parameters, turn non-finite) is
+retried once with a halved step size, then excluded and counted with the
+outcome ``diverged``.  One whose screening selects no variable is excluded
+at once, because screening does not depend on the step size; its failure
+entry has the outcome ``utility-independent-of-state``.
 """
 
 from __future__ import annotations

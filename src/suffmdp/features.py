@@ -122,7 +122,8 @@ def float_array_from_jsonable(owner: str, value) -> np.ndarray:
     float64 array.
 
     ValueError naming ``owner`` when it holds a string, null, boolean or
-    object, or rows of unequal length.
+    object, rows of unequal length, or a NaN or infinity (`json.load`
+    reads the tokens ``NaN`` and ``Infinity``).
     """
     try:
         array = np.asarray(value)
@@ -131,7 +132,10 @@ def float_array_from_jsonable(owner: str, value) -> np.ndarray:
     # numpy casts a boolean mixed with numbers to one of them
     if array is None or array.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"{owner} must hold numbers only")
-    return array.astype(np.float64)
+    array = array.astype(np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{owner} must be finite, got NaN or infinity")
+    return array
 
 
 def _holds_bool(value) -> bool:
@@ -144,9 +148,9 @@ def layers_from_jsonable(entries) -> list:
     """Layers from their ``layers_to_jsonable`` form.
 
     ValueError for an entry that is not a JSON object, whose ``weights`` is
-    not a list, or whose weights or bias hold anything but numbers; KeyError
-    names a missing key.  A bias is a list, or a number in a scalar output
-    layer.
+    not a list, or whose weights or bias hold anything but finite numbers;
+    KeyError names a missing key.  A bias is a list, or a number in a scalar
+    output layer.
     """
     layers = []
     for e in entries:

@@ -9,7 +9,9 @@ transitions (the array view of ``core.flatten_transitions``):
 with the bootstrap target held fixed within a step.  The linear form is
 ``F(s, a) = theta_a . (1, phi(s))``; the neural form gives each action a
 single-hidden-layer network.  Greedy policies break ties toward the
-smallest action index.
+smallest action index.  A fit whose parameters end non-finite raises
+`ConvergenceError` (a greedy policy over NaN values would always pick the
+first action); the experiment harness retries it at half the step size.
 
 Policy quality is measured by simulating fresh trajectories from a
 generative model and averaging utilities: either the per-step mean over
@@ -24,6 +26,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
+from .adnn import ConvergenceError
 from .core import Transitions, check_json_object
 from .features import (FeatureMap, float_array_from_jsonable, init_layers,
                        layers_from_jsonable, layers_to_jsonable, mlp_forward, stack_layers)
@@ -104,8 +107,8 @@ def q_approximator_from_jsonable(data) -> QApproximator:
 
     ValueError for data that is not a JSON object, an unknown ``kind``, an
     unknown or missing key, a value of the wrong JSON kind (per-action
-    parameters and network layers too), and weights that are not all
-    numbers.
+    parameters and network layers too), weights that are not all finite
+    numbers, and a ``gamma`` outside (0, 1).
     """
     if not isinstance(data, dict):
         raise ValueError(f"a Q approximator must be a JSON object, got {data!r}")
@@ -115,13 +118,15 @@ def q_approximator_from_jsonable(data) -> QApproximator:
     key = _Q_PARAMS[kind]
     check_json_object(f"{kind} Q approximator", data, {"kind": str, "gamma": float, key: dict})
     try:
+        gamma = data["gamma"]
+        if not 0 < gamma < 1:  # NaN too
+            raise ValueError(f"{kind} Q approximator gamma must be in (0, 1), got {gamma}")
         params = data[key]
         check_json_object(f"{kind} Q approximator {key}", params, dict.fromkeys(params, tuple))
         if kind == "linear":
             return LinearQ({int(a): float_array_from_jsonable("linear Q weights", w)
-                            for a, w in params.items()}, data["gamma"])
-        return NeuralQ({int(a): layers_from_jsonable(ls) for a, ls in params.items()},
-                       data["gamma"])
+                            for a, w in params.items()}, gamma)
+        return NeuralQ({int(a): layers_from_jsonable(ls) for a, ls in params.items()}, gamma)
     except KeyError as exc:
         raise ValueError(f"{kind} Q approximator JSON has no key {exc}") from None
 
@@ -147,6 +152,11 @@ def _prepare(transitions: Transitions, feature_map: FeatureMap, n_actions: int):
     return feats, feats_next, transitions.actions, transitions.utilities
 
 
+def _check_finite(kind: str, *params) -> None:
+    if not all(np.isfinite(p).all() for p in params):
+        raise ConvergenceError(f"{kind} Q fit diverged: non-finite parameters")
+
+
 def fit_q_linear(
     transitions: Transitions,
     feature_map: FeatureMap,
@@ -162,31 +172,40 @@ def fit_q_linear(
 
     Runs ``epochs`` shuffled passes; the step size for the k-th update is
     ``alpha0 / (1 + k / beta)``.  Weights start at zero.  Actions must lie
-    in ``1..n_actions``; each level gets a weight vector.
+    in ``1..n_actions``; each level gets a weight vector.  Non-finite final
+    weights raise `ConvergenceError`.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
-    x = np.column_stack([np.ones(len(feats)), feats])
-    x_next = np.column_stack([np.ones(len(feats)), feats_next])
     # The loop is bound by interpreter and NumPy call overhead, not by
-    # arithmetic, so per-row values come from Python lists.  It keeps one
-    # `@` per action rather than one stacked `W @ xn`, because a gemv rounds
-    # differently from per-row dot products and the fits must stay bit for
-    # bit.
-    ws = [np.zeros(x.shape[1]) for _ in range(n_actions)]  # action a at index a - 1
+    # arithmetic, so each update makes one row product and reads it as a
+    # Python list: (2, 1, 1, d) next-state and state rows against the (k, d,
+    # 1) weights give every action's value at both, next states first.
+    # Each entry is a 1 x d by d x 1 product, which numpy hands to the same
+    # BLAS ddot as a 1-D `w @ x` (a stacked gemv `W @ x` rounds differently),
+    # so the fit matches one dot product per action bit for bit
+    # (tests/test_qlearn.py holds the reference loop).  ddot rounds a
+    # strided row differently from a contiguous one, so the rows keep the
+    # layout of the features: `np.column_stack` and `np.stack` follow it.
+    ones = np.ones(len(feats))
+    inputs = np.stack([np.column_stack([ones, feats_next]), np.column_stack([ones, feats])],
+                      axis=1)[:, :, None, None, :]
+    x = inputs[:, 1, 0, 0]  # the rows (1, phi(s))
+    w = np.zeros((n_actions, x.shape[1], 1))  # action a at index a - 1
+    views = list(w[:, :, 0])  # updates write through them
     acts, utils = actions.tolist(), utilities.tolist()
     rng = substream(seed)
     k = 0
     for _ in range(epochs):
         for i in rng.permutation(len(x)).tolist():
             a = acts[i] - 1
-            xi, xn = x[i], x_next[i]
-            best_next = max([w @ xn for w in ws])
-            delta = utils[i] + gamma * best_next - ws[a] @ xi
-            ws[a] = ws[a] + alpha0 / (1.0 + k / beta) * delta * xi
+            values = (inputs[i] @ w).ravel().tolist()
+            delta = utils[i] + gamma * max(values[:n_actions]) - values[n_actions + a]
+            views[a] += alpha0 / (1.0 + k / beta) * delta * x[i]
             k += 1
-    return LinearQ(weights={a + 1: w for a, w in enumerate(ws)}, gamma=gamma)
+    _check_finite("linear", w)
+    return LinearQ(weights={a + 1: w[a, :, 0] for a in range(n_actions)}, gamma=gamma)
 
 
 def fit_q_nn(
@@ -206,6 +225,7 @@ def fit_q_nn(
     One network per action: sigmoid hidden layer of ``hidden_width`` units,
     linear output.  The bootstrap target is held fixed within each update.
     Actions must lie in ``1..n_actions``; each level gets a network.
+    Non-finite final parameters raise `ConvergenceError`.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
@@ -214,39 +234,43 @@ def fit_q_nn(
     feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
     rng = substream(seed)
     # Every action's network (Glorot-uniform, drawn in action order) stacked
-    # on a leading axis, action a at index a - 1, so that one rank-generic
-    # forward pass per update runs the next state and the state through all
-    # of them: (2, 1, 1, f) inputs against (k, h, f) and (k, 1, h) weights.
-    # Each product is still one row, so it rounds like the lone network's on
-    # the BLAS this was checked with (tests/test_qlearn.py holds the
-    # reference loop).
-    stacked = stack_layers(
+    # on a leading axis, action a at index a - 1, so that one forward pass
+    # per update runs the next state and the state through all of them:
+    # (2, 1, 1, f) inputs against (k, h, f) and (k, 1, h) weights.  Each
+    # product is still one row, so it rounds like the lone network's (see
+    # fit_q_linear).  The pass is `mlp_forward`'s, inlined, with
+    # `features._sigmoid`'s formula and error state: the same operations in
+    # the same order, without the per-call overhead.  The reference loop in
+    # tests/test_qlearn.py calls `_sigmoid` itself, so the two cannot drift.
+    (w1, b1), (w2, b2) = stack_layers(
         [init_layers([feats.shape[1], hidden_width, 1], rng) for _ in range(n_actions)]
     )
-    (w1, b1), (w2, b2) = stacked
-    # per action, views of its slices; updates write through them
+    w1t, w2t = w1.swapaxes(-1, -2), w2.swapaxes(-1, -2)
+    # per action, views of its slices; updates write through them, so the
+    # transposed views above stay current
     views = [(w1[a], b1[a, 0], w2[a, 0], b2[a, 0, 0, ...]) for a in range(n_actions)]
     inputs = np.stack([feats_next, feats], axis=1)[:, :, None, None, :]
-    # Lists and `@` for the reasons given in fit_q_linear.
     acts, utils = actions.tolist(), utilities.tolist()
 
     k = 0
-    for _ in range(epochs):
-        for i in rng.permutation(len(feats)).tolist():
-            a = acts[i] - 1
-            cache = []
-            out = mlp_forward(inputs[i], stacked, affine_last=True, cache=cache)
-            # a Python max over floats, in action order, as for one network per call
-            best_next = max(out[0, :, 0, 0].tolist())
-            hidden = cache[0][2][1, a, 0]
-            step = alpha0 / (1.0 + k / beta) * (utils[i] + gamma * best_next - out[1, a, 0, 0])
-            w1a, b1a, w2a, b2a = views[a]
-            dz = w2a * hidden * (1.0 - hidden)
-            w1a += step * (dz[:, None] * feats[i])
-            b1a += step * dz
-            w2a += step * hidden
-            b2a += step
-            k += 1
+    with np.errstate(over="ignore"):
+        for _ in range(epochs):
+            for i in rng.permutation(len(feats)).tolist():
+                a = acts[i] - 1
+                hidden = 1.0 / (1.0 + np.exp(-(inputs[i] @ w1t + b1)))
+                values = (hidden @ w2t + b2).ravel().tolist()
+                best_next = max(values[:n_actions])
+                step = alpha0 / (1.0 + k / beta) * (utils[i] + gamma * best_next
+                                                    - values[n_actions + a])
+                hidden = hidden[1, a, 0]
+                w1a, b1a, w2a, b2a = views[a]
+                dz = w2a * hidden * (1.0 - hidden)
+                w1a += step * (dz[:, None] * feats[i])
+                b1a += step * dz
+                w2a += step * hidden
+                b2a += step
+                k += 1
+    _check_finite("neural", w1, b1, w2, b2)
     return NeuralQ(
         nets={a + 1: [(w1[a], b1[a, 0]), (w2[a, 0], b2[a, 0, 0])] for a in range(n_actions)},
         gamma=gamma,

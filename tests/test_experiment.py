@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from suffmdp import adnn, experiment
@@ -54,6 +55,25 @@ def test_retry_halves_the_cv_step_size(monkeypatch, cv_fit):
     result = run_experiment(cfg)
     assert alphas == [0.05, 0.025]
     assert [f["outcome"] for f in result.failures] == ["diverged"]
+
+
+@pytest.mark.parametrize("q_method", ["linear", "nn"])
+def test_diverged_q_fit_is_retried_then_counted(monkeypatch, q_method):
+    # the Q fits diverge at both step sizes; a diverged fit used to return
+    # NaN weights whose greedy policy scored a finite value
+    monkeypatch.setattr(experiment, "_ALPHA0", dict(experiment._ALPHA0, **{q_method: 1e4}))
+    cfg = ExperimentConfig(
+        n_subjects=20, horizon=12, replicates=1, feature_methods=("raw",),
+        q_methods=(q_method,), n_rollouts=5, eval_horizon=4, q_epochs_linear=1,
+        q_epochs_nn=1, threads=1,
+    )
+    with np.errstate(all="ignore"):
+        result = run_experiment(cfg)
+    assert [f["outcome"] for f in result.failures] == ["diverged"]
+    errors = result.failures[0]["errors"]
+    assert [e.split(":")[0] for e in errors] == ["attempt 1", "attempt 2"]
+    assert all("non-finite parameters" in e for e in errors)
+    assert result.cells[0].n_ok == 0 and result.cells[0].n_failed == 1
 
 
 def test_duplicate_models_keep_their_own_replicates():

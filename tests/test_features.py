@@ -185,11 +185,16 @@ class TestSerialization:
          # numpy would read each true as 1.0
          (network_json(weights=[[0.5, True]]), "network layer weights must hold numbers only"),
          (network_json(weights=[[0.5, 1.0], [0.5, 1.0]], bias=[0.0, True]),
-          "network layer bias must hold numbers only")],
+          "network layer bias must hold numbers only"),
+         # json.load reads the tokens NaN and -Infinity
+         (network_json(weights=[[0.5, float("nan")]]), "network layer weights must be finite"),
+         (network_json(weights=[[0.5, 1.0], [0.5, 1.0]], bias=[0.0, float("-inf")]),
+          "network layer bias must be finite")],
         ids=["list", "list-kind", "parts-number", "part-string", "weights-number",
              "input-dim-string", "unknown-key", "linear-weights-object",
              "linear-offset-string", "network-weights-object", "network-bias-null",
-             "network-weights-ragged", "network-weights-bool", "network-bias-bool"])
+             "network-weights-ragged", "network-weights-bool", "network-bias-bool",
+             "network-weights-nan", "network-bias-minus-infinity"])
     def test_wrong_json_kind_rejected(self, data, message):
         with pytest.raises(ValueError, match=message):
             feature_map_from_jsonable(data)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from suffmdp.adnn import ConvergenceError
 from suffmdp.baselines import pca_feature_map
 from suffmdp.core import TrajectoryDataset, Transitions, flatten_transitions
 from suffmdp.features import CoordinateFeatureMap, IdentityFeatureMap, _sigmoid
@@ -86,13 +87,27 @@ def test_missing_q_key_named(data, message):
       "linear Q weights must hold numbers only"),
      ({"kind": "neural", "gamma": 0.9,
        "nets": {"1": [{"weights": [[0.5, True]], "bias": [0.0]}]}},
-      "network layer weights must hold numbers only")],
+      "network layer weights must hold numbers only"),
+     # json.load reads the tokens NaN and Infinity
+     ({"kind": "linear", "gamma": 0.9, "weights": {"1": [0.5, float("nan")]}},
+      "linear Q weights must be finite"),
+     ({"kind": "neural", "gamma": 0.9,
+       "nets": {"1": [{"weights": [[0.5]], "bias": [float("inf")]}]}},
+      "network layer bias must be finite")],
     ids=["list", "linear-weights", "action-weights", "gamma", "layer", "unknown-key",
          "weights-object", "weights-null", "weights-string", "weights-bool",
-         "layer-weights-bool"])
+         "layer-weights-bool", "weights-nan", "layer-bias-infinity"])
 def test_wrong_json_kind_rejected(data, message):
     with pytest.raises(ValueError, match=message):
         q_approximator_from_jsonable(data)
+
+
+@pytest.mark.parametrize("kind,params", [("linear", {"weights": {}}), ("neural", {"nets": {}})])
+@pytest.mark.parametrize("gamma", [float("nan"), 1.0, 0.0])
+def test_gamma_outside_unit_interval_rejected(kind, params, gamma):
+    # json.load reads the token NaN; a NaN discount gave a NaN discounted value
+    with pytest.raises(ValueError, match=rf"{kind} Q approximator gamma must be in \(0, 1\)"):
+        q_approximator_from_jsonable({"kind": kind, "gamma": gamma, **params})
 
 
 def test_q_kind_is_not_a_constructor_argument():
@@ -178,6 +193,17 @@ def test_fit_q_nn_prefers_the_rewarded_action():
     assert (greedy_actions(q, rng.standard_normal((50, 2))) == 2).all()
 
 
+@pytest.mark.parametrize("fit", [fit_q_linear, fit_q_nn], ids=["linear", "nn"])
+def test_diverged_fit_raises(fit):
+    # at this step size the parameters overflow to infinity and then NaN; a
+    # greedy policy over NaN values always picks action 1, so a returned
+    # fit would score as a finite policy value
+    ds = sample_trajectories(GenerativeModelSpec("linear", 0), 20, 11, rng=1)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
+        fit(flatten_transitions(ds), IdentityFeatureMap(ds.state_dim), epochs=1, alpha0=1e4,
+            seed=2, n_actions=ds.n_actions)
+
+
 def _transitions(actions):
     rng = substream(8)
     n = len(actions)
@@ -251,14 +277,19 @@ def _reference_nn(feats, feats_next, actions, utilities, n_act, epochs, seed,
 
 
 def _bit_identity_case(fmap_kind, n_actions, absent):
-    spec = GenerativeModelSpec("linear", 3, signal_dim=8)
-    ds = sample_trajectories(spec, 8, 5, rng=11)
+    if fmap_kind == "identity-64":
+        # the harness's width, 64 state coordinates, and 300 transitions:
+        # BLAS ddot takes other code paths on longer rows
+        ds = sample_trajectories(GenerativeModelSpec("linear", 0), 30, 11, rng=11)
+    else:
+        ds = sample_trajectories(GenerativeModelSpec("linear", 3, signal_dim=8), 8, 5, rng=11)
     # recode the two sampled levels so that level `absent` never occurs
     levels = [a for a in range(1, n_actions + 1) if a != absent][:2]
     actions = np.where(ds.actions == 1, levels[0], levels[-1])
     ds = TrajectoryDataset(ds.states, actions, ds.utilities, n_actions=n_actions)
     fmap = {
         "identity": lambda: IdentityFeatureMap(ds.state_dim),
+        "identity-64": lambda: IdentityFeatureMap(ds.state_dim),
         "coordinate": lambda: CoordinateFeatureMap(ds.state_dim, [0, 2, 5]),
         "pca": lambda: pca_feature_map(ds)[0],
     }[fmap_kind]()
@@ -268,7 +299,7 @@ def _bit_identity_case(fmap_kind, n_actions, absent):
 @pytest.mark.parametrize("epochs", [1, 3])
 @pytest.mark.parametrize("n_actions,absent", [(2, None), (2, 2), (3, 2)],
                          ids=["2-actions", "2-actions-2-absent", "3-actions-2-absent"])
-@pytest.mark.parametrize("fmap_kind", ["identity", "coordinate", "pca"])
+@pytest.mark.parametrize("fmap_kind", ["identity", "coordinate", "pca", "identity-64"])
 @pytest.mark.parametrize("kind", ["linear", "nn"])
 def test_fits_match_reference_loops_bit_for_bit(kind, fmap_kind, n_actions, absent, epochs):
     tr, fmap = _bit_identity_case(fmap_kind, n_actions, absent)
