@@ -19,6 +19,16 @@ penalty and seed would take.  `fit_adnn` is the call with one fit and one
 penalty; cross-validation makes one call per (width, depth), with the
 training folds as fits.
 
+The arrays are small (a few rows per batch), so a step costs numpy calls
+rather than arithmetic, and the step is written to make few of them.  The
+replicas' feature layers lie in one flat ``(replicas, parameters)``
+buffer and each action's head in another; the layer arrays are views of
+them.  A step writes its gradients into a buffer of the same layout,
+scales it with one in-place ``grad *= alpha`` and updates each group with
+one ``params -= grad``.  These are the floating-point operations of one
+``w -= alpha * dw`` per array, so the fitted parameters do not depend on
+the layout.
+
 The fit criterion is penalized least squares
 
     C(theta) = (1/n) sum_i sum_t ||prediction(S_i^t, A_i^t) - Y_i^{t+1}||^2
@@ -39,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -47,7 +58,7 @@ import numpy as np
 
 from .core import TrajectoryDataset, Transitions, flatten_transitions
 from .dcov import TestReport, draw_permuted_side, stratified_pooled_test
-from .features import NetworkFeatureMap, init_layers, mlp_backward, mlp_forward, stack_layers
+from .features import NetworkFeatureMap, _mlp_forward, init_layers, mlp_backward, mlp_forward
 from .rng import derive_seed, substream
 from .screening import ScreenResult, screen
 
@@ -109,7 +120,8 @@ class FitConfig:
 
     Each outer iteration draws a ``batch_fraction`` of every action's
     transitions.  The step size decays as ``alpha0 / (1 + b / beta)`` over
-    outer iterations ``b``; training runs exactly ``n_max`` of them.
+    outer iterations ``b``, with ``alpha0`` finite and positive and ``beta``
+    positive; training runs exactly ``n_max`` of them.
     ``check_every`` is the cadence of the full-data cost trace and of the
     divergence check; it does not change the fitted parameters.  The penalty
     and the seed are arguments of `fit_adnn` and `cross_validate_adnn`.
@@ -124,6 +136,11 @@ class FitConfig:
     def __post_init__(self):
         if not 0 < self.batch_fraction < 1:
             raise ValueError(f"batch_fraction must be in (0, 1), got {self.batch_fraction}")
+        # a step must be finite and downhill, and its decay must not divide by zero
+        if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
+            raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0}")
+        if not self.beta > 0:
+            raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.check_every < 1:
@@ -218,53 +235,87 @@ def _batch_constants(takes, lams) -> tuple:
     """``(take, pad, lam)`` for `_batch_gradients` on replicas that own the
     first ``takes[r]`` rows of ``(R, max(takes), .)`` batches, with penalties
     ``lams``: the ``(R, 1, 1)`` row counts, the ``(R, max(takes), 1)`` mask
-    of padding rows, and the ``(R, 1)`` penalties, or ``None`` when none is
-    positive.  They are the same at every step, so a trainer makes them once.
+    of padding rows, or ``None`` when no replica is padded, and the ``(R, 1,
+    1)`` penalties, or ``None`` when none is positive.  They are the same at
+    every step, so a trainer makes them once.
     """
-    take = np.asarray(takes)[:, None, None]
+    take = np.asarray(takes, dtype=np.float64)[:, None, None]
     pad = np.arange(take.max())[:, None] >= take
     lam = np.asarray(lams, dtype=np.float64)
-    return take, pad, (lam[:, None] if (lam > 0.0).any() else None)
+    return (take, pad if pad.any() else None,
+            lam[:, None, None] if (lam > 0.0).any() else None)
 
 
-def _batch_gradients(s, y, constants, model, action):
-    """Gradients of each replica's batch-mean squared error plus penalty subgradient.
+def _batch_gradients(s, y, constants, layers, grads) -> None:
+    """Gradients of each replica's batch-mean squared error plus penalty
+    subgradient, written into ``grads``.
 
-    ``model`` is stacked (see `_stack`): every array carries a leading replica
-    axis ``R``.  ``s`` and ``y`` are ``(R, rows, .)`` batches in which replica
-    ``r`` owns its first ``take[r]`` rows; the rest are padding, get a zero
-    loss gradient and do not count in the mean.  ``constants`` holds the row
-    counts and penalties (see `_batch_constants`).  The feature layers and the
-    action's head run as one network whose last layer is affine.  Returns
-    ``(feature_grads, head_grads)`` shaped like the parameters.  The
-    group-lasso subgradient on the first feature layer is
-    ``lam[r] * column / ||column||`` for nonzero columns and zero otherwise.
+    ``layers`` is a stacked network (see `_stack`), every array with a
+    leading replica axis ``R``: the feature layers and then one action's
+    head, run as one network whose last layer is affine.  ``grads`` holds a
+    ``(dW, db)`` pair shaped like each layer's parameters; the trainer's are
+    views of flat buffers laid out like the parameters' (see
+    `_layer_views`), and `features.mlp_backward` writes them in place.
+    ``s`` and ``y`` are ``(R, rows, .)`` batches in which replica ``r`` owns
+    its first ``take[r]`` rows; the rest are padding, get a zero loss
+    gradient and do not count in the mean.  ``constants`` holds the row
+    counts, padding mask and penalties (see `_batch_constants`).  The
+    group-lasso subgradient on the first feature layer is ``lam[r] * column
+    / ||column||`` for nonzero columns and zero otherwise.  The caller
+    silences the overflow of the sigmoids' exp.
     """
     take, pad, lam = constants
-    layers = model.feature_layers + model.heads[action]
     cache = []
-    out = mlp_forward(s, layers, affine_last=True, cache=cache)
-    delta = np.where(pad, 0.0, 2.0 * (out - y) / take)
-    grads = mlp_backward(cache, layers, delta)
-    k = len(model.feature_layers)
-    feature_grads, head_grads = grads[:k], grads[k:]
+    # the affine output is fresh, so the loss gradient is made in its place
+    delta = _mlp_forward(s, layers, affine_last=True, cache=cache)
+    delta -= y
+    delta *= 2.0
+    delta /= take
+    if pad is not None:
+        np.copyto(delta, 0.0, where=pad)
+    mlp_backward(cache, layers, delta, grads)
 
     if lam is not None:
-        w1 = model.first_layer
-        norms = np.sqrt(np.square(w1).sum(axis=-2))
-        scale = np.divide(lam, norms, out=np.zeros_like(norms), where=norms > 0)
-        dw1, db1 = feature_grads[0]
-        feature_grads[0] = (dw1 + w1 * scale[:, None, :], db1)
-    return feature_grads, head_grads
+        w1, dw1 = layers[0][0], grads[0][0]
+        norms = np.sqrt(np.add.reduce(np.square(w1), axis=-2, keepdims=True))
+        scale = np.divide(lam, norms, out=np.zeros(norms.shape), where=norms > 0)
+        dw1 += w1 * scale
 
 
-def _stack(models: Sequence[AdnnModel]) -> AdnnModel:
-    """One model holding ``models`` on a leading replica axis (see
-    `features.stack_layers`)."""
-    return AdnnModel(
-        feature_layers=stack_layers([m.feature_layers for m in models]),
-        heads={a: stack_layers([m.heads[a] for m in models]) for a in models[0].heads},
-    )
+def _layer_views(buffer, shapes) -> list:
+    """``(W, b)`` views of an ``(R, P)`` buffer whose rows hold layers with
+    ``(out, in)`` weight shapes ``shapes`` end to end, each weight and then
+    its bias: weights ``(R, out, in)`` and biases ``(R, 1, out)``, the shapes
+    of `features.stack_layers`."""
+    views, start = [], 0
+    for out, inp in shapes:
+        w = buffer[:, start:start + out * inp].reshape(-1, out, inp)
+        start += out * inp
+        views.append((w, buffer[:, start:start + out].reshape(-1, 1, out)))
+        start += out
+    return views
+
+
+def _stack(models: Sequence[AdnnModel]) -> tuple:
+    """``models`` on a leading replica axis, in flat buffers.
+
+    Returns ``(stacked model, feature buffer, head buffers)``.  The feature
+    layers of replica ``r`` lie end to end in row ``r`` of one new ``(R,
+    P_feat)`` buffer, and each action's head in row ``r`` of that action's
+    ``(R, P_head)`` buffer, in the dict ``head buffers``; the stacked model's
+    arrays are views of them (see `_layer_views`).  A step then updates a
+    group of layers with one operation on its buffer.
+    """
+    def flat(layer_lists):
+        buffer = np.array([np.concatenate([a.ravel() for layer in layers for a in layer])
+                           for layers in layer_lists])
+        return buffer, _layer_views(buffer, [w.shape for w, _ in layer_lists[0]])
+
+    feature_buffer, feature_layers = flat([m.feature_layers for m in models])
+    head_buffers, heads = {}, {}
+    for a in models[0].heads:
+        head_buffers[a], heads[a] = flat([m.heads[a] for m in models])
+    return AdnnModel(feature_layers=feature_layers, heads=heads), feature_buffer, head_buffers
 
 
 def _replica(stacked: AdnnModel, r: int) -> AdnnModel:
@@ -295,6 +346,15 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     may sum its rows in another order.  Returns one model per replica, in
     order, each with its own cost trace; a non-finite cost in any replica
     raises `ConvergenceError`.
+
+    The parameters live in the flat buffers of `_stack`: one for the feature
+    layers and one per action's head.  A step writes its gradients into one
+    buffer laid out as the feature layers and then a head (every head has
+    one shape), scales it in place with ``grad *= alpha``, and subtracts
+    its two parts from the feature buffer and the action's head buffer.
+    These are the operations of a per-array ``w -= alpha * dw``, so the
+    result is the same bit for bit.  One error state silences the sigmoids'
+    overflow for the whole loop.
     """
     n_actions, state_dim = fits[0][0].n_actions, fits[0][0].state_dim
     actions = list(range(1, n_actions + 1)) if actions_subset is None else sorted(actions_subset)
@@ -318,28 +378,42 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
             rows_by_action[a] = rows
         action_rows.append(rows_by_action)
 
+    rngs = [substream(seed) for _, seed in fits]
+    inits = [_init_model(arch, state_dim, actions, rng) for rng in rngs]
+    model, feature_params, head_params = _stack([init for init in inits for _ in lams])
+    n_replicas = len(fits) * n_lams
+    # one gradient buffer: the feature layers' part, then a part that every
+    # head shares (the heads have one shape)
+    n_feature = feature_params.shape[1]
+    grad = np.empty((n_replicas, n_feature + head_params[actions[0]].shape[1]))
+    feature_grad, head_grad = grad[:, :n_feature], grad[:, n_feature:]
+    grads = (_layer_views(feature_grad, [w.shape[1:] for w, _ in model.feature_layers])
+             + _layer_views(head_grad, [w.shape[1:] for w, _ in model.heads[actions[0]]]))
+
     # per action: every fit's rows end to end, then a zero row that pads the
-    # shorter batches; index[a][d, l] is replica d * n_lams + l's batch
-    draws, pools, index, constants = {}, {}, {}, {}
+    # shorter batches; batches[d, l] is replica d * n_lams + l's batch, and
+    # rows the same index array with one row per replica.  A fit's draw is
+    # written through a view of its batches' first `take` columns.
+    steps = []
     for a in actions:
         sizes = np.array([rows[a].size for rows in action_rows])
         takes = (cfg.batch_fraction * sizes).astype(np.int64)
         offsets = np.cumsum(sizes) - sizes
-        draws[a] = list(zip(sizes.tolist(), takes.tolist(), offsets.tolist()))
         states = [tr.states[rows[a]] for (tr, _, _), rows in zip(data, action_rows)]
         responses = [y[rows[a]] for (_, y, _), rows in zip(data, action_rows)]
-        pools[a] = (
+        batches = np.full((len(fits), n_lams, takes.max()), sizes.sum())
+        steps.append((
+            [(rng, n, take, offset, batch[:, :take]) for rng, batch, n, take, offset
+             in zip(rngs, batches, sizes.tolist(), takes.tolist(), offsets.tolist())],
+            batches.reshape(n_replicas, -1),
             np.concatenate(states + [np.zeros((1, state_dim))]),
             np.concatenate(responses + [np.zeros((1, state_dim + 1))]),
-        )
-        index[a] = np.full((len(fits), n_lams, takes.max()), sizes.sum())
-        constants[a] = _batch_constants(np.repeat(takes, n_lams), list(lams) * len(fits))
+            _batch_constants(np.repeat(takes, n_lams), list(lams) * len(fits)),
+            model.feature_layers + model.heads[a],
+            head_params[a],
+        ))
 
-    rngs = [substream(seed) for _, seed in fits]
-    inits = [_init_model(arch, state_dim, actions, rng) for rng in rngs]
-    model = _stack([init for init in inits for _ in lams])
-
-    traces = [[] for _ in range(len(fits) * n_lams)]
+    traces = [[] for _ in range(n_replicas)]
 
     def record_costs():
         for r, trace in enumerate(traces):
@@ -348,30 +422,26 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
                                           actions))
 
     record_costs()
-    for b in range(1, cfg.n_max + 1):
-        alpha = cfg.step_size(b)
-        for a in actions:
-            batches = index[a]
-            for rng, batch, (n, take, offset) in zip(rngs, batches, draws[a]):
-                batch[:, :take] = offset + rng.choice(n, size=take, replace=False)
-            rows = batches.reshape(len(traces), -1)
-            states, responses = pools[a]
-            f_grads, h_grads = _batch_gradients(
-                states.take(rows, axis=0), responses.take(rows, axis=0), constants[a],
-                model, a,
-            )
-            # in place: the stacked arrays are the trainer's own (see _stack)
-            for (w, bias), (dw, db) in zip(model.feature_layers + model.heads[a],
-                                           f_grads + h_grads):
-                w -= alpha * dw
-                bias -= alpha * db
-        if b % cfg.check_every != 0 and b != cfg.n_max:
-            continue
-        record_costs()
-        if not all(np.isfinite(c) for trace in traces for c in trace[-1].values()):
-            raise ConvergenceError(
-                f"training diverged at iteration {b}: non-finite cost"
-            )
+    with np.errstate(over="ignore"):
+        for b in range(1, cfg.n_max + 1):
+            alpha = cfg.step_size(b)
+            for draws, rows, states, responses, constants, layers, head in steps:
+                for rng, n, take, offset, batch in draws:
+                    drawn = rng.choice(n, size=take, replace=False)
+                    drawn += offset
+                    np.copyto(batch, drawn)
+                _batch_gradients(states.take(rows, axis=0), responses.take(rows, axis=0),
+                                 constants, layers, grads)
+                grad *= alpha
+                feature_params -= feature_grad
+                head -= head_grad
+            if b % cfg.check_every != 0 and b != cfg.n_max:
+                continue
+            record_costs()
+            if not all(np.isfinite(c) for trace in traces for c in trace[-1].values()):
+                raise ConvergenceError(
+                    f"training diverged at iteration {b}: non-finite cost"
+                )
 
     return [dataclasses.replace(_replica(model, r), trace=t) for r, t in enumerate(traces)]
 
@@ -644,9 +714,11 @@ def default_dims(max_dim: int) -> list:
 class PipelineConfig:
     """Settings for the full feature-construction pipeline.
 
-    ``tau`` is the screening level; ``tau_dim`` the level at which the
-    residual test must fail to reject for a dimension to be accepted, in
-    (0, 1).  ``folds`` must be at least 2 and ``col_tol`` at least 0.
+    ``tau`` is the screening level and ``tau_dim`` the level at which the
+    residual test must fail to reject for a dimension to be accepted, both
+    in (0, 1).  ``folds`` must be at least 2, ``col_tol`` at least 0,
+    ``n_permutations`` at least 1, ``min_stratum`` at least 2, and
+    ``screen_n_max`` at least 1 or None (no cap).
     ``dims``, when given, must be nonempty ascending positive integers, and
     each ``grid`` cell a ``(width, depth, lam)`` of two positive integers and
     a penalty ``>= 0``.  ``fit`` is the training schedule of the refit at
@@ -670,8 +742,18 @@ class PipelineConfig:
     screen_n_max: Optional[int] = None
 
     def __post_init__(self):
+        # the screening and test settings are checked here too, so that a run
+        # fails before it samples data or runs any method
+        if not 0 < self.tau < 1:
+            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if not 0 < self.tau_dim < 1:
             raise ValueError(f"tau_dim must be in (0, 1), got {self.tau_dim}")
+        if self.n_permutations < 1:
+            raise ValueError(f"n_permutations must be >= 1, got {self.n_permutations}")
+        if self.min_stratum < 2:
+            raise ValueError(f"min_stratum must be >= 2, got {self.min_stratum}")
+        if self.screen_n_max is not None and self.screen_n_max < 1:
+            raise ValueError(f"screen_n_max must be >= 1 or None, got {self.screen_n_max}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         if self.col_tol < 0:

@@ -56,36 +56,56 @@ def mlp_forward(x, layers, affine_last=False, cache=None):
     so that they broadcast over the row axis.  With ``affine_last`` the final
     layer skips the sigmoid; a 1-D final weight then gives one value per
     row.  When ``cache`` is a list, each layer appends its ``(input,
-    pre-activation, output)`` for :func:`mlp_backward`.
+    output)`` for :func:`mlp_backward`, the output ``None`` for an affine
+    layer.
     """
+    with np.errstate(over="ignore"):
+        return _mlp_forward(x, layers, affine_last, cache)
+
+
+def _mlp_forward(x, layers, affine_last=False, cache=None):
+    # `mlp_forward` under the caller's error state, so that a trainer
+    # silences exp's overflow once around all its passes.  Each sigmoid is
+    # `_sigmoid`'s operations in its order, written over the layer's fresh
+    # pre-activation.
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = x @ _transpose(w) + b
-        out = z if affine_last and i == last else _sigmoid(z)
+        z = x @ _transpose(w)
+        z += b
+        affine = affine_last and i == last
+        if not affine:
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(1.0, z, out=z)
         if cache is not None:
-            cache.append((x, z, out))
-        x = out
+            cache.append((x, None if affine else z))
+        x = z
     return x
 
 
-def mlp_backward(cache, layers, delta):
-    """Parameter gradients ``[(dW, db)]`` of a loss through a cached forward pass.
+def mlp_backward(cache, layers, delta, grads):
+    """Parameter gradients of a loss through a cached forward pass, written
+    into ``grads``.
 
-    ``delta`` is the loss gradient with respect to the network output;
-    ``cache`` is that of the :func:`mlp_forward` call.  Gradients sum over
-    the row axis and are shaped like the parameters, stack axes included.
+    ``delta`` is the loss gradient with respect to the network output, and
+    the pass overwrites it; ``cache`` is that of the :func:`mlp_forward`
+    call.  ``grads`` holds one ``(dW, db)`` pair of arrays per layer, which
+    may be views of one flat buffer: ``dW`` is shaped like ``W``, and ``db``
+    like the row sum of the layer's output gradient with the row axis kept,
+    ``(R, 1, out)`` for the stacked biases of `stack_layers`.  Gradients sum
+    over the row axis.
     """
-    grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        x, z, out = cache[i]
-        # an affine layer cached its pre-activation as its output; the
-        # sigmoid's derivative is out * (1 - out)
-        dz = delta if out is z else delta * (out * (1.0 - out))
-        bias_shape = np.shape(layers[i][1])
-        grads[i] = (dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2).reshape(bias_shape))
+        x, out = cache[i]
+        if out is not None:
+            # the sigmoid's derivative is out * (1 - out)
+            delta *= out * (1.0 - out)
+        dw, db = grads[i]
+        np.matmul(delta.swapaxes(-1, -2), x, out=dw)
+        np.add.reduce(delta, axis=-2, keepdims=True, out=db)
         if i:
-            delta = dz @ layers[i][0]
-    return grads
+            delta = delta @ layers[i][0]
 
 
 def init_layers(widths, rng: np.random.Generator) -> list:

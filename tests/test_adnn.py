@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from suffmdp.adnn import (
     _batch_constants,
     _batch_gradients,
     _costs_by_action,
+    _init_model,
+    _layer_views,
     _stack,
     _train_replicas,
     active_inputs,
@@ -26,7 +29,7 @@ from suffmdp.adnn import (
 )
 from suffmdp.core import TrajectoryDataset, config_from_jsonable, flatten_transitions
 from suffmdp.experiment import ExperimentConfig
-from suffmdp.features import NetworkFeatureMap
+from suffmdp.features import NetworkFeatureMap, _sigmoid, stack_layers
 from suffmdp.rng import derive_seed, substream
 from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
 
@@ -222,10 +225,20 @@ def relative_error(a, b):
     return np.abs(a - b) / np.maximum(np.abs(b), 1e-6)
 
 
+def stacked_gradients(s, y, constants, stacked, action):
+    """A stacked model's batch gradients for one action, as the trainer makes
+    them: ``(feature_grads, head_grads)`` written into fresh arrays."""
+    layers = stacked.feature_layers + stacked.heads[action]
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
+    _batch_gradients(s, y, constants, layers, grads)
+    k = len(stacked.feature_layers)
+    return grads[:k], grads[k:]
+
+
 def replica_gradients(s, y, model, lam, action):
     """One replica's batch gradients through a one-replica stacked call."""
-    f_g, h_g = _batch_gradients(s[None], y[None], _batch_constants([len(s)], [lam]),
-                                _stack([model]), action)
+    f_g, h_g = stacked_gradients(s[None], y[None], _batch_constants([len(s)], [lam]),
+                                 _stack([model])[0], action)
     return [(dw[0], db[0, 0]) for dw, db in f_g], [(dw[0], db[0, 0]) for dw, db in h_g]
 
 
@@ -264,17 +277,25 @@ class TestSubgradient:
             assert np.allclose(dw, 0.0) and np.allclose(db, 0.0)
 
     def test_only_requested_head_gets_gradients(self):
-        stacked = _stack([make_model(seed=9), make_model(seed=10)])
+        # the gradients fill flat buffers laid out like the feature layers and
+        # one head, as the trainer's are, and leave every parameter as it was
+        stacked, feature_params, head_params = _stack([make_model(seed=9), make_model(seed=10)])
+        before = [p.copy() for p in [feature_params, *head_params.values()]]
         ds = _random_dataset(3, seed=5, n_actions=2)
         s, y = action_batch(ds, 1)
         s, y = np.stack([s, s]), np.stack([y, y])
         constants = _batch_constants([len(s[0])] * 2, [0.1, 0.1])
-        f_g, h_g = _batch_gradients(s, y, constants, stacked, 1)
-        assert len(h_g) == len(stacked.heads[1])
-        for (dw, db), (w, b) in zip(f_g + h_g, stacked.feature_layers + stacked.heads[1]):
+        feature_grad = np.full_like(feature_params, np.nan)
+        head_grad = np.full_like(head_params[1], np.nan)
+        layers = stacked.feature_layers + stacked.heads[1]
+        grads = (_layer_views(feature_grad, [w.shape[1:] for w, _ in stacked.feature_layers])
+                 + _layer_views(head_grad, [w.shape[1:] for w, _ in stacked.heads[1]]))
+        _batch_gradients(s, y, constants, layers, grads)
+        assert np.isfinite(feature_grad).all() and np.isfinite(head_grad).all()
+        for (dw, db), (w, b) in zip(grads, layers, strict=True):
             assert dw.shape == w.shape and db.shape == b.shape
-        with pytest.raises(KeyError):
-            _batch_gradients(s, y, constants, stacked, 3)  # no such head
+        after = [feature_params, *head_params.values()]
+        assert all(np.array_equal(p, q) for p, q in zip(after, before, strict=True))
 
     def test_stacked_gradients_equal_each_replicas_own(self):
         # three replicas with different penalties and batch sizes; the shorter
@@ -287,7 +308,7 @@ class TestSubgradient:
         s, y = s_all[rows], y_all[rows]
         for r, take in enumerate(takes):
             s[r, take:], y[r, take:] = 7.0, -3.0
-        f_g, h_g = _batch_gradients(s, y, _batch_constants(takes, lams), _stack(models), 2)
+        f_g, h_g = stacked_gradients(s, y, _batch_constants(takes, lams), _stack(models)[0], 2)
         for r, (model, lam, take) in enumerate(zip(models, lams, takes)):
             f_ref, h_ref = replica_gradients(s[r, :take], y[r, :take], model, lam, 2)
             for (dw, db), (dw_ref, db_ref) in zip(f_g + h_g, f_ref + h_ref, strict=True):
@@ -332,7 +353,8 @@ class TestTrainReplicas:
                 lone = fit_adnn(train, arch, self.CFG, lam=lam, seed=seed, actions_subset=subset)
                 assert_same_model(models[d * len(lams) + l], lone)
 
-    @pytest.mark.xfail(reason="a padded batch's gradient can sum its rows in another order "
+    @pytest.mark.xfail(strict=True,
+                       reason="a padded batch's gradient can sum its rows in another order "
                               "than the lone fit's unpadded one")
     def test_padded_replica_equals_lone_fit(self):
         # action 2 takes 5 rows in the first fit and 2 in the second
@@ -341,6 +363,137 @@ class TestTrainReplicas:
         arch = Architecture(feature_dim=1, hidden_width=2)
         models = _train_replicas(arch, self.CFG, fits, [0.0])
         assert_same_model(models[1], fit_adnn(fits[1][0], arch, self.CFG, seed=12))
+
+
+# The lock-step trainer's step as first written: per-layer forward and
+# backward passes into fresh arrays, the padding masked with np.where and one
+# `w -= alpha * dw` per array.  The trainer must reproduce it bit for bit.
+def _reference_forward(x, layers, affine_last, cache=None):
+    for i, (w, b) in enumerate(layers):
+        z = x @ w.swapaxes(-1, -2) + b
+        out = z if affine_last and i == len(layers) - 1 else _sigmoid(z)
+        if cache is not None:
+            cache.append((x, z, out))
+        x = out
+    return x
+
+
+def _reference_backward(cache, layers, delta):
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        x, z, out = cache[i]
+        dz = delta if out is z else delta * (out * (1.0 - out))
+        grads[i] = (dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2).reshape(layers[i][1].shape))
+        if i:
+            delta = dz @ layers[i][0]
+    return grads
+
+
+def _reference_costs(tr, n, feature_layers, heads, lam):
+    feats = _reference_forward(tr.states, feature_layers, False)
+    w1 = feature_layers[0][0]
+    pen = 0.0 if lam == 0.0 else lam * float(np.sqrt(np.square(w1).sum(axis=0)).sum())
+    costs = {}
+    for a, head in heads.items():
+        idx = tr.actions == a
+        pred = _reference_forward(feats[idx], head, True)
+        costs[a] = float(np.square(pred - tr.responses[idx]).sum()) / n + pen
+    return costs
+
+
+def _reference_train(arch, cfg, fits, lams, actions_subset=None):
+    n_actions, state_dim = fits[0][0].n_actions, fits[0][0].state_dim
+    actions = list(range(1, n_actions + 1)) if actions_subset is None else sorted(actions_subset)
+    data = [(flatten_transitions(train), train.n_subjects) for train, _ in fits]
+    rngs = [substream(seed) for _, seed in fits]
+    inits = [_init_model(arch, state_dim, actions, rng) for rng in rngs]
+    replicas = [init for init in inits for _ in lams]
+    features = stack_layers([m.feature_layers for m in replicas])
+    heads = {a: stack_layers([m.heads[a] for m in replicas]) for a in actions}
+    lam = np.asarray(list(lams) * len(fits), dtype=np.float64)[:, None]
+
+    batches = {}
+    for a in actions:
+        rows = [np.flatnonzero(tr.actions == a) for tr, _ in data]
+        sizes = np.array([r.size for r in rows])
+        takes = (cfg.batch_fraction * sizes).astype(np.int64)
+        take = np.repeat(takes, len(lams))[:, None, None]
+        batches[a] = (
+            rows, sizes, takes, np.cumsum(sizes) - sizes, take,
+            np.arange(take.max())[:, None] >= take,
+            np.concatenate([tr.states[r] for (tr, _), r in zip(data, rows)]
+                           + [np.zeros((1, state_dim))]),
+            np.concatenate([tr.responses[r] for (tr, _), r in zip(data, rows)]
+                           + [np.zeros((1, state_dim + 1))]),
+        )
+
+    def replica(r):
+        return ([(w[r], b[r, 0]) for w, b in features],
+                {a: [(w[r], b[r, 0]) for w, b in heads[a]] for a in actions})
+
+    def record(traces):
+        for r, trace in enumerate(traces):
+            tr, n = data[r // len(lams)]
+            trace.append(_reference_costs(tr, n, *replica(r), lams[r % len(lams)]))
+
+    traces = [[] for _ in replicas]
+    record(traces)
+    for b in range(1, cfg.n_max + 1):
+        alpha = cfg.step_size(b)
+        for a in actions:
+            rows, sizes, takes, offsets, take, pad, states, responses = batches[a]
+            index = np.full((len(fits), len(lams), takes.max()), sizes.sum())
+            for d, rng in enumerate(rngs):
+                index[d, :, :takes[d]] = offsets[d] + rng.choice(sizes[d], size=takes[d],
+                                                                 replace=False)
+            index = index.reshape(len(replicas), -1)
+            layers = features + heads[a]
+            cache = []
+            out = _reference_forward(states[index], layers, True, cache)
+            delta = np.where(pad, 0.0, 2.0 * (out - responses[index]) / take)
+            grads = _reference_backward(cache, layers, delta)
+            if (lam > 0.0).any():
+                w1 = features[0][0]
+                norms = np.sqrt(np.square(w1).sum(axis=-2))
+                scale = np.divide(lam, norms, out=np.zeros_like(norms), where=norms > 0)
+                grads[0] = (grads[0][0] + w1 * scale[:, None, :], grads[0][1])
+            for (w, bias), (dw, db) in zip(layers, grads):
+                w -= alpha * dw
+                bias -= alpha * db
+        if b % cfg.check_every == 0 or b == cfg.n_max:
+            record(traces)
+    return [AdnnModel(*replica(r), trace=t) for r, t in enumerate(traces)]
+
+
+class TestReferenceStep:
+    CFG = FitConfig(alpha0=0.2, batch_fraction=0.3, n_max=30, check_every=10)
+
+    @pytest.mark.parametrize("depth,lam,subset", [(1, 0.0, None), (2, 0.1, None), (1, 0.3, [2])],
+                             ids=["depth-1-lam-0", "depth-2-lam-0.1", "action-2"])
+    def test_lone_fit_equals_reference(self, depth, lam, subset):
+        ds = _random_dataset(3, seed=40, n=10, horizon=5, n_actions=2)
+        arch = Architecture(feature_dim=2, hidden_width=3, depth=depth)
+        (reference,) = _reference_train(arch, self.CFG, [(ds, 7)], [lam], subset)
+        assert_same_model(fit_adnn(ds, arch, self.CFG, lam=lam, seed=7,
+                                   actions_subset=subset), reference)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("subset", [None, [1]], ids=["all-actions", "action-1"])
+    def test_padded_replicas_equal_reference(self, depth, subset):
+        # three unequal fits, so the shorter fits' batches are padded
+        ds = _random_dataset(2, seed=41, n=16, horizon=5, n_actions=2)
+        fits = [(ds.subset_subjects(np.arange(0, 8)), 3), (ds.subset_subjects(np.arange(8, 13)), 4),
+                (ds.subset_subjects(np.arange(13, 16)), 5)]
+        actions = subset or [1, 2]
+        takes = [{int(0.3 * np.sum(train.actions == a)) for train, _ in fits} for a in actions]
+        assert all(len(t) > 1 for t in takes)
+        lams = [0.0, 0.05, 0.4]
+        arch = Architecture(feature_dim=2, hidden_width=2, depth=depth)
+        reference = _reference_train(arch, self.CFG, fits, lams, subset)
+        models = _train_replicas(arch, self.CFG, fits, lams, subset)
+        assert len(models) == len(reference) == 9
+        for model, ref in zip(models, reference):
+            assert_same_model(model, ref)
 
 
 def _random_dataset(p, seed=0, n=8, horizon=4, n_actions=1):
@@ -732,6 +885,39 @@ class TestPipeline:
             config_from_jsonable(ExperimentConfig, {"oracle_variant": 1})
         with pytest.raises(ValueError, match="PipelineConfig must be a JSON object"):
             config_from_jsonable(PipelineConfig, [])
-        cfg = config_from_jsonable(PipelineConfig, {"tau": 1, "dims": [1, 2],
+        cfg = config_from_jsonable(PipelineConfig, {"col_tol": 1, "dims": [1, 2],
                                                     "screen_n_max": None})
-        assert (cfg.tau, cfg.dims, cfg.screen_n_max) == (1, (1, 2), None)
+        assert (cfg.col_tol, cfg.dims, cfg.screen_n_max) == (1, (1, 2), None)
+
+
+class TestConfigChecks:
+    # at the time of writing, beta 0 or -5 divided by zero mid-fit and
+    # alpha0 -0.1 trained uphill to the end
+    @pytest.mark.parametrize("key,value", [
+        ("alpha0", 0.0), ("alpha0", -0.1), ("alpha0", math.inf), ("alpha0", math.nan),
+        ("beta", 0.0), ("beta", -5.0), ("beta", math.nan)])
+    def test_fit_config_rejects_untrainable_schedule(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            FitConfig(**{key: value})
+
+    def test_fit_config_accepts_constant_step(self):
+        cfg = FitConfig(alpha0=0.3, beta=math.inf)
+        assert cfg.step_size(0) == cfg.step_size(10 ** 6) == 0.3
+
+    # these once failed only inside screening or the residual test, after an
+    # experiment had sampled its data and run its other methods
+    @pytest.mark.parametrize("key,value,message", [
+        ("tau", 0.0, "tau must be in (0, 1)"), ("tau", 1.0, "tau must be in (0, 1)"),
+        ("n_permutations", 0, "n_permutations must be >= 1"),
+        ("min_stratum", 1, "min_stratum must be >= 2"),
+        ("screen_n_max", 0, "screen_n_max must be >= 1 or None")])
+    def test_pipeline_config_rejects_bad_test_settings(self, key, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PipelineConfig(**{key: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_jsonable(ExperimentConfig, {"pipeline": {key: value}})
+
+    def test_pipeline_config_accepts_edge_values(self):
+        cfg = PipelineConfig(tau=0.999, n_permutations=1, min_stratum=2, screen_n_max=1)
+        assert PipelineConfig(screen_n_max=None).screen_n_max is None
+        assert (cfg.n_permutations, cfg.min_stratum, cfg.screen_n_max) == (1, 2, 1)

@@ -133,20 +133,21 @@ def _cpu_has(features: str) -> bool:
 @pytest.mark.skipif(not _cpu_has(AVX2_ONLY), reason="the CPU lacks the AVX2-only feature set")
 @pytest.mark.parametrize(
     "name",
-    ["qlearn-linear",
-     pytest.param("qlearn-nn", marks=pytest.mark.xfail(
-         raises=AssertionError, strict=True,
-         reason="ROADMAP item 9: numpy's AVX2 np.exp rounds some sigmoid inputs "
-                "differently from its AVX-512 kernel"))])
-def test_golden_fit_under_avx2_only_numpy(name, tmp_path):
-    # the Q fits' golden files, reproduced by numpy limited to AVX2 kernels;
-    # the setting applies at numpy's import, hence the subprocess
+    [pytest.param(name, marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 9: numpy's AVX2 np.exp rounds some sigmoid inputs "
+               "differently from its AVX-512 kernel")) if name == "qlearn-nn" else name
+     for name, _, _ in RUNS])
+def test_golden_fit_under_avx2_only_numpy(name, inputs, tmp_path):
+    # every golden file, reproduced by numpy limited to AVX2 kernels; the
+    # setting applies at numpy's import, hence the subprocess
     argv, files = next((a, f) for n, a, f in RUNS if n == name)
     paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=AVX2_ONLY,
                PYTHONPATH=os.pathsep.join(filter(None, paths)))
     subprocess.run([sys.executable, "-m", "suffmdp.cli",
-                    *argv.format(golden=GOLDEN).split()], cwd=tmp_path, env=env, check=True)
+                    *argv.format(**{"in": inputs, "golden": GOLDEN}).split()],
+                   cwd=tmp_path, env=env, check=True)
     for f in files:
         assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
 
@@ -283,10 +284,21 @@ class TestExitCodes:
          ("tau_dim", 1.5, "tau_dim must be in (0, 1)"),
          ("tau_dim", 0, "tau_dim must be in (0, 1)"),
          ("folds", 1, "folds must be >= 2"),
-         ("col_tol", -0.1, "col_tol must be >= 0")],
+         ("col_tol", -0.1, "col_tol must be >= 0"),
+         ("tau", 1, "tau must be in (0, 1)"),
+         ("min_stratum", 1, "min_stratum must be >= 2"),
+         ("screen_n_max", 0, "screen_n_max must be >= 1 or None"),
+         # beta 0 once stopped the fit with ZeroDivisionError (exit 2), and
+         # alpha0 -0.1 trained uphill and exited 0
+         ("fit", {"n_max": 20, "beta": 0}, "beta must be > 0"),
+         ("fit", {"n_max": 20, "beta": -5}, "beta must be > 0"),
+         ("fit", {"n_max": 20, "alpha0": -0.1}, "alpha0 must be finite and > 0"),
+         ("cv_fit", {"alpha0": 0}, "alpha0 must be finite and > 0")],
         ids=["misspelled-folds", "old-cells-key", "dims-below-one", "max-iterations-zero",
              "grid-cell-string-depth", "grid-cell-zero-width", "tau-dim-above-one",
-             "tau-dim-zero", "folds-one", "col-tol-negative"])
+             "tau-dim-zero", "folds-one", "col-tol-negative", "tau-one", "min-stratum-one",
+             "screen-n-max-zero", "fit-beta-zero", "fit-beta-negative",
+             "fit-alpha0-negative", "cv-fit-alpha0-zero"])
     def test_bad_grid_file_gives_1(self, inputs, key, value, message, capsys, monkeypatch):
         def no_screening(*args, **kwargs):
             raise AssertionError("screening ran on a bad grid file")
@@ -430,6 +442,24 @@ class TestExitCodes:
 
         monkeypatch.setattr(experiment, "_run_replicate", no_replicate)
         assert run(f"experiment --config {{in}}/experiment.json {flag}", inputs) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pipeline,message",
+        [({"n_permutations": 0}, "n_permutations must be >= 1"),
+         ({"tau": 1.5}, "tau must be in (0, 1)"),
+         ({"fit": {"n_max": 20, "beta": 0}}, "beta must be > 0"),
+         ({"cv_fit": {"n_max": 5, "alpha0": -0.1}}, "alpha0 must be finite and > 0")],
+        ids=["perms-zero", "tau-above-one", "fit-beta-zero", "cv-fit-alpha0-negative"])
+    def test_bad_pipeline_in_experiment_gives_1_before_any_work(self, inputs, pipeline,
+                                                                message, capsys, monkeypatch):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(experiment, "_run_replicate", no_replicate)
+        config = dict(EXPERIMENT, pipeline=dict(EXPERIMENT["pipeline"], **pipeline))
+        (inputs / "bad.json").write_text(json.dumps(config))
+        assert run("experiment --config {in}/bad.json", inputs) == 1
         assert message in capsys.readouterr().err
 
     def test_runtime_failure_gives_2(self, inputs, monkeypatch):

@@ -57,6 +57,16 @@ class TestSigmoid:
         grid = np.concatenate(parts)[None, :].repeat(3, axis=0)
         assert (sigmoid(grid) == whole).all()
 
+    def test_network_layer_computes_it_in_place_bit_for_bit(self):
+        # mlp_forward runs the sigmoid's operations over the pre-activation
+        x = substream(8).standard_normal((40, 3)) * np.array([1.0, 100.0, 800.0])
+        w, b = substream(9).standard_normal((5, 3)), substream(10).standard_normal(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mlp_forward(x, [(w, b)])
+        assert out.tobytes() == sigmoid(x @ w.T + b).tobytes()
+        assert 0.0 in out and 1.0 in out  # saturated without an overflow warning
+
 
 class TestNetworkMap:
     def test_output_in_unit_interval(self):
