@@ -35,8 +35,6 @@ from .dcov import (
     InsufficientDataError,
     PermutedSide,
     TestReport,
-    dcov_permutation_pvalue,
-    dcov_statistic,
     draw_permuted_side,
     pooled_pvalue,
     stratified_pooled_test,

@@ -29,14 +29,28 @@ one ``params -= grad``.  These are the floating-point operations of one
 ``w -= alpha * dw`` per array, so the fitted parameters do not depend on
 the layout.
 
-The fit criterion is penalized least squares
+Each action's step descends, on its minibatch of that action's transitions,
+the per-transition batch mean of the squared error plus the full penalty,
+
+    L_a(theta) = mean over the batch of ||prediction(S, a) - Y||^2
+                 + lam * sum_j ||column j of W1||_2,
+
+where ``W1`` is the first feature-layer weight matrix; the column-norm
+penalty is a group lasso over input variables, so a column driven to zero
+removes that raw coordinate from the feature map entirely.  The fit
+criterion that the cost trace records is penalized least squares summed
+per subject instead,
 
     C(theta) = (1/n) sum_i sum_t ||prediction(S_i^t, A_i^t) - Y_i^{t+1}||^2
                + lam * sum_j ||column j of W1||_2,
 
-where ``W1`` is the first feature-layer weight matrix; the column-norm
-penalty is a group lasso over input variables, so a column driven to zero
-removes that raw coordinate from the feature map entirely.
+traced per action as that action's share of the sum plus the whole
+penalty.  An action taken at ``n_a`` of the ``n T`` transitions adds
+``n_a / n`` times its per-transition mean squared error to C, about
+``T / K`` times with ``K`` equally taken actions, but only the mean itself
+to its steps' objective.  Relative to C the steps therefore weigh the
+penalty about ``T / K`` times as heavily: 45 times at ``T = 90`` with two
+actions.
 
 On top of the fit sit: subject-level cross-validation of
 (width, depth, penalty), residual-based dimension selection (smallest
@@ -121,7 +135,9 @@ class FitConfig:
     Each outer iteration draws a ``batch_fraction`` of every action's
     transitions.  The step size decays as ``alpha0 / (1 + b / beta)`` over
     outer iterations ``b``, with ``alpha0`` finite and positive and ``beta``
-    positive; training runs exactly ``n_max`` of them.
+    positive; training runs exactly ``n_max`` of them.  Each step descends
+    the batch mean of the squared error plus the full penalty, not the
+    per-subject cost that the trace records (see the module docstring).
     ``check_every`` is the cadence of the full-data cost trace and of the
     divergence check; it does not change the fitted parameters.  The penalty
     and the seed are arguments of `fit_adnn` and `cross_validate_adnn`.
@@ -155,7 +171,10 @@ class AdnnModel:
     """Fitted feature network plus per-action regression heads.
 
     ``trace`` records the per-action full-data cost every ``check_every``
-    outer iterations and after the last (index 0 is the initialization).
+    outer iterations and after the last (index 0 is the initialization):
+    per action, its squared errors summed and divided by the subject
+    count, plus the whole penalty.  That is the action's share of the
+    module docstring's C, not the batch-mean objective the steps descend.
     Fitted models are treated as immutable; nothing in the package mutates
     one after `fit_adnn` returns.
     """
@@ -208,8 +227,6 @@ def _init_model(arch: Architecture, state_dim: int, actions: Sequence[int],
 
 
 def _penalty(model: AdnnModel, lam: float) -> float:
-    if lam == 0.0:
-        return 0.0
     return lam * float(np.sqrt(np.square(model.first_layer).sum(axis=0)).sum())
 
 
@@ -236,19 +253,20 @@ def _batch_constants(takes, lams) -> tuple:
     first ``takes[r]`` rows of ``(R, max(takes), .)`` batches, with penalties
     ``lams``: the ``(R, 1, 1)`` row counts, the ``(R, max(takes), 1)`` mask
     of padding rows, or ``None`` when no replica is padded, and the ``(R, 1,
-    1)`` penalties, or ``None`` when none is positive.  They are the same at
-    every step, so a trainer makes them once.
+    1)`` penalties.  They are the same at every step, so a trainer makes
+    them once.
     """
     take = np.asarray(takes, dtype=np.float64)[:, None, None]
     pad = np.arange(take.max())[:, None] >= take
-    lam = np.asarray(lams, dtype=np.float64)
     return (take, pad if pad.any() else None,
-            lam[:, None, None] if (lam > 0.0).any() else None)
+            np.asarray(lams, dtype=np.float64)[:, None, None])
 
 
 def _batch_gradients(s, y, constants, layers, grads) -> None:
-    """Gradients of each replica's batch-mean squared error plus penalty
-    subgradient, written into ``grads``.
+    """Gradients of each replica's batch objective, written into ``grads``:
+    the mean over its batch rows of the squared error, plus its penalty's
+    subgradient.  The mean is per transition, where the traced cost divides
+    by the subject count (see the module docstring).
 
     ``layers`` is a stacked network (see `_stack`), every array with a
     leading replica axis ``R``: the feature layers and then one action's
@@ -275,11 +293,10 @@ def _batch_gradients(s, y, constants, layers, grads) -> None:
         np.copyto(delta, 0.0, where=pad)
     mlp_backward(cache, layers, delta, grads)
 
-    if lam is not None:
-        w1, dw1 = layers[0][0], grads[0][0]
-        norms = np.sqrt(np.add.reduce(np.square(w1), axis=-2, keepdims=True))
-        scale = np.divide(lam, norms, out=np.zeros(norms.shape), where=norms > 0)
-        dw1 += w1 * scale
+    w1, dw1 = layers[0][0], grads[0][0]
+    norms = np.sqrt(np.add.reduce(np.square(w1), axis=-2, keepdims=True))
+    scale = np.divide(lam, norms, out=np.zeros(norms.shape), where=norms > 0)
+    dw1 += w1 * scale
 
 
 def _layer_views(buffer, shapes) -> list:
@@ -804,7 +821,6 @@ class PipelineResult:
     feature_dim: int
     screen_result: ScreenResult
     iterations: list
-    model: Optional[AdnnModel]
     flags: tuple = ()
 
     def to_jsonable(self) -> dict:
@@ -850,7 +866,6 @@ def construct_sufficient_features(
             feature_dim=0,
             screen_result=scr,
             iterations=[],
-            model=None,
             flags=("utility-independent-of-state",),
         )
 
@@ -892,6 +907,5 @@ def construct_sufficient_features(
         feature_dim=selection.feature_dim,
         screen_result=scr,
         iterations=iterations,
-        model=selection.model,
         flags=flags,
     )

@@ -2,7 +2,7 @@
 
 PCA ignores the decision structure entirely: it eigendecomposes the
 time-averaged empirical state covariance and keeps enough leading
-components to explain a target variance fraction.
+components to explain 90% of the state variance.
 
 The per-action baseline ("traditional" networks, tNN) runs the
 cross-validated fit and dimension selection separately on each action's
@@ -25,17 +25,18 @@ from .rng import derive_seed
 
 __all__ = ["pca_feature_map", "TnnResult", "fit_tnn"]
 
+# Share of the state variance the PCA components explain.
+_VAR_EXPLAINED = 0.9
 
-def pca_feature_map(ds: TrajectoryDataset, var_explained: float = 0.9):
+
+def pca_feature_map(ds: TrajectoryDataset) -> LinearFeatureMap:
     """Principal-component projection of the state.
 
     The covariance is the average over t = 1..T of the per-time empirical
-    covariance across subjects.  Returns ``(map, k)`` where ``k`` is the
-    smallest component count whose eigenvalues reach ``var_explained`` of
-    the total; the map is ``s -> V_k (s - mean)`` with orthonormal rows.
+    covariance across subjects.  The map is ``s -> V_k (s - mean)`` with
+    orthonormal rows, where ``k`` (its ``dim``) is the smallest component
+    count whose eigenvalues reach ``_VAR_EXPLAINED`` of the total.
     """
-    if not 0 < var_explained <= 1:
-        raise ValueError(f"var_explained must be in (0, 1], got {var_explained}")
     horizon = ds.horizon
     x = ds.states[:, :horizon]  # (n, T, p)
     per_time_mean = x.mean(axis=0, keepdims=True)
@@ -52,11 +53,10 @@ def pca_feature_map(ds: TrajectoryDataset, var_explained: float = 0.9):
     eigvals = np.clip(eigvals[order], 0.0, None)
     eigvecs = eigvecs[:, order]
     frac = np.cumsum(eigvals) / eigvals.sum()
-    k = int(np.searchsorted(frac, var_explained - 1e-12) + 1)
+    k = int(np.searchsorted(frac, _VAR_EXPLAINED - 1e-12) + 1)
     components = eigvecs[:, :k].T
     mean = x.reshape(n * horizon, p).mean(axis=0)
-    fmap = LinearFeatureMap(weights=components, offset=-components @ mean)
-    return fmap, k
+    return LinearFeatureMap(weights=components, offset=-components @ mean)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,13 @@ or missing key or a value of the wrong JSON kind.  They also include:
   file's ``gamma`` outside (0, 1);
 - a Q approximator whose actions are not the generative model's 1 and 2
   (``evaluate``), and an experiment method listed twice;
-- an experiment's ``replicates``, or a set ``threads``, below 1.
+- ``qlearn --epochs`` below 1, which would write an untrained Q file;
+- an experiment config that would train nothing or fail only inside a
+  replicate: a count below 1 (``replicates``, a set ``threads``,
+  ``n_subjects``, ``horizon``, ``n_rollouts``, ``eval_horizon``,
+  ``q_epochs_linear`` or ``q_epochs_nn``), an empty ``models``,
+  ``noise_counts`` or ``feature_methods``, an unknown model or oracle
+  variant, and a negative noise count.
 
 A ``qlearn`` fit that diverges (non-finite parameters) is a runtime failure:
 it exits 2 and writes no Q file.
@@ -196,7 +202,7 @@ def _cmd_construct(args) -> int:
 
 
 def _write_weights_csv(path: str, result) -> None:
-    w1 = result.model.first_layer  # (units, inputs)
+    w1 = result.feature_map.layers[0][0]  # (units, inputs)
     with open(path, "w") as fh:
         units = w1.shape[0]
         fh.write("variable," + ",".join(f"w_{u + 1}" for u in range(units)) + "\n")

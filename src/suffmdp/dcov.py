@@ -47,8 +47,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,8 +59,6 @@ __all__ = [
     "InsufficientDataError",
     "StratumResult",
     "TestReport",
-    "dcov_statistic",
-    "dcov_permutation_pvalue",
     "pooled_pvalue",
     "PermutedSide",
     "draw_permuted_side",
@@ -91,18 +89,20 @@ class StratumResult:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Result of an independence test.
+    """Result of a stratified pooled test (see :func:`stratified_pooled_test`).
 
-    ``statistic`` is a scalar for a single test and a per-stratum list for
-    stratified tests.  ``pooled_u`` records the order-statistic index used
-    for pooling (1 for unpooled tests).
+    ``statistic`` lists the per-stratum statistics in the order of
+    ``strata``, and ``pooled_u`` is the order-statistic index the pooling
+    used.  ``seed`` and ``reject`` keep defaults only because
+    ``bench/test_bench.py`` builds a report without them;
+    `stratified_pooled_test` always sets both.
     """
 
-    statistic: Union[float, list]
+    statistic: list
     p_value: float
-    strata: list = field(default_factory=list)
-    pooled_u: int = 1
-    n_permutations: int = 0
+    strata: list
+    pooled_u: int
+    n_permutations: int
     seed: Optional[int] = None
     reject: Optional[bool] = None
 
@@ -118,29 +118,6 @@ class TestReport:
         }
 
 
-def _as_sample(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ValueError(f"{name} must be a vector or matrix, got ndim={x.ndim}")
-    if x.shape[0] < 2:
-        raise ValueError(f"{name} needs at least 2 rows, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return x
-
-
-def _paired_samples(x, y) -> tuple:
-    x = _as_sample(x, "x")
-    y = _as_sample(y, "y")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"x and y must be paired: {x.shape[0]} vs {y.shape[0]} rows"
-        )
-    return x, y
-
-
 def _centered_distances(x: np.ndarray) -> np.ndarray:
     # Euclidean distances summed column by column from 0.0, then rooted: the
     # operations of scipy's cdist in its order, so the matrix (and every
@@ -154,15 +131,6 @@ def _centered_distances(x: np.ndarray) -> np.ndarray:
     row = d.mean(axis=1, keepdims=True)
     col = d.mean(axis=0, keepdims=True)
     return d - row - col + d.mean()
-
-
-def dcov_statistic(x, y) -> float:
-    """Empirical squared distance covariance of two paired samples."""
-    x, y = _paired_samples(x, y)
-    a = _centered_distances(x)
-    b = _centered_distances(y)
-    # Mathematically nonnegative; clamp roundoff noise.
-    return max(0.0, float(np.mean(a * b)))
 
 
 class _PermutedSample:
@@ -224,33 +192,6 @@ class _PermutedSample:
         observed, permuted = self.statistics(x)
         exceed = int(np.count_nonzero(permuted >= observed - _TIE_RTOL * observed))
         return observed, (1 + exceed) / (len(permuted) + 1)
-
-
-def dcov_permutation_pvalue(
-    x,
-    y,
-    n_permutations: int = 199,
-    rng: Union[int, np.random.Generator] = 0,
-) -> TestReport:
-    """Permutation test of independence based on :func:`dcov_statistic`.
-
-    The p-value is ``(1 + #{permuted >= observed}) / (n_permutations + 1)``,
-    which is strictly positive and valid in finite samples.  The
-    permutations act on ``y``; a one-column ``x`` is scored through the
-    sorted-gap identity of the module docstring.
-    """
-    if n_permutations < 1:
-        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
-    x, y = _paired_samples(x, y)
-    seed = rng if isinstance(rng, int) else None
-    gen = substream(rng) if isinstance(rng, int) else rng
-    statistic, p_value = _PermutedSample(y, n_permutations, gen).test(x)
-    return TestReport(
-        statistic=statistic,
-        p_value=p_value,
-        n_permutations=n_permutations,
-        seed=seed,
-    )
 
 
 def pooled_pvalue(pvals: Sequence[float], u: int) -> float:

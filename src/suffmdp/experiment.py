@@ -6,10 +6,9 @@ on the reduced data, and score the greedy policies on fresh rollouts.
 Results aggregate to one row per (model, noise, feature method) with Monte
 Carlo standard errors, mirroring a results-table layout.
 
-The Q fits and PCA keep their functions' defaults: discount 0.9, 10 hidden
-units in the neural Q, step-size decay ``beta`` 1e4, and PCA components
-explaining 90% of the state variance.  The step size starts at the fit's
-default ``alpha0`` (0.05 linear, 0.01 neural) and halves on a retry.
+The Q fits keep their functions' default discount of 0.9.  Their step size
+starts at ``qlearn.LINEAR_ALPHA0`` or ``qlearn.NN_ALPHA0`` and halves on a
+retry.
 
 Replicates run in worker processes forked from the caller.  Every random
 quantity derives from the master seed and the replicate's coordinates, and
@@ -25,7 +24,6 @@ entry has the outcome ``utility-independent-of-state``.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import os
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -36,7 +34,7 @@ from .adnn import ConvergenceError, PipelineConfig, construct_sufficient_feature
 from .baselines import fit_tnn, pca_feature_map
 from .core import flatten_transitions, format_float
 from .features import IdentityFeatureMap
-from .qlearn import evaluate_policy, fit_q_linear, fit_q_nn
+from .qlearn import LINEAR_ALPHA0, NN_ALPHA0, evaluate_policy, fit_q_linear, fit_q_nn
 from .rng import derive_seed
 from .simgen import GenerativeModelSpec, oracle_feature_map, sample_trajectories
 
@@ -45,6 +43,8 @@ __all__ = ["ExperimentConfig", "CellSummary", "ExperimentResult", "run_experimen
 
 FEATURE_METHODS = ("raw", "oracle", "adnn", "tnn", "pca")
 Q_METHODS = ("linear", "nn")
+# the raw coordinates each oracle map reads
+_ORACLE_VARIABLES = {"first4": 4, "first16": 16, "nonlinear3": 4}
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
@@ -66,8 +66,14 @@ class ExperimentConfig:
     Each replicate's pipeline seed derives from ``master_seed``, so
     ``pipeline.seed`` must keep its default.  ``threads`` is the number of
     forked worker processes that run replicates (see ``resolve_threads``).
-    ``replicates`` and a set ``threads`` must be at least 1.
-    The Q fits' other settings and PCA's are fixed (see the module docstring).
+    The counts ``n_subjects``, ``horizon``, ``replicates``, ``n_rollouts``,
+    ``eval_horizon``, ``q_epochs_linear``, ``q_epochs_nn`` and a set
+    ``threads`` must be at least 1.  ``models``, ``noise_counts`` and
+    ``feature_methods`` must be nonempty, each model a simgen g kind and
+    each noise count at least 0, and ``oracle_variant`` one of
+    ``first4``, ``first16`` and ``nonlinear3``.  A bad setting raises
+    ValueError here, before any replicate runs.  The Q fits' other
+    settings and PCA's are constants of `qlearn` and `baselines`.
     """
 
     models: tuple = ("linear",)
@@ -96,8 +102,19 @@ class ExperimentConfig:
                     raise ValueError(f"unknown {kind} method {m!r}")
                 if m in methods[:i]:
                     raise ValueError(f"{kind} method {m!r} is listed twice")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        for name in ("feature_methods", "models", "noise_counts"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
+        for model in self.models:
+            for noise in self.noise_counts:
+                GenerativeModelSpec(g_kind=model, n_noise=noise)  # validates both
+        if self.oracle_variant not in _ORACLE_VARIABLES:
+            raise ValueError(f"unknown oracle variant {self.oracle_variant!r}; "
+                             f"expected one of {tuple(_ORACLE_VARIABLES)}")
+        for name in ("n_subjects", "horizon", "replicates", "n_rollouts", "eval_horizon",
+                     "q_epochs_linear", "q_epochs_nn"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.pipeline.seed != PipelineConfig.seed:
@@ -160,10 +177,10 @@ def _build_feature_map(method, ds, gen_spec, cfg: ExperimentConfig, seed: int,
     if method == "raw":
         return IdentityFeatureMap(p), p
     if method == "oracle":
-        n_var = {"first4": 4, "first16": 16, "nonlinear3": 4}[cfg.oracle_variant]
-        return oracle_feature_map(gen_spec, cfg.oracle_variant), n_var
+        return (oracle_feature_map(gen_spec, cfg.oracle_variant),
+                _ORACLE_VARIABLES[cfg.oracle_variant])
     if method == "pca":
-        return pca_feature_map(ds)[0], p
+        return pca_feature_map(ds), p
 
     # CV fits too: a diverged CV fit retried at its old step size fails again
     def scaled(fit):
@@ -175,11 +192,6 @@ def _build_feature_map(method, ds, gen_spec, cfg: ExperimentConfig, seed: int,
     )
     result = (construct_sufficient_features if method == "adnn" else fit_tnn)(ds, pipe)
     return result.feature_map, len(result.variables)
-
-
-# the Q fits' own starting step sizes; a retry halves them
-_ALPHA0 = {name: inspect.signature(fit).parameters["alpha0"].default
-           for name, fit in (("linear", fit_q_linear), ("nn", fit_q_nn))}
 
 
 def _run_replicate(cfg: ExperimentConfig, mi: int, ni: int, rep: int) -> dict:
@@ -210,12 +222,11 @@ def _run_replicate(cfg: ExperimentConfig, mi: int, ni: int, rep: int) -> dict:
                 for qi, q_method in enumerate(cfg.q_methods):
                     fit_seed = derive_seed(cfg.master_seed, mi, ni, rep, 2, fi, qi)
                     if q_method == "linear":
-                        fit, epochs = fit_q_linear, cfg.q_epochs_linear
+                        fit, epochs, alpha0 = fit_q_linear, cfg.q_epochs_linear, LINEAR_ALPHA0
                     else:
-                        fit, epochs = fit_q_nn, cfg.q_epochs_nn
+                        fit, epochs, alpha0 = fit_q_nn, cfg.q_epochs_nn, NN_ALPHA0
                     q = fit(
-                        transitions, fmap, epochs=epochs,
-                        alpha0=_ALPHA0[q_method] * alpha_scale,
+                        transitions, fmap, epochs=epochs, alpha0=alpha0 * alpha_scale,
                         seed=fit_seed, n_actions=ds.n_actions,
                     )
                     eval_seed = derive_seed(cfg.master_seed, mi, ni, rep, 3, qi)

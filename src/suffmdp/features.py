@@ -47,7 +47,7 @@ def _transpose(w):
     return w if w.ndim == 1 else w.swapaxes(-1, -2)
 
 
-def mlp_forward(x, layers, affine_last=False, cache=None):
+def mlp_forward(x, layers, affine_last=False):
     """Apply ``(W, b)`` layers, ``x -> sigmoid(x @ W.T + b)``, to row-stacked
     inputs (or to one 1-D input).
 
@@ -55,19 +55,19 @@ def mlp_forward(x, layers, affine_last=False, cache=None):
     in)`` against inputs ``(R, rows, in)``, with biases shaped ``(R, 1, out)``
     so that they broadcast over the row axis.  With ``affine_last`` the final
     layer skips the sigmoid; a 1-D final weight then gives one value per
-    row.  When ``cache`` is a list, each layer appends its ``(input,
-    output)`` for :func:`mlp_backward`, the output ``None`` for an affine
-    layer.
+    row.
     """
     with np.errstate(over="ignore"):
-        return _mlp_forward(x, layers, affine_last, cache)
+        return _mlp_forward(x, layers, affine_last)
 
 
 def _mlp_forward(x, layers, affine_last=False, cache=None):
     # `mlp_forward` under the caller's error state, so that a trainer
     # silences exp's overflow once around all its passes.  Each sigmoid is
     # `_sigmoid`'s operations in its order, written over the layer's fresh
-    # pre-activation.
+    # pre-activation.  When `cache` is a list, each layer appends its
+    # (input, output) for `mlp_backward`, the output None for an affine
+    # layer.
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         z = x @ _transpose(w)
@@ -89,12 +89,12 @@ def mlp_backward(cache, layers, delta, grads):
     into ``grads``.
 
     ``delta`` is the loss gradient with respect to the network output, and
-    the pass overwrites it; ``cache`` is that of the :func:`mlp_forward`
-    call.  ``grads`` holds one ``(dW, db)`` pair of arrays per layer, which
-    may be views of one flat buffer: ``dW`` is shaped like ``W``, and ``db``
-    like the row sum of the layer's output gradient with the row axis kept,
-    ``(R, 1, out)`` for the stacked biases of `stack_layers`.  Gradients sum
-    over the row axis.
+    the pass overwrites it; ``cache`` is the list that ``_mlp_forward``
+    filled on the forward pass.  ``grads`` holds one ``(dW, db)`` pair of
+    arrays per layer, which may be views of one flat buffer: ``dW`` is
+    shaped like ``W``, and ``db`` like the row sum of the layer's output
+    gradient with the row axis kept, ``(R, 1, out)`` for the stacked biases
+    of `stack_layers`.  Gradients sum over the row axis.
     """
     for i in range(len(layers) - 1, -1, -1):
         x, out = cache[i]
@@ -225,15 +225,11 @@ class CoordinateFeatureMap(FeatureMap):
 class LinearFeatureMap(FeatureMap):
     """Affine map ``s -> W s + offset``."""
 
-    def __init__(self, weights: np.ndarray, offset: Optional[np.ndarray] = None):
+    def __init__(self, weights: np.ndarray, offset: np.ndarray):
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.ndim != 2:
             raise ValueError("weights must be a (dim, input_dim) matrix")
-        self.offset = (
-            np.zeros(self.weights.shape[0])
-            if offset is None
-            else np.asarray(offset, dtype=np.float64)
-        )
+        self.offset = np.asarray(offset, dtype=np.float64)
 
     @property
     def dim(self) -> int:

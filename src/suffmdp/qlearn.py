@@ -34,6 +34,8 @@ from .rng import substream
 from .simgen import ACTIONS, GenerativeModelSpec, step_process
 
 __all__ = [
+    "LINEAR_ALPHA0",
+    "NN_ALPHA0",
     "LinearQ",
     "NeuralQ",
     "QApproximator",
@@ -43,6 +45,14 @@ __all__ = [
     "greedy_actions",
     "evaluate_policy",
 ]
+
+# Starting step sizes of the linear and neural fits.
+LINEAR_ALPHA0 = 0.05
+NN_ALPHA0 = 0.01
+# Step-size decay: update k steps ``alpha0 / (1 + k / _BETA)``.
+_BETA = 10000.0
+# Sigmoid hidden units in each action's network of the neural fit.
+_HIDDEN_WIDTH = 10
 
 
 @dataclass
@@ -152,6 +162,12 @@ def _prepare(transitions: Transitions, feature_map: FeatureMap, n_actions: int):
     return feats, feats_next, transitions.actions, transitions.utilities
 
 
+def _check_epochs(epochs: int) -> None:
+    # no pass leaves the initial parameters, which are not a fit
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+
+
 def _check_finite(kind: str, *params) -> None:
     if not all(np.isfinite(p).all() for p in params):
         raise ConvergenceError(f"{kind} Q fit diverged: non-finite parameters")
@@ -162,21 +178,21 @@ def fit_q_linear(
     feature_map: FeatureMap,
     gamma: float = 0.9,
     epochs: int = 20,
-    alpha0: float = 0.05,
-    beta: float = 10000.0,
+    alpha0: float = LINEAR_ALPHA0,
     seed: int = 0,
     *,
     n_actions: int,
 ) -> LinearQ:
     """Linear semi-gradient Q-learning from batch transitions.
 
-    Runs ``epochs`` shuffled passes; the step size for the k-th update is
-    ``alpha0 / (1 + k / beta)``.  Weights start at zero.  Actions must lie
-    in ``1..n_actions``; each level gets a weight vector.  Non-finite final
-    weights raise `ConvergenceError`.
+    Runs ``epochs`` shuffled passes, at least one; the step size for the
+    k-th update is ``alpha0 / (1 + k / 10000)``.  Weights start at zero.
+    Actions must lie in ``1..n_actions``; each level gets a weight vector.
+    Non-finite final weights raise `ConvergenceError`.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    _check_epochs(epochs)
     feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
     # The loop is bound by interpreter and NumPy call overhead, not by
     # arithmetic, so each update makes one row product and reads it as a
@@ -202,7 +218,7 @@ def fit_q_linear(
             a = acts[i] - 1
             values = (inputs[i] @ w).ravel().tolist()
             delta = utils[i] + gamma * max(values[:n_actions]) - values[n_actions + a]
-            views[a] += alpha0 / (1.0 + k / beta) * delta * x[i]
+            views[a] += alpha0 / (1.0 + k / _BETA) * delta * x[i]
             k += 1
     _check_finite("linear", w)
     return LinearQ(weights={a + 1: w[a, :, 0] for a in range(n_actions)}, gamma=gamma)
@@ -212,25 +228,23 @@ def fit_q_nn(
     transitions: Transitions,
     feature_map: FeatureMap,
     gamma: float = 0.9,
-    hidden_width: int = 10,
     epochs: int = 20,
-    alpha0: float = 0.01,
-    beta: float = 10000.0,
+    alpha0: float = NN_ALPHA0,
     seed: int = 0,
     *,
     n_actions: int,
 ) -> NeuralQ:
     """Neural semi-gradient Q-learning from batch transitions.
 
-    One network per action: sigmoid hidden layer of ``hidden_width`` units,
-    linear output.  The bootstrap target is held fixed within each update.
-    Actions must lie in ``1..n_actions``; each level gets a network.
-    Non-finite final parameters raise `ConvergenceError`.
+    One network per action: sigmoid hidden layer of 10 units, linear
+    output.  Runs ``epochs`` shuffled passes, at least one, with the step
+    schedule of `fit_q_linear`.  The bootstrap target is held fixed within
+    each update.  Actions must lie in ``1..n_actions``; each level gets a
+    network.  Non-finite final parameters raise `ConvergenceError`.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    if hidden_width < 1:
-        raise ValueError(f"hidden_width must be >= 1, got {hidden_width}")
+    _check_epochs(epochs)
     feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
     rng = substream(seed)
     # Every action's network (Glorot-uniform, drawn in action order) stacked
@@ -243,7 +257,7 @@ def fit_q_nn(
     # the same order, without the per-call overhead.  The reference loop in
     # tests/test_qlearn.py calls `_sigmoid` itself, so the two cannot drift.
     (w1, b1), (w2, b2) = stack_layers(
-        [init_layers([feats.shape[1], hidden_width, 1], rng) for _ in range(n_actions)]
+        [init_layers([feats.shape[1], _HIDDEN_WIDTH, 1], rng) for _ in range(n_actions)]
     )
     w1t, w2t = w1.swapaxes(-1, -2), w2.swapaxes(-1, -2)
     # per action, views of its slices; updates write through them, so the
@@ -260,7 +274,7 @@ def fit_q_nn(
                 hidden = 1.0 / (1.0 + np.exp(-(inputs[i] @ w1t + b1)))
                 values = (hidden @ w2t + b2).ravel().tolist()
                 best_next = max(values[:n_actions])
-                step = alpha0 / (1.0 + k / beta) * (utils[i] + gamma * best_next
+                step = alpha0 / (1.0 + k / _BETA) * (utils[i] + gamma * best_next
                                                     - values[n_actions + a])
                 hidden = hidden[1, a, 0]
                 w1a, b1a, w2a, b2a = views[a]

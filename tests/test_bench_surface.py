@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from suffmdp import adnn
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -51,3 +53,25 @@ def test_wrap_point_resolves_and_binds_its_counter_arguments(module, attr, count
     parameters = inspect.signature(fn).parameters
     read = re.findall(r'args\["(\w+)"\]', inspect.getsource(counter)) if counter else []
     assert set(read) <= set(parameters), f"{module}.{attr} lacks {set(read) - set(parameters)}"
+
+
+@pytest.mark.parametrize("name", ["screen-p64", "cv-quad-p16"])
+def test_full_workload_fit_counters_read_the_schedule(name, monkeypatch):
+    # The smoke workloads never select a variable (at B=19 and T=4 the
+    # pooled p-value floor is above tau), so they never reach the refits
+    # whose iterations the tracer counts from the trace and the schedule.
+    configs = []
+    construct = adnn.construct_sufficient_features
+
+    def recording(ds, config):
+        configs.append(config)
+        return construct(ds, config)
+
+    monkeypatch.setattr(adnn, "construct_sufficient_features", recording)
+    prepared = workloads.WORKLOADS[name](1)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        result = prepared.call()
+    assert prepared.check(result) == []
+    fits = [sp for sp in tracer.spans if sp.name == "adnn.fit"]
+    assert fits
+    assert [sp.counts["iterations"] for sp in fits] == [configs[0].fit.n_max] * len(fits)

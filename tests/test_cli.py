@@ -7,14 +7,23 @@ change in one subcommand fails that subcommand's test only.  To rewrite the
 golden files after an intended change of output, run this file directly:
 
     PYTHONPATH=src python tests/test_cli.py
+
+When the CPU has the AVX2 feature set, the script then runs every run again
+under numpy limited to AVX2 kernels and prints, per golden file, how many
+of its numbers differ from the recorded ones and by how many ulps at most,
+so that a re-recording shows at once which files depend on numpy's SIMD
+dispatch.
 """
 
 import dataclasses
 import json
 import os
+import re
 import shutil
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -139,17 +148,56 @@ def _cpu_has(features: str) -> bool:
                "differently from its AVX-512 kernel")) if name == "qlearn-nn" else name
      for name, _, _ in RUNS])
 def test_golden_fit_under_avx2_only_numpy(name, inputs, tmp_path):
-    # every golden file, reproduced by numpy limited to AVX2 kernels; the
-    # setting applies at numpy's import, hence the subprocess
+    # every golden file, reproduced by numpy limited to AVX2 kernels
     argv, files = next((a, f) for n, a, f in RUNS if n == name)
+    run_avx2_only(argv, inputs, tmp_path)
+    for f in files:
+        assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
+
+
+def run_avx2_only(argv: str, inp: Path, cwd: Path) -> None:
+    """Run a CLI command line in ``cwd`` under numpy limited to AVX2 kernels;
+    the setting applies at numpy's import, hence the subprocess."""
     paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=AVX2_ONLY,
                PYTHONPATH=os.pathsep.join(filter(None, paths)))
     subprocess.run([sys.executable, "-m", "suffmdp.cli",
-                    *argv.format(**{"in": inputs, "golden": GOLDEN}).split()],
-                   cwd=tmp_path, env=env, check=True)
-    for f in files:
-        assert (tmp_path / f).read_bytes() == (GOLDEN / f).read_bytes(), f
+                    *argv.format(**{"in": inp, "golden": GOLDEN}).split()],
+                   cwd=cwd, env=env, check=True)
+
+
+# a number standing alone, not the digits of a name such as s_1
+NUMBER = re.compile(r"(?<![\w.])(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)(?![\w.])")
+
+
+def _ordered(x: float) -> int:
+    """``x``'s place in the order of doubles, so that neighbours are 1 apart."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def number_drift(recorded: str, other: str) -> str:
+    """How the numbers of ``other`` differ from those of ``recorded``: a
+    count and the largest ulp distance, or a note that the text around the
+    numbers differs."""
+    parts, other_parts = NUMBER.split(recorded), NUMBER.split(other)
+    if len(parts) != len(other_parts) or parts[::2] != other_parts[::2]:
+        return "differs outside its numbers"
+    pairs = [(float(a), float(b)) for a, b in zip(parts[1::2], other_parts[1::2])]
+    ulps = [abs(_ordered(a) - _ordered(b)) for a, b in pairs if a != b]
+    if not ulps:
+        return f"all {len(pairs)} numbers equal"
+    return f"{len(ulps)} of {len(pairs)} numbers differ, by at most {max(ulps)} ulp"
+
+
+def report_avx2_drift(inp: Path) -> None:
+    """Print, per golden file, how its AVX2-only rerun differs from it."""
+    with tempfile.TemporaryDirectory() as work:
+        for name, argv, files in RUNS:
+            run_avx2_only(argv, inp, Path(work))
+            for f in files:
+                drift = number_drift((GOLDEN / f).read_text(), (Path(work) / f).read_text())
+                print(f"AVX2-only {name}: {f}: {drift}")
 
 
 CONSTRUCT = dict((r[0], r[1]) for r in RUNS)["construct"]
@@ -445,6 +493,34 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key,value,message",
+        [("models", [], "models must be nonempty"),
+         ("q_epochs_linear", 0, "q_epochs_linear must be >= 1"),
+         ("models", ["cubic"], "unknown g kind 'cubic'")],
+        ids=["no-models", "linear-epochs-zero", "unknown-model"])
+    def test_experiment_config_that_trains_nothing_gives_1(self, inputs, key, value, message,
+                                                          capsys, monkeypatch):
+        # these exited 0 with a header-only table or an untrained Q's value,
+        # and an unknown model failed only once its replicate ran
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(experiment, "_run_replicate", no_replicate)
+        (inputs / "bad.json").write_text(json.dumps(dict(EXPERIMENT, **{key: value})))
+        assert run("experiment --config {in}/bad.json", inputs) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["linear", "nn"])
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_qlearn_epochs_below_one_gives_1(self, inputs, tmp_path, kind, epochs, capsys):
+        # this wrote an untrained Q file and exited 0
+        argv = dict((r[0], r[1]) for r in RUNS)["qlearn-linear"].replace(
+            "--kind linear --epochs 2", f"--kind {kind} --epochs {epochs}")
+        assert run(argv, inputs) == 1
+        assert f"epochs must be >= 1, got {epochs}" in capsys.readouterr().err
+        assert not (tmp_path / "q_linear.json").exists()
+
+    @pytest.mark.parametrize(
         "pipeline,message",
         [({"n_permutations": 0}, "n_permutations must be >= 1"),
          ({"tau": 1.5}, "tau must be in (0, 1)"),
@@ -480,5 +556,9 @@ if __name__ == "__main__":
         for name, argv, _ in RUNS:
             if run(argv, scratch) != 0:
                 sys.exit(f"{name} failed")
+        if _cpu_has(AVX2_ONLY):
+            report_avx2_drift(scratch)
+        else:
+            print("the CPU lacks the AVX2-only feature set; no AVX2-only rerun")
     finally:
         shutil.rmtree(scratch)

@@ -10,8 +10,6 @@ from suffmdp.dcov import (
     InsufficientDataError,
     _centered_distances,
     _PermutedSample,
-    dcov_permutation_pvalue,
-    dcov_statistic,
     draw_permuted_side,
     pooled_pvalue,
     stratified_pooled_test,
@@ -69,6 +67,23 @@ class TestCenteredDistances:
             assert _centered_distances(x).tobytes() == want.tobytes()
 
 
+def _sample(v):
+    """A one-dimensional sample as one column."""
+    v = np.asarray(v, dtype=np.float64)
+    return v[:, None] if v.ndim == 1 else v
+
+
+def dcov_statistic(x, y):
+    """The observed statistic of a permutation test of ``x`` against ``y``."""
+    return _PermutedSample(_sample(y), 1, substream(0)).statistics(_sample(x))[0]
+
+
+def permutation_pvalue(x, y, n_permutations, seed):
+    """``(statistic, p_value)`` of the test of ``x`` against ``y`` whose
+    permutations come from ``substream(seed)``, as a stratum's do."""
+    return _PermutedSample(_sample(y), n_permutations, substream(seed)).test(_sample(x))
+
+
 class TestDcovStatistic:
     def test_constant_y_gives_zero(self):
         x = np.arange(6.0)
@@ -115,29 +130,21 @@ class TestDcovStatistic:
             shifted = dcov_statistic(x + 17.0, y - 3.0)
             assert shifted == pytest.approx(v, abs=1e-12)
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            dcov_statistic(np.array([1.0]), np.array([2.0]))
-        with pytest.raises(ValueError):
-            dcov_statistic(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            dcov_statistic(np.arange(3.0), np.arange(4.0))
-
 
 class TestPermutationPvalue:
     def test_perfect_dependence_reaches_minimum(self):
         rng = substream(9)
         x = rng.normal(size=(50, 1))
-        report = dcov_permutation_pvalue(x, x, n_permutations=199, rng=3)
-        assert report.p_value == pytest.approx(1 / 200)
+        _, p_value = permutation_pvalue(x, x, 199, seed=3)
+        assert p_value == pytest.approx(1 / 200)
 
     def test_single_permutation_p_in_half_or_one(self):
         rng = substream(10)
         for seed in range(10):
             x = rng.normal(size=(8, 1))
             y = rng.normal(size=(8, 1))
-            report = dcov_permutation_pvalue(x, y, n_permutations=1, rng=seed)
-            assert report.p_value in (0.5, 1.0)
+            _, p_value = permutation_pvalue(x, y, 1, seed)
+            assert p_value in (0.5, 1.0)
 
     def test_identity_draws_count_as_ties(self):
         # At m=5 about one draw in 120 is the identity permutation; each
@@ -146,10 +153,10 @@ class TestPermutationPvalue:
         m, b = 5, 999
         for seed in range(20):
             x = substream(500 + seed).normal(size=(m, 2))
-            report = dcov_permutation_pvalue(x, x, n_permutations=b, rng=seed)
+            _, p_value = permutation_pvalue(x, x, b, seed)
             perms = np.argsort(substream(seed).random((b, m)), axis=1)
             identity = int(np.all(perms == np.arange(m), axis=1).sum())
-            assert report.p_value >= (1 + identity) / (b + 1)
+            assert p_value >= (1 + identity) / (b + 1)
 
     def test_one_column_identity_draws_count_as_ties(self):
         # A one-column x is tested under perm o sigma^-1, which is the
@@ -157,11 +164,11 @@ class TestPermutationPvalue:
         m, b = 5, 999
         for seed in range(20):
             x = substream(500 + seed).normal(size=(m, 1))
-            report = dcov_permutation_pvalue(x, x, n_permutations=b, rng=seed)
+            _, p_value = permutation_pvalue(x, x, b, seed)
             perms = np.argsort(substream(seed).random((b, m)), axis=1)
             sigma = np.argsort(x[:, 0], kind="stable")
             identity = int(np.all(perms == sigma, axis=1).sum())
-            assert report.p_value >= (1 + identity) / (b + 1)
+            assert p_value >= (1 + identity) / (b + 1)
 
     def test_level_under_independence(self):
         # 200 replicates of independent Gaussians: rejection rate at 0.1
@@ -171,35 +178,23 @@ class TestPermutationPvalue:
             rng = substream(1000 + rep)
             x = rng.normal(size=(30, 1))
             y = rng.normal(size=(30, 1))
-            report = dcov_permutation_pvalue(x, y, n_permutations=199, rng=rep)
-            rejections += report.p_value <= 0.1
+            _, p_value = permutation_pvalue(x, y, 199, seed=rep)
+            rejections += p_value <= 0.1
         assert 0.05 <= rejections / 200 <= 0.15
 
     def test_deterministic_given_seed(self):
         rng = substream(11)
         x = rng.normal(size=(20, 2))
         y = rng.normal(size=(20, 2))
-        r1 = dcov_permutation_pvalue(x, y, n_permutations=99, rng=42)
-        r2 = dcov_permutation_pvalue(x, y, n_permutations=99, rng=42)
-        assert r1.p_value == r2.p_value
-        assert r1.statistic == r2.statistic
+        assert permutation_pvalue(x, y, 99, seed=42) == permutation_pvalue(x, y, 99, seed=42)
 
     def test_pvalue_invariant_to_positive_scaling(self):
         rng = substream(12)
         x = rng.normal(size=(25, 2))
         y = rng.normal(size=(25, 1))
-        base = dcov_permutation_pvalue(x, y, n_permutations=199, rng=9)
+        _, base = permutation_pvalue(x, y, 199, seed=9)
         for c in (2.0, 8.0, 0.25):
-            scaled = dcov_permutation_pvalue(c * x, y, n_permutations=199, rng=9)
-            assert scaled.p_value == base.p_value
-
-    def test_report_serializes(self):
-        rng = substream(13)
-        x = rng.normal(size=(10, 1))
-        report = dcov_permutation_pvalue(x, x, n_permutations=19, rng=1)
-        payload = json.loads(json.dumps(report.to_jsonable()))
-        assert set(payload) >= {"statistic", "p_value", "strata", "u", "B", "seed"}
-        assert payload["B"] == 19
+            assert permutation_pvalue(c * x, y, 199, seed=9)[1] == base
 
 
 class TestPooledPvalue:
@@ -276,6 +271,8 @@ class TestStratifiedPooledTest:
         side = draw_permuted_side(ds.states[:, :-1], ds, n_permutations=19, seed=2)
         report = stratified_pooled_test(ds.utilities, side, tau=0.1)
         payload = json.loads(json.dumps(report.to_jsonable()))
+        assert set(payload) == {"statistic", "p_value", "strata", "u", "B", "seed", "reject"}
+        assert (payload["B"], payload["seed"]) == (19, 2)
         assert payload["reject"] is report.reject
         assert isinstance(report.reject, bool)
         assert len(payload["strata"]) == len(report.strata)
@@ -379,6 +376,14 @@ class TestStratifiedArrayContract:
             with pytest.raises(ValueError, match="shape"):
                 draw_permuted_side(bad, ds, n_permutations=19)
 
+    def test_untestable_settings_rejected(self):
+        # a stratum needs two rows for a distance, and a test one permutation
+        ds, _, h = self._two_action_data()
+        with pytest.raises(ValueError, match="min_stratum must be >= 2"):
+            draw_permuted_side(h, ds, min_stratum=1)
+        with pytest.raises(ValueError, match="n_permutations must be >= 1"):
+            draw_permuted_side(h, ds, n_permutations=0)
+
     def _check_each_stratum_equals_single_test(self, width):
         ds, g, h = self._two_action_data()
         g = g[..., :width]
@@ -388,13 +393,9 @@ class TestStratifiedArrayContract:
         assert len(report.strata) == ds.horizon * 2
         for s in report.strata:
             rows = ds.actions[:, s.t - 1] == s.action
-            single = dcov_permutation_pvalue(
-                g[rows, s.t - 1], h[rows, s.t - 1], n_permutations=49,
-                rng=substream(seed, *key, s.t, s.action),
-            )
+            single = _PermutedSample(h[rows, s.t - 1], 49, substream(seed, *key, s.t, s.action))
             assert s.sample_size == rows.sum()
-            assert s.statistic == single.statistic
-            assert s.p_value == single.p_value
+            assert (s.statistic, s.p_value) == single.test(g[rows, s.t - 1])
 
     def test_each_stratum_equals_single_test_on_its_rows(self):
         self._check_each_stratum_equals_single_test(width=2)
@@ -421,7 +422,7 @@ class TestPermutedSample:
         direct = [
             np.mean(a * sample.b[tau][:, tau]) for tau in sample.perms[:, inverse_sort]
         ]
-        assert observed == dcov_statistic(x, y)
+        assert observed == pytest.approx(brute_force_dcov(x, y), abs=1e-12)
         np.testing.assert_allclose(permuted, direct, rtol=0, atol=1e-12)
 
     def test_side_holds_order_b_m_per_stratum(self):

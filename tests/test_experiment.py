@@ -61,7 +61,8 @@ def test_retry_halves_the_cv_step_size(monkeypatch, cv_fit):
 def test_diverged_q_fit_is_retried_then_counted(monkeypatch, q_method):
     # the Q fits diverge at both step sizes; a diverged fit used to return
     # NaN weights whose greedy policy scored a finite value
-    monkeypatch.setattr(experiment, "_ALPHA0", dict(experiment._ALPHA0, **{q_method: 1e4}))
+    monkeypatch.setattr(experiment, {"linear": "LINEAR_ALPHA0", "nn": "NN_ALPHA0"}[q_method],
+                        1e4)
     cfg = ExperimentConfig(
         n_subjects=20, horizon=12, replicates=1, feature_methods=("raw",),
         q_methods=(q_method,), n_rollouts=5, eval_horizon=4, q_epochs_linear=1,
@@ -97,6 +98,31 @@ def test_duplicate_methods_rejected(key, methods, message):
     # would repeat its row
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**{key: methods})
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [("models", (), "models must be nonempty"),
+     ("noise_counts", (), "noise_counts must be nonempty"),
+     ("feature_methods", (), "feature_methods must be nonempty"),
+     ("models", ("linear", "cubic"), "unknown g kind 'cubic'"),
+     ("noise_counts", (0, -3), "n_noise must be >= 0, got -3"),
+     ("oracle_variant", "first8", "unknown oracle variant 'first8'"),
+     ("n_subjects", 0, "n_subjects must be >= 1, got 0"),
+     ("horizon", 0, "horizon must be >= 1, got 0"),
+     ("n_rollouts", 0, "n_rollouts must be >= 1, got 0"),
+     ("eval_horizon", -1, "eval_horizon must be >= 1, got -1"),
+     ("q_epochs_linear", 0, "q_epochs_linear must be >= 1, got 0"),
+     ("q_epochs_nn", -2, "q_epochs_nn must be >= 1, got -2")],
+    ids=["no-models", "no-noise-counts", "no-feature-methods", "unknown-model",
+         "negative-noise", "unknown-oracle-variant", "no-subjects", "no-horizon",
+         "no-rollouts", "negative-eval-horizon", "no-linear-epochs", "negative-nn-epochs"])
+def test_config_that_trains_nothing_or_fails_in_a_replicate_rejected(key, value, message):
+    # each of these once ran: an empty list printed a header-only table, a
+    # zero epoch count scored the untrained Q, and an unknown model or
+    # variant failed only when its replicate ran
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{key: value})
 
 
 def test_default_threads_follow_the_affinity_mask(monkeypatch):

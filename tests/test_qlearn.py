@@ -175,8 +175,8 @@ def test_fit_q_nn_moves_toward_fixed_point():
     target = u / (1 - gamma)
     errors = []
     for epochs in (1, 5, 20, 60):
-        q = fit_q_nn(tr, IdentityFeatureMap(1), gamma=gamma, hidden_width=3, epochs=epochs,
-                     seed=0, n_actions=1)
+        q = fit_q_nn(tr, IdentityFeatureMap(1), gamma=gamma, epochs=epochs, seed=0,
+                     n_actions=1)
         errors.append(abs(target - float(q.action_values(np.zeros((1, 1)))[0, 0])))
     assert errors == sorted(errors, reverse=True)
     assert errors[-1] < 0.05 * target
@@ -187,8 +187,8 @@ def test_fit_q_nn_prefers_the_rewarded_action():
     actions = rng.integers(1, 3, size=(20, 5))
     ds = TrajectoryDataset(states=rng.standard_normal((20, 6, 2)), actions=actions,
                            utilities=(actions == 2).astype(float), n_actions=2)
-    q = fit_q_nn(flatten_transitions(ds), IdentityFeatureMap(2), gamma=0.5, hidden_width=4,
-                 epochs=5, seed=1, n_actions=2)
+    q = fit_q_nn(flatten_transitions(ds), IdentityFeatureMap(2), gamma=0.5, epochs=5, seed=1,
+                 n_actions=2)
     assert isinstance(q, NeuralQ) and q.actions == [1, 2]
     assert (greedy_actions(q, rng.standard_normal((50, 2))) == 2).all()
 
@@ -202,6 +202,15 @@ def test_diverged_fit_raises(fit):
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
         fit(flatten_transitions(ds), IdentityFeatureMap(ds.state_dim), epochs=1, alpha0=1e4,
             seed=2, n_actions=ds.n_actions)
+
+
+@pytest.mark.parametrize("fit", [fit_q_linear, fit_q_nn], ids=["linear", "nn"])
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_epochs_below_one_rejected(fit, epochs):
+    # no pass returned all-zero linear weights or the networks' initial draw
+    tr = _transitions([1, 2, 1])
+    with pytest.raises(ValueError, match=f"epochs must be >= 1, got {epochs}"):
+        fit(tr, IdentityFeatureMap(2), epochs=epochs, n_actions=2)
 
 
 def _transitions(actions):
@@ -291,7 +300,7 @@ def _bit_identity_case(fmap_kind, n_actions, absent):
         "identity": lambda: IdentityFeatureMap(ds.state_dim),
         "identity-64": lambda: IdentityFeatureMap(ds.state_dim),
         "coordinate": lambda: CoordinateFeatureMap(ds.state_dim, [0, 2, 5]),
-        "pca": lambda: pca_feature_map(ds)[0],
+        "pca": lambda: pca_feature_map(ds),
     }[fmap_kind]()
     return flatten_transitions(ds), fmap
 
