@@ -29,28 +29,21 @@ one ``params -= grad``.  These are the floating-point operations of one
 ``w -= alpha * dw`` per array, so the fitted parameters do not depend on
 the layout.
 
-Each action's step descends, on its minibatch of that action's transitions,
-the per-transition batch mean of the squared error plus the full penalty,
+Each action ``a`` has one objective, the per-transition mean squared error
+over its transitions plus the full penalty,
 
-    L_a(theta) = mean over the batch of ||prediction(S, a) - Y||^2
+    L_a(theta) = mean over a's transitions of ||prediction(S, a) - Y||^2
                  + lam * sum_j ||column j of W1||_2,
 
 where ``W1`` is the first feature-layer weight matrix; the column-norm
 penalty is a group lasso over input variables, so a column driven to zero
-removes that raw coordinate from the feature map entirely.  The fit
-criterion that the cost trace records is penalized least squares summed
-per subject instead,
-
-    C(theta) = (1/n) sum_i sum_t ||prediction(S_i^t, A_i^t) - Y_i^{t+1}||^2
-               + lam * sum_j ||column j of W1||_2,
-
-traced per action as that action's share of the sum plus the whole
-penalty.  An action taken at ``n_a`` of the ``n T`` transitions adds
-``n_a / n`` times its per-transition mean squared error to C, about
-``T / K`` times with ``K`` equally taken actions, but only the mean itself
-to its steps' objective.  Relative to C the steps therefore weigh the
-penalty about ``T / K`` times as heavily: 45 times at ``T = 90`` with two
-actions.
+removes that raw coordinate from the feature map entirely.  ``lam`` is on
+this per-transition scale.  Each step descends ``L_a`` on a minibatch of
+a's transitions with the constant step size ``alpha0``; the cost trace
+records ``L_a`` on all of them.  A constant step settles in a neighbourhood
+of a minimum whose size scales with the step and the minibatch noise
+(Bottou, Curtis & Nocedal 2018, section 4), which is all the residual test
+asks of the fitted mean.
 
 On top of the fit sit: subject-level cross-validation of
 (width, depth, penalty), residual-based dimension selection (smallest
@@ -133,50 +126,42 @@ class FitConfig:
     """Training schedule.
 
     Each outer iteration draws a ``batch_fraction`` of every action's
-    transitions.  The step size decays as ``alpha0 / (1 + b / beta)`` over
-    outer iterations ``b``, with ``alpha0`` finite and positive and ``beta``
-    positive; training runs exactly ``n_max`` of them.  Each step descends
-    the batch mean of the squared error plus the full penalty, not the
-    per-subject cost that the trace records (see the module docstring).
-    ``check_every`` is the cadence of the full-data cost trace and of the
-    divergence check; it does not change the fitted parameters.  The penalty
-    and the seed are arguments of `fit_adnn` and `cross_validate_adnn`.
+    transitions, and every step has the size ``alpha0``, finite and
+    positive; training runs exactly ``n_max`` iterations.  Each step
+    descends its action's objective (see the module docstring), the one the
+    trace records.  ``check_every`` is the cadence of the full-data cost
+    trace and of the divergence check; it does not change the fitted
+    parameters.  The penalty and the seed are arguments of `fit_adnn` and
+    `cross_validate_adnn`.
     """
 
     batch_fraction: float = 0.1
     alpha0: float = 0.05
-    beta: float = 200.0
     n_max: int = 5000
     check_every: int = 100
 
     def __post_init__(self):
         if not 0 < self.batch_fraction < 1:
             raise ValueError(f"batch_fraction must be in (0, 1), got {self.batch_fraction}")
-        # a step must be finite and downhill, and its decay must not divide by zero
+        # a step must be finite and downhill
         if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
             raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {self.check_every}")
-
-    def step_size(self, b: int) -> float:
-        return self.alpha0 / (1.0 + b / self.beta)
 
 
 @dataclass
 class AdnnModel:
     """Fitted feature network plus per-action regression heads.
 
-    ``trace`` records the per-action full-data cost every ``check_every``
-    outer iterations and after the last (index 0 is the initialization):
-    per action, its squared errors summed and divided by the subject
-    count, plus the whole penalty.  That is the action's share of the
-    module docstring's C, not the batch-mean objective the steps descend.
-    Fitted models are treated as immutable; nothing in the package mutates
-    one after `fit_adnn` returns.
+    ``trace`` records, every ``check_every`` outer iterations and after the
+    last (index 0 is the initialization), each action's objective on all
+    its transitions: the per-transition mean squared error plus the whole
+    penalty, the objective that action's steps descend.  Fitted models are
+    treated as immutable; nothing in the package mutates one after
+    `fit_adnn` returns.
     """
 
     feature_layers: list
@@ -241,11 +226,12 @@ def _squared_errors(tr: Transitions, y: np.ndarray, model: AdnnModel, actions) -
     return errors
 
 
-def _costs_by_action(tr, y, n_subjects, model, lam, actions):
-    """Per-action cost: that action's squared-error share plus the penalty."""
+def _costs_by_action(tr, y, model, lam, actions):
+    """Per-action objective: that action's per-transition mean squared error
+    plus the penalty."""
     pen = _penalty(model, lam)
     errors = _squared_errors(tr, y, model, actions)
-    return {a: err / n_subjects + pen for a, err in errors.items()}
+    return {a: err / int(np.count_nonzero(tr.actions == a)) + pen for a, err in errors.items()}
 
 
 def _batch_constants(takes, lams) -> tuple:
@@ -265,8 +251,7 @@ def _batch_constants(takes, lams) -> tuple:
 def _batch_gradients(s, y, constants, layers, grads) -> None:
     """Gradients of each replica's batch objective, written into ``grads``:
     the mean over its batch rows of the squared error, plus its penalty's
-    subgradient.  The mean is per transition, where the traced cost divides
-    by the subject count (see the module docstring).
+    subgradient (see the module docstring).
 
     ``layers`` is a stacked network (see `_stack`), every array with a
     leading replica axis ``R``: the feature layers and then one action's
@@ -381,7 +366,7 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     data, action_rows = [], []
     for train, _ in fits:
         tr = flatten_transitions(train)
-        data.append((tr, tr.responses, train.n_subjects))
+        data.append((tr, tr.responses))
         rows_by_action = {}
         for a in actions:
             rows = np.flatnonzero(tr.actions == a)
@@ -416,8 +401,8 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
         sizes = np.array([rows[a].size for rows in action_rows])
         takes = (cfg.batch_fraction * sizes).astype(np.int64)
         offsets = np.cumsum(sizes) - sizes
-        states = [tr.states[rows[a]] for (tr, _, _), rows in zip(data, action_rows)]
-        responses = [y[rows[a]] for (_, y, _), rows in zip(data, action_rows)]
+        states = [tr.states[rows[a]] for (tr, _), rows in zip(data, action_rows)]
+        responses = [y[rows[a]] for (_, y), rows in zip(data, action_rows)]
         batches = np.full((len(fits), n_lams, takes.max()), sizes.sum())
         steps.append((
             [(rng, n, take, offset, batch[:, :take]) for rng, batch, n, take, offset
@@ -434,14 +419,13 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
 
     def record_costs():
         for r, trace in enumerate(traces):
-            tr, y, n = data[r // n_lams]
-            trace.append(_costs_by_action(tr, y, n, _replica(model, r), lams[r % n_lams],
-                                          actions))
+            tr, y = data[r // n_lams]
+            trace.append(_costs_by_action(tr, y, _replica(model, r), lams[r % n_lams], actions))
 
     record_costs()
+    alpha = cfg.alpha0
     with np.errstate(over="ignore"):
         for b in range(1, cfg.n_max + 1):
-            alpha = cfg.step_size(b)
             for draws, rows, states, responses, constants, layers, head in steps:
                 for rng, n, take, offset, batch in draws:
                     drawn = rng.choice(n, size=take, replace=False)
@@ -475,12 +459,14 @@ def fit_adnn(
 
     The network takes ``ds``'s states to ``arch.feature_dim`` features, and
     each head predicts the response ``(U, S')``.  ``lam`` is the group-lasso
-    penalty, at least 0; ``seed`` keys the initialisation and the minibatch
+    penalty, at least 0, on the per-transition scale of the module
+    docstring's objective; ``seed`` keys the initialisation and the minibatch
     draws.  Per outer iteration, each trained action draws
     ``floor(batch_fraction * n_a)`` of its transitions without replacement
-    and descends on (shared layers, its head).  Training runs exactly
-    ``n_max`` iterations.  The full-data cost is traced at initialisation,
-    every ``check_every`` iterations and after the last; a non-finite cost
+    and takes one step of size ``alpha0`` down its objective on (shared
+    layers, its head).  Training runs exactly ``n_max`` iterations.  Each
+    action's objective on all its transitions is traced at initialisation,
+    every ``check_every`` iterations and after the last; a non-finite one
     after an iteration raises `ConvergenceError`.  Identical inputs, penalty
     and seed reproduce the fitted parameters bit for bit, whatever
     ``check_every`` is.

@@ -219,7 +219,9 @@ class CoordinateFeatureMap(FeatureMap):
         return len(self.indices)
 
     def transform(self, states):
-        return np.asarray(states, dtype=np.float64)[:, self.indices]
+        # a column gather is Fortran-ordered; a C-ordered copy gives a fit the
+        # rows an identity map over the same columns gives it, bit for bit
+        return np.ascontiguousarray(np.asarray(states, dtype=np.float64)[:, self.indices])
 
 
 class LinearFeatureMap(FeatureMap):

@@ -31,7 +31,13 @@ from suffmdp.core import TrajectoryDataset, config_from_jsonable, flatten_transi
 from suffmdp.experiment import ExperimentConfig
 from suffmdp.features import NetworkFeatureMap, _sigmoid, stack_layers
 from suffmdp.rng import derive_seed, substream
-from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
+from suffmdp.simgen import (
+    GenerativeModelSpec,
+    _block_moments,
+    _utility_mean,
+    g_function,
+    sample_trajectories,
+)
 
 
 def make_model(input_dim=3, feature_dim=2, hidden=4, depth=2, n_actions=2,
@@ -122,7 +128,7 @@ class TestForward:
 def one_action_cost(ds, model, lam):
     """The fit criterion on a one-action dataset: that action's cost."""
     tr = flatten_transitions(ds)
-    (cost,) = _costs_by_action(tr, tr.responses, ds.n_subjects, model, lam, [1]).values()
+    (cost,) = _costs_by_action(tr, tr.responses, model, lam, [1]).values()
     return cost
 
 
@@ -136,7 +142,7 @@ class TestCost:
             pred = predict_one(tr.states[i], int(tr.actions[i]), m)
             y = np.concatenate([[tr.utilities[i]], tr.next_states[i]])
             manual += float(np.sum((pred - y) ** 2))
-        assert one_action_cost(ds, m, 0.0) == pytest.approx(manual / ds.n_subjects)
+        assert one_action_cost(ds, m, 0.0) == pytest.approx(manual / len(tr))
 
     def test_group_penalty_arithmetic(self):
         # first-layer columns with norms 3 and 4 add 7 * lam to the cost
@@ -389,7 +395,7 @@ def _reference_backward(cache, layers, delta):
     return grads
 
 
-def _reference_costs(tr, n, feature_layers, heads, lam):
+def _reference_costs(tr, feature_layers, heads, lam):
     feats = _reference_forward(tr.states, feature_layers, False)
     w1 = feature_layers[0][0]
     pen = 0.0 if lam == 0.0 else lam * float(np.sqrt(np.square(w1).sum(axis=0)).sum())
@@ -397,14 +403,14 @@ def _reference_costs(tr, n, feature_layers, heads, lam):
     for a, head in heads.items():
         idx = tr.actions == a
         pred = _reference_forward(feats[idx], head, True)
-        costs[a] = float(np.square(pred - tr.responses[idx]).sum()) / n + pen
+        costs[a] = float(np.square(pred - tr.responses[idx]).sum()) / int(idx.sum()) + pen
     return costs
 
 
 def _reference_train(arch, cfg, fits, lams, actions_subset=None):
     n_actions, state_dim = fits[0][0].n_actions, fits[0][0].state_dim
     actions = list(range(1, n_actions + 1)) if actions_subset is None else sorted(actions_subset)
-    data = [(flatten_transitions(train), train.n_subjects) for train, _ in fits]
+    data = [flatten_transitions(train) for train, _ in fits]
     rngs = [substream(seed) for _, seed in fits]
     inits = [_init_model(arch, state_dim, actions, rng) for rng in rngs]
     replicas = [init for init in inits for _ in lams]
@@ -414,16 +420,16 @@ def _reference_train(arch, cfg, fits, lams, actions_subset=None):
 
     batches = {}
     for a in actions:
-        rows = [np.flatnonzero(tr.actions == a) for tr, _ in data]
+        rows = [np.flatnonzero(tr.actions == a) for tr in data]
         sizes = np.array([r.size for r in rows])
         takes = (cfg.batch_fraction * sizes).astype(np.int64)
         take = np.repeat(takes, len(lams))[:, None, None]
         batches[a] = (
             rows, sizes, takes, np.cumsum(sizes) - sizes, take,
             np.arange(take.max())[:, None] >= take,
-            np.concatenate([tr.states[r] for (tr, _), r in zip(data, rows)]
+            np.concatenate([tr.states[r] for tr, r in zip(data, rows)]
                            + [np.zeros((1, state_dim))]),
-            np.concatenate([tr.responses[r] for (tr, _), r in zip(data, rows)]
+            np.concatenate([tr.responses[r] for tr, r in zip(data, rows)]
                            + [np.zeros((1, state_dim + 1))]),
         )
 
@@ -433,13 +439,12 @@ def _reference_train(arch, cfg, fits, lams, actions_subset=None):
 
     def record(traces):
         for r, trace in enumerate(traces):
-            tr, n = data[r // len(lams)]
-            trace.append(_reference_costs(tr, n, *replica(r), lams[r % len(lams)]))
+            trace.append(_reference_costs(data[r // len(lams)], *replica(r), lams[r % len(lams)]))
 
     traces = [[] for _ in replicas]
     record(traces)
+    alpha = cfg.alpha0
     for b in range(1, cfg.n_max + 1):
-        alpha = cfg.step_size(b)
         for a in actions:
             rows, sizes, takes, offsets, take, pad, states, responses = batches[a]
             index = np.full((len(fits), len(lams), takes.max()), sizes.sum())
@@ -528,7 +533,7 @@ class TestFit:
         # utility = 2 s + noise; compare against the least-squares slope
         ds = linear_response_dataset(n=60, horizon=10, slope=2.0, seed=3)
         arch = Architecture(feature_dim=2, hidden_width=4, depth=1)
-        cfg = FitConfig(alpha0=0.3, beta=800.0, n_max=4000, check_every=20)
+        cfg = FitConfig(alpha0=0.3, n_max=4000, check_every=20)
         model = fit_adnn(ds, arch, cfg, seed=2)
         s = ds.states[:, :-1].reshape(-1, 1)
         u = ds.utilities.reshape(-1)
@@ -748,12 +753,60 @@ class TestResidualTest:
         assert rejections <= 6
 
 
+class SimgenTruth:
+    """The closed-form ``E[(U, S') | S, A]`` of simgen data restricted to the
+    four utility drivers, coordinates 0-3: they are the first signal block,
+    whose next state is driven by coordinate 0."""
+
+    def __init__(self, g_kind):
+        self.g = g_function(g_kind)
+
+    def predict(self, states, action):
+        a01 = np.full(len(states), action - 1.0)
+        next_mean, _ = _block_moments(self.g(states[:, :1]), a01, 4)
+        return np.column_stack([_utility_mean(self.g, states, a01), next_mean])
+
+
+def drivers_at_paper_scale(g_kind, seed):
+    """n=30 subjects of T=90 steps, restricted to coordinates 0-3."""
+    ds = sample_trajectories(GenerativeModelSpec(g_kind), 30, 90, rng=seed)
+    return ds.restrict_columns([0, 1, 2, 3])
+
+
+def mean_squared_error(ds, model):
+    """Squared prediction error of the response, per transition."""
+    tr = flatten_transitions(ds)
+    total = sum(float(np.square(model.predict(tr.states[tr.actions == a], a)
+                                - tr.responses[tr.actions == a]).sum())
+                for a in range(1, ds.n_actions + 1))
+    return total / len(tr)
+
+
+class TestSimgenTruth:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("g_kind", ["linear", "quad", "exp"])
+    def test_truth_passes_the_residual_test(self, g_kind, seed):
+        ds = drivers_at_paper_scale(g_kind, seed)
+        report = residual_independence_pvalue(ds, SimgenTruth(g_kind), n_permutations=999,
+                                              seed=seed)
+        assert report.p_value > 0.05
+
+    def test_default_schedule_fit_nears_the_truth(self):
+        # (S1, S1 + S2, S3 + S4) carries the linear model's mean, so three
+        # features suffice; the fit's excess over the truth's error (0.527,
+        # the noise variance) was 0.025
+        ds = drivers_at_paper_scale("linear", 1)
+        model = fit_adnn(ds, Architecture(3, 2, 1), FitConfig(), lam=0.01, seed=1)
+        excess = mean_squared_error(ds, model) - mean_squared_error(ds, SimgenTruth("linear"))
+        assert excess < 0.05
+
+
 class TestDimensionSelection:
     def test_single_dim_equal_to_state_dim(self):
         ds = linear_response_dataset(n=25, horizon=12, seed=16)
         cfg = PipelineConfig(
             dims=(1,), tau_dim=0.05, grid=((4, 1, 0.001),),
-            fit=FitConfig(alpha0=0.3, beta=800.0, n_max=3000, check_every=25),
+            fit=FitConfig(alpha0=0.3, n_max=3000, check_every=25),
             folds=2, n_permutations=999,
         )
         sel = select_feature_dimension(ds, cfg, seed=7)
@@ -796,9 +849,9 @@ class TestPipeline:
             tau=0.1, tau_dim=0.05,
             grid=((4, 1, 0.003),),
             folds=2,
-            fit=FitConfig(alpha0=0.2, beta=800.0, n_max=4000,
+            fit=FitConfig(alpha0=0.2, n_max=4000,
                           batch_fraction=0.1, check_every=25),
-            cv_fit=FitConfig(alpha0=0.2, beta=400.0, n_max=1000,
+            cv_fit=FitConfig(alpha0=0.2, n_max=1000,
                              batch_fraction=0.1, check_every=25),
             n_permutations=999,
             seed=5,
@@ -891,18 +944,17 @@ class TestPipeline:
 
 
 class TestConfigChecks:
-    # at the time of writing, beta 0 or -5 divided by zero mid-fit and
-    # alpha0 -0.1 trained uphill to the end
+    # at the time of writing, alpha0 -0.1 trained uphill to the end
     @pytest.mark.parametrize("key,value", [
-        ("alpha0", 0.0), ("alpha0", -0.1), ("alpha0", math.inf), ("alpha0", math.nan),
-        ("beta", 0.0), ("beta", -5.0), ("beta", math.nan)])
+        ("alpha0", 0.0), ("alpha0", -0.1), ("alpha0", math.inf), ("alpha0", math.nan)])
     def test_fit_config_rejects_untrainable_schedule(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be"):
             FitConfig(**{key: value})
 
-    def test_fit_config_accepts_constant_step(self):
-        cfg = FitConfig(alpha0=0.3, beta=math.inf)
-        assert cfg.step_size(0) == cfg.step_size(10 ** 6) == 0.3
+    def test_fit_config_has_no_step_size_decay(self):
+        # every step has the size alpha0, so the decay's beta is an unknown key
+        with pytest.raises(ValueError, match="unknown key 'beta' for FitConfig"):
+            config_from_jsonable(PipelineConfig, {"fit": {"beta": 0.0}})
 
     # these once failed only inside screening or the residual test, after an
     # experiment had sampled its data and run its other methods

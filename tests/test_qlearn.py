@@ -324,6 +324,19 @@ def test_fits_match_reference_loops_bit_for_bit(kind, fmap_kind, n_actions, abse
     assert _param_bytes(got) == _param_bytes(want)
 
 
+@pytest.mark.parametrize("kind", ["linear", "nn"])
+def test_coordinate_map_over_every_column_fits_as_identity(kind):
+    # the fits' last bits depend on the feature array's layout, so a
+    # coordinate map must hand them the layout an identity map does
+    ds = sample_trajectories(GenerativeModelSpec("linear", 0), 30, 11, rng=11)
+    tr, p = flatten_transitions(ds), ds.state_dim
+    fit = fit_q_linear if kind == "linear" else fit_q_nn
+    got, want = (fit(tr, fmap, epochs=2, seed=4, n_actions=ds.n_actions)
+                 for fmap in (CoordinateFeatureMap(p, range(p)), IdentityFeatureMap(p)))
+    attr = "weights" if kind == "linear" else "nets"
+    assert _param_bytes(getattr(got, attr)) == _param_bytes(getattr(want, attr))
+
+
 def _param_bytes(params):
     """Per action, the bytes of a weight vector or of each network parameter."""
     def flat(p):
