@@ -19,6 +19,15 @@ penalty and seed would take.  `fit_adnn` is the call with one fit and one
 penalty; cross-validation makes one call per (width, depth), with the
 training folds as fits.
 
+Minibatches are drawn by random reshuffling.  Each (fit, action) has its
+own stream, ``substream(seed, action)``, apart from the initialisation's
+``substream(seed)``; each epoch is one permutation of the action's ``n_a``
+rows, cut in order into ``n_a // take`` batches of ``take`` rows, and the
+last ``n_a mod take`` rows of an epoch go unused.  A fit's batches, and so
+a lone fit's bits, depend only on its data, penalty, seed and schedule:
+not on the other fits or penalties of the call, nor on how many steps'
+rows the trainer writes at once.
+
 The arrays are small (a few rows per batch), so a step costs numpy calls
 rather than arithmetic, and the step is written to make few of them.  The
 replicas' feature layers lie in one flat ``(replicas, parameters)``
@@ -125,11 +134,13 @@ def _check_lam(lam) -> None:
 class FitConfig:
     """Training schedule.
 
-    Each outer iteration draws a ``batch_fraction`` of every action's
-    transitions, and every step has the size ``alpha0``, finite and
-    positive; training runs exactly ``n_max`` iterations.  Each step
-    descends its action's objective (see the module docstring), the one the
-    trace records.  ``check_every`` is the cadence of the full-data cost
+    Each outer iteration takes ``floor(batch_fraction * n_a)`` of every
+    action's ``n_a`` transitions, the next batch of that action's epoch
+    permutation (see the module docstring; the ``n_a mod take`` rows left
+    over by an epoch go unused), and every step has the size ``alpha0``,
+    finite and positive; training runs exactly ``n_max`` iterations.  Each
+    step descends its action's objective (see the module docstring), the
+    one the trace records.  ``check_every`` is the cadence of the full-data cost
     trace and of the divergence check; it does not change the fitted
     parameters.  The penalty and the seed are arguments of `fit_adnn` and
     `cross_validate_adnn`.
@@ -331,6 +342,39 @@ def _replica(stacked: AdnnModel, r: int) -> AdnnModel:
     )
 
 
+# Iterations whose minibatch rows a trainer writes at once.  The rows drawn
+# do not depend on it; it bounds the memory of the block index.
+_BLOCK = 64
+
+
+class _Reshuffle:
+    """One (fit, action)'s minibatch rows, by random reshuffling.
+
+    Every epoch is one ``rng.permutation(n)`` of the action's ``n`` rows, cut
+    in order into ``n // take`` batches of ``take`` rows; the last ``n mod
+    take`` rows of the epoch go unused.  `fill` writes the next ``steps``
+    batches, shifted by ``offset``, into the first ``steps`` entries of
+    ``out``, a ``(block, replicas, take)`` view broadcast over the fit's
+    replicas, and keeps the rest of the epoch for the next call.  The rows
+    batch ``i`` holds depend only on ``rng``, ``n``, ``take`` and ``i``.
+    """
+
+    def __init__(self, rng, n, take, offset, out):
+        self.rng, self.n, self.take, self.offset, self.out = rng, n, take, offset, out
+        self.used = n // take * take
+        self.rows = np.empty(0, dtype=np.int64)
+
+    def fill(self, steps: int) -> None:
+        need = steps * self.take
+        parts, have = [self.rows], self.rows.size
+        while have < need:
+            parts.append(self.rng.permutation(self.n)[:self.used] + self.offset)
+            have += self.used
+        rows = np.concatenate(parts)
+        self.out[:steps] = rows[:need].reshape(steps, 1, self.take)
+        self.rows = rows[need:]
+
+
 def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     """Train every fit ``(train dataset, seed)`` under every penalty in
     ``lams``, in lock step.
@@ -339,8 +383,15 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     data share one state dimension, which sets the input and response
     widths.  Every replica follows the training of a lone ``fit_adnn(data,
     arch, cfg, lam=lam, seed=seed)`` call.  A fit draws its initialisation
-    and then, per iteration and action, its minibatch rows from
-    ``substream(seed)``, once for all its penalties.  Each step gathers
+    from ``substream(seed)`` and each action's minibatch rows from
+    ``substream(seed, action)`` (actions are at least 1, so these keys are
+    never the initialisation's), once for all its penalties: one permutation of the action's
+    ``n_a`` rows per epoch, cut in order into ``n_a // take`` batches, the
+    last ``n_a mod take`` rows unused (see `_Reshuffle`).  Every `_BLOCK`
+    iterations each (fit, action) writes the next block's batches into one
+    ``(block, R, max take)`` index per action, and a step reads its row of
+    it.  The draws depend only on the fit's data, seed and schedule, not on
+    the block, the other fits or ``actions_subset``.  Each step gathers
     every replica's batch from the action's pool, where each fit's rows
     appear once, into one ``(R, max take, .)`` array padded with a zero row,
     and descends on all replicas at once.  A replica whose batches are
@@ -380,8 +431,7 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
             rows_by_action[a] = rows
         action_rows.append(rows_by_action)
 
-    rngs = [substream(seed) for _, seed in fits]
-    inits = [_init_model(arch, state_dim, actions, rng) for rng in rngs]
+    inits = [_init_model(arch, state_dim, actions, substream(seed)) for _, seed in fits]
     model, feature_params, head_params = _stack([init for init in inits for _ in lams])
     n_replicas = len(fits) * n_lams
     # one gradient buffer: the feature layers' part, then a part that every
@@ -393,21 +443,22 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
              + _layer_views(head_grad, [w.shape[1:] for w, _ in model.heads[actions[0]]]))
 
     # per action: every fit's rows end to end, then a zero row that pads the
-    # shorter batches; batches[d, l] is replica d * n_lams + l's batch, and
-    # rows the same index array with one row per replica.  A fit's draw is
-    # written through a view of its batches' first `take` columns.
-    steps = []
+    # shorter batches; block[j, d * n_lams + l] is replica d * n_lams + l's
+    # batch at the j-th step of a block.  A fit's draws are written through
+    # a view of its replicas' first `take` columns.
+    draws, steps = [], []
     for a in actions:
         sizes = np.array([rows[a].size for rows in action_rows])
         takes = (cfg.batch_fraction * sizes).astype(np.int64)
         offsets = np.cumsum(sizes) - sizes
         states = [tr.states[rows[a]] for (tr, _), rows in zip(data, action_rows)]
         responses = [y[rows[a]] for (_, y), rows in zip(data, action_rows)]
-        batches = np.full((len(fits), n_lams, takes.max()), sizes.sum())
+        block = np.full((_BLOCK, len(fits), n_lams, takes.max()), sizes.sum())
+        draws += [_Reshuffle(substream(seed, a), n, take, offset, block[:, d, :, :take])
+                  for d, ((_, seed), n, take, offset)
+                  in enumerate(zip(fits, sizes.tolist(), takes.tolist(), offsets.tolist()))]
         steps.append((
-            [(rng, n, take, offset, batch[:, :take]) for rng, batch, n, take, offset
-             in zip(rngs, batches, sizes.tolist(), takes.tolist(), offsets.tolist())],
-            batches.reshape(n_replicas, -1),
+            block.reshape(_BLOCK, n_replicas, -1),
             np.concatenate(states + [np.zeros((1, state_dim))]),
             np.concatenate(responses + [np.zeros((1, state_dim + 1))]),
             _batch_constants(np.repeat(takes, n_lams), list(lams) * len(fits)),
@@ -426,11 +477,12 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     alpha = cfg.alpha0
     with np.errstate(over="ignore"):
         for b in range(1, cfg.n_max + 1):
-            for draws, rows, states, responses, constants, layers, head in steps:
-                for rng, n, take, offset, batch in draws:
-                    drawn = rng.choice(n, size=take, replace=False)
-                    drawn += offset
-                    np.copyto(batch, drawn)
+            j = (b - 1) % _BLOCK
+            if j == 0:
+                for draw in draws:
+                    draw.fill(min(_BLOCK, cfg.n_max - b + 1))
+            for block, states, responses, constants, layers, head in steps:
+                rows = block[j]
                 _batch_gradients(states.take(rows, axis=0), responses.take(rows, axis=0),
                                  constants, layers, grads)
                 grad *= alpha
@@ -461,15 +513,18 @@ def fit_adnn(
     each head predicts the response ``(U, S')``.  ``lam`` is the group-lasso
     penalty, at least 0, on the per-transition scale of the module
     docstring's objective; ``seed`` keys the initialisation and the minibatch
-    draws.  Per outer iteration, each trained action draws
-    ``floor(batch_fraction * n_a)`` of its transitions without replacement
-    and takes one step of size ``alpha0`` down its objective on (shared
-    layers, its head).  Training runs exactly ``n_max`` iterations.  Each
-    action's objective on all its transitions is traced at initialisation,
-    every ``check_every`` iterations and after the last; a non-finite one
-    after an iteration raises `ConvergenceError`.  Identical inputs, penalty
-    and seed reproduce the fitted parameters bit for bit, whatever
-    ``check_every`` is.
+    draws.  Per outer iteration, each trained action takes the next
+    ``take = floor(batch_fraction * n_a)`` of its transitions from its own
+    stream, ``substream(seed, action)``: one permutation per epoch, cut in
+    order into ``n_a // take`` batches, with the last ``n_a mod take`` rows
+    of each epoch unused.  It takes one step of size ``alpha0`` down its
+    objective on (shared layers, its head).  Training runs exactly ``n_max``
+    iterations.  Each action's objective on all its transitions is traced
+    at initialisation, every ``check_every`` iterations and after the last;
+    a non-finite one after an iteration raises `ConvergenceError`.  The
+    fitted bits depend only on (data, penalty, seed, schedule), whatever
+    ``check_every`` is, and the first ``N`` iterations of a longer fit are
+    those of an ``N``-iteration fit.
 
     This is the one-fit, one-penalty call of the lock-step trainer that
     `cross_validate_adnn` runs on all its folds and penalties of one shape;
@@ -530,9 +585,12 @@ def cross_validate_adnn(
     steps of ``fit_adnn(train fold, Architecture(feature_dim, width,
     depth), cfg, lam=lam, seed=derive_seed(seed, width, depth, fold))``,
     up to the rounding of padded batches; a fold draws its initialisation
-    and each step's minibatch rows once, for all its penalties.  A duplicate
-    cell trains once.  A penalty below zero raises ValueError, and a
-    non-finite cost in any replica raises `ConvergenceError`.
+    and, per action, one permutation per epoch of minibatch rows (the
+    ``n_a mod take`` rows an epoch leaves over go unused) once, for all its
+    penalties.  So a fold's bits depend only on (data, penalty, seed,
+    schedule), up to that rounding.  A duplicate cell trains once.  A
+    penalty below zero raises ValueError, and a non-finite cost in any
+    replica raises `ConvergenceError`.
     """
     cells = list(grid)
     if not cells:

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from suffmdp import adnn
 from suffmdp.adnn import (
     AdnnModel,
     Architecture,
@@ -359,6 +360,54 @@ class TestTrainReplicas:
                 lone = fit_adnn(train, arch, self.CFG, lam=lam, seed=seed, actions_subset=subset)
                 assert_same_model(models[d * len(lams) + l], lone)
 
+    @pytest.mark.parametrize("block", [1, 7, adnn._BLOCK], ids=["1", "7", "default"])
+    def test_fitted_bits_do_not_depend_on_the_block(self, block, monkeypatch):
+        # three unequal fits and two penalties, over an n_max that is not a
+        # multiple of 7, so the last block is short and batches are padded
+        ds = _random_dataset(2, seed=41, n=16, horizon=5, n_actions=2)
+        fits = [(ds.subset_subjects(np.arange(0, 8)), 3), (ds.subset_subjects(np.arange(8, 13)), 4),
+                (ds.subset_subjects(np.arange(13, 16)), 5)]
+        cfg = dataclasses.replace(self.CFG, n_max=150)
+        assert cfg.n_max % 7 and cfg.n_max > adnn._BLOCK
+        arch = Architecture(feature_dim=2, hidden_width=2, depth=2)
+        reference = _reference_train(arch, cfg, fits, [0.0, 0.2])
+        monkeypatch.setattr(adnn, "_BLOCK", block)
+        models = _train_replicas(arch, cfg, fits, [0.0, 0.2])
+        for model, ref in zip(models, reference, strict=True):
+            assert_same_model(model, ref)
+
+    def test_batches_of_an_epoch_are_disjoint_rows_of_the_action(self, monkeypatch):
+        # every state's first coordinate is a distinct positive row id, so a
+        # batch's states name its rows; the padding row is zero
+        fits = []
+        for d, n in enumerate([8, 5]):
+            ds = _random_dataset(2, seed=50 + d, n=n, horizon=5, n_actions=2)
+            states = ds.states.copy()
+            states[..., 0] = 1000 * (d + 1) + 1 + np.arange(n * 6).reshape(n, 6)
+            fits.append((TrajectoryDataset(states, ds.actions, ds.utilities, 2), 60 + d))
+        seen = []
+
+        def recording(s, y, constants, layers, grads):
+            seen.append(s[:, :, 0].copy())
+            return _batch_gradients(s, y, constants, layers, grads)
+
+        monkeypatch.setattr(adnn, "_batch_gradients", recording)
+        cfg = dataclasses.replace(self.CFG, n_max=100)
+        _train_replicas(Architecture(feature_dim=1, hidden_width=2), cfg, fits, [0.1])
+        assert len(seen) == 2 * cfg.n_max
+        for i, a in enumerate([1, 2]):
+            for d, (ds, _) in enumerate(fits):
+                tr = flatten_transitions(ds)
+                rows = set(tr.states[tr.actions == a, 0])
+                take = int(cfg.batch_fraction * len(rows))
+                per_epoch = len(rows) // take
+                batches = [batch[d] for batch in seen[i::2]]
+                assert all(not batch[take:].any() for batch in batches)
+                batches = [set(batch[:take]) for batch in batches]
+                assert all(len(batch) == take and batch <= rows for batch in batches)
+                for start in range(0, len(batches) - per_epoch + 1, per_epoch):
+                    assert len(set().union(*batches[start:start + per_epoch])) == per_epoch * take
+
     @pytest.mark.xfail(strict=True,
                        reason="a padded batch's gradient can sum its rows in another order "
                               "than the lone fit's unpadded one")
@@ -373,7 +422,9 @@ class TestTrainReplicas:
 
 # The lock-step trainer's step as first written: per-layer forward and
 # backward passes into fresh arrays, the padding masked with np.where and one
-# `w -= alpha * dw` per array.  The trainer must reproduce it bit for bit.
+# `w -= alpha * dw` per array, with each (fit, action)'s batch taken from its
+# epoch permutation one step at a time, with no blocks.  The trainer must
+# reproduce it bit for bit.
 def _reference_forward(x, layers, affine_last, cache=None):
     for i, (w, b) in enumerate(layers):
         z = x @ w.swapaxes(-1, -2) + b
@@ -411,12 +462,20 @@ def _reference_train(arch, cfg, fits, lams, actions_subset=None):
     n_actions, state_dim = fits[0][0].n_actions, fits[0][0].state_dim
     actions = list(range(1, n_actions + 1)) if actions_subset is None else sorted(actions_subset)
     data = [flatten_transitions(train) for train, _ in fits]
-    rngs = [substream(seed) for _, seed in fits]
-    inits = [_init_model(arch, state_dim, actions, rng) for rng in rngs]
+    inits = [_init_model(arch, state_dim, actions, substream(seed)) for _, seed in fits]
     replicas = [init for init in inits for _ in lams]
     features = stack_layers([m.feature_layers for m in replicas])
     heads = {a: stack_layers([m.heads[a] for m in replicas]) for a in actions}
     lam = np.asarray(list(lams) * len(fits), dtype=np.float64)[:, None]
+
+    def batch_stream(seed, a, n, take):
+        # random reshuffling: one permutation per epoch, cut in order into
+        # n // take batches; the last n % take rows of an epoch go unused
+        rng = substream(seed, a)
+        while True:
+            perm = rng.permutation(n)
+            for k in range(n // take):
+                yield perm[k * take:(k + 1) * take]
 
     batches = {}
     for a in actions:
@@ -425,7 +484,8 @@ def _reference_train(arch, cfg, fits, lams, actions_subset=None):
         takes = (cfg.batch_fraction * sizes).astype(np.int64)
         take = np.repeat(takes, len(lams))[:, None, None]
         batches[a] = (
-            rows, sizes, takes, np.cumsum(sizes) - sizes, take,
+            [batch_stream(seed, a, n, t) for (_, seed), n, t in zip(fits, sizes, takes)],
+            sizes, takes, np.cumsum(sizes) - sizes, take,
             np.arange(take.max())[:, None] >= take,
             np.concatenate([tr.states[r] for tr, r in zip(data, rows)]
                            + [np.zeros((1, state_dim))]),
@@ -446,11 +506,10 @@ def _reference_train(arch, cfg, fits, lams, actions_subset=None):
     alpha = cfg.alpha0
     for b in range(1, cfg.n_max + 1):
         for a in actions:
-            rows, sizes, takes, offsets, take, pad, states, responses = batches[a]
+            streams, sizes, takes, offsets, take, pad, states, responses = batches[a]
             index = np.full((len(fits), len(lams), takes.max()), sizes.sum())
-            for d, rng in enumerate(rngs):
-                index[d, :, :takes[d]] = offsets[d] + rng.choice(sizes[d], size=takes[d],
-                                                                 replace=False)
+            for d, stream in enumerate(streams):
+                index[d, :, :takes[d]] = offsets[d] + next(stream)
             index = index.reshape(len(replicas), -1)
             layers = features + heads[a]
             cache = []
@@ -472,6 +531,11 @@ def _reference_train(arch, cfg, fits, lams, actions_subset=None):
 
 class TestReferenceStep:
     CFG = FitConfig(alpha0=0.2, batch_fraction=0.3, n_max=30, check_every=10)
+
+    @pytest.fixture(autouse=True)
+    def short_blocks(self, monkeypatch):
+        # 30 iterations in blocks of 7, so the draws cross block ends
+        monkeypatch.setattr(adnn, "_BLOCK", 7)
 
     @pytest.mark.parametrize("depth,lam,subset", [(1, 0.0, None), (2, 0.1, None), (1, 0.3, [2])],
                              ids=["depth-1-lam-0", "depth-2-lam-0.1", "action-2"])
@@ -573,6 +637,18 @@ class TestFit:
                 assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
         untrained = fit_adnn(ds, arch, FitConfig(n_max=0, check_every=7), seed=11)
         assert len(untrained.trace) == 1
+
+    def test_longer_fit_extends_the_trace(self):
+        # a fit's draws do not depend on where its blocks end: the first N
+        # iterations of a longer fit are those of an N-iteration fit
+        ds = _random_dataset(2, seed=4, n_actions=2, n=10)
+        arch = Architecture(feature_dim=1)
+        cfg = FitConfig(alpha0=0.1, n_max=100, check_every=10)
+        assert cfg.n_max % cfg.check_every == 0 and cfg.n_max % adnn._BLOCK
+        short = fit_adnn(ds, arch, cfg, lam=0.05, seed=11)
+        long = fit_adnn(ds, arch, dataclasses.replace(cfg, n_max=cfg.n_max + 37), lam=0.05, seed=11)
+        assert len(long.trace) > len(short.trace)
+        assert long.trace[:len(short.trace)] == short.trace
 
     @pytest.mark.parametrize("n_max", [50, 250])
     def test_divergence_raises(self, n_max):
