@@ -544,11 +544,11 @@ def fit_adnn(
 
 
 def default_grid(
-    hidden_widths: Sequence[int] = (2, 4, 8),
-    depths: Sequence[int] = (1, 2),
-    lams: Sequence[float] = (0.001, 0.01, 0.1, 1.0),
+    hidden_widths: Sequence[int], depths: Sequence[int], lams: Sequence[float]
 ) -> list:
-    """Grid cells ``(hidden_width, depth, lam)`` in deterministic order."""
+    """The product grid of cells ``(hidden_width, depth, lam)``, in the
+    deterministic order of `itertools.product` (width slowest, lam fastest).
+    """
     return list(itertools.product(hidden_widths, depths, lams))
 
 
@@ -692,16 +692,15 @@ def select_feature_dimension(
 
     Candidate dimensions ``config.dims`` (default: `default_dims` up to the
     state dimension) are tried in ascending order.  Each is tuned by
-    cross-validation over ``config.grid`` (default: `default_grid`) with
-    ``min(config.folds, ds.n_subjects)`` folds and ``config.cv_fit`` (default:
-    ``config.fit``), refit on the full data with ``config.fit`` and the
-    winning penalty, and accepted when the pooled residual p-value exceeds
+    cross-validation over ``config.grid`` with ``min(config.folds,
+    ds.n_subjects)`` folds and ``config.cv_fit`` (default: ``config.fit``),
+    refit on the full data with ``config.fit`` and the winning cell, and
+    accepted when the pooled residual p-value exceeds
     ``config.tau_dim``.  If none passes, the largest dimension is returned
     with ``none_sufficient`` set.  ``seed`` keys every CV, fit and test
     stream; ``actions_subset`` restricts fits and tests to those actions.
     """
     dims = config.dims if config.dims is not None else default_dims(ds.state_dim)
-    cells = config.grid if config.grid is not None else default_grid()
     folds = min(config.folds, ds.n_subjects)
     tau = config.tau_dim
     reports = []
@@ -710,7 +709,7 @@ def select_feature_dimension(
         cv = cross_validate_adnn(
             ds,
             feature_dim=r,
-            grid=cells,
+            grid=config.grid,
             folds=folds,
             cfg=config.cv_fit or config.fit,
             seed=derive_seed(seed, r, 0),
@@ -780,18 +779,36 @@ class PipelineConfig:
     in (0, 1).  ``folds`` must be at least 2, ``col_tol`` at least 0,
     ``n_permutations`` at least 1, ``min_stratum`` at least 2, and
     ``screen_n_max`` at least 1 or None (no cap).
-    ``dims``, when given, must be nonempty ascending positive integers, and
-    each ``grid`` cell a ``(width, depth, lam)`` of two positive integers and
-    a penalty ``>= 0``.  ``fit`` is the training schedule of the refit at
-    each dimension and ``cv_fit`` that of the CV fits; the grid cells set
-    their penalties and ``seed`` keys every stream.  The networks are
-    sigmoid.
+    ``dims``, when given, must be nonempty ascending positive integers.
+    ``grid`` must be nonempty, and each cell a ``(width, depth, lam)`` of two
+    positive integers and a penalty ``>= 0``.  The default grid holds 22
+    cells: the product of widths 2, 4 and 8, depths 1 and 2 and lam 0.001,
+    0.01, 0.1 and 1.0, less (4, 2, 1.0) and (8, 2, 1.0).  They are the
+    cells that won, or scored within 10% of the winner, in at least one of
+    213 CV tables of that 24-cell product: 120 on simgen ``linear``,
+    ``quad`` and ``exp`` (n=30, T=90, coordinates 0-3, dimensions 1-4,
+    seeds 1-10) and 93 on the paths that use this default at the default
+    `ExperimentConfig` (`construct_sufficient_features` on its screened
+    coordinates and `baselines.fit_tnn` on all 64, replicates 0-2 of each
+    model, master seed 0).  The 10% margin is about three fold standard
+    errors of a winner's score; the two deleted cells fit the constant.
+    The tables are in CHANGES.md.  ``fit`` is the training schedule of the
+    refit at each dimension and ``cv_fit`` that of the CV fits; the grid
+    cells set their penalties and ``seed`` keys every stream.  The networks
+    are sigmoid.
     """
 
     tau: float = 0.1
     tau_dim: float = 0.05
     dims: Optional[tuple] = None  # default: ladder up to the variable count
-    grid: Optional[tuple] = None  # default: default_grid()
+    grid: tuple = (
+        (2, 1, 0.001), (2, 1, 0.01), (2, 1, 0.1), (2, 1, 1.0),
+        (2, 2, 0.001), (2, 2, 0.01), (2, 2, 0.1), (2, 2, 1.0),
+        (4, 1, 0.001), (4, 1, 0.01), (4, 1, 0.1), (4, 1, 1.0),
+        (4, 2, 0.001), (4, 2, 0.01), (4, 2, 0.1),
+        (8, 1, 0.001), (8, 1, 0.01), (8, 1, 0.1), (8, 1, 1.0),
+        (8, 2, 0.001), (8, 2, 0.01), (8, 2, 0.1),
+    )
     folds: int = 5
     fit: FitConfig = FitConfig()
     cv_fit: Optional[FitConfig] = None  # lighter budget for CV fits
@@ -824,9 +841,10 @@ class PipelineConfig:
             if (not dims or any(not isinstance(r, numbers.Integral) or r < 1 for r in dims)
                     or sorted(dims) != dims):
                 raise ValueError(f"dims must be nonempty ascending positive integers, got {dims}")
-        if self.grid is not None:
-            for cell in self.grid:
-                _check_grid_cell(cell)
+        if not self.grid:
+            raise ValueError("grid must be nonempty")
+        for cell in self.grid:
+            _check_grid_cell(cell)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

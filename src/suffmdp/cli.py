@@ -33,6 +33,9 @@ or missing key or a value of the wrong JSON kind.  They also include:
 - a Q approximator whose actions are not the generative model's 1 and 2
   (``evaluate``), and an experiment method listed twice;
 - ``qlearn --epochs`` below 1, which would write an untrained Q file;
+- a pipeline config (``construct --grid-file`` or an experiment's
+  ``pipeline``) with an empty ``grid``, which would fail only after
+  screening;
 - an experiment config that would train nothing or fail only inside a
   replicate: a count below 1 (``replicates``, a set ``threads``,
   ``n_subjects``, ``horizon``, ``n_rollouts``, ``eval_horizon``,

@@ -981,14 +981,14 @@ class TestPipeline:
         assert result.flags == ("none-sufficient", "iteration-limit-reached")
 
     def test_pipeline_config_json_round_trip(self):
-        cfg = PipelineConfig(
-            tau=0.2, tau_dim=0.07, dims=(1, 2), grid=((4, 1, 0.01),),
-            cv_fit=FitConfig(n_max=10), seed=3,
-        )
-        again = config_from_jsonable(
-            PipelineConfig, json.loads(json.dumps(dataclasses.asdict(cfg)))
-        )
-        assert again == cfg
+        # the default grid is a tuple of cells, so it round-trips like a set one
+        for cfg in (PipelineConfig(tau=0.2, tau_dim=0.07, dims=(1, 2), grid=((4, 1, 0.01),),
+                                   cv_fit=FitConfig(n_max=10), seed=3),
+                    PipelineConfig()):
+            again = config_from_jsonable(
+                PipelineConfig, json.loads(json.dumps(dataclasses.asdict(cfg)))
+            )
+            assert again == cfg
 
     def test_config_loader_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="'folds_' for PipelineConfig"):

@@ -335,8 +335,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "config,name",
         [(dict(EXPERIMENT, pipeline=dict(EXPERIMENT["pipeline"], folds="2")), "'folds'"),
+         # null once meant the default grid; the default is now the field's value
+         (dict(EXPERIMENT, pipeline=dict(EXPERIMENT["pipeline"], grid=None)), "'grid'"),
          ([], "ExperimentConfig")],
-        ids=["int-field-string", "top-level-list"])
+        ids=["int-field-string", "grid-null", "top-level-list"])
     def test_wrong_json_kind_gives_1(self, inputs, config, name, capsys):
         (inputs / "bad.json").write_text(json.dumps(config))
         assert run("experiment --config {in}/bad.json", inputs) == 1
@@ -350,6 +352,7 @@ class TestExitCodes:
          ("max_iterations", 0, "max_iterations must be >= 1"),
          ("grid", [[2, "1", 0.01]], "grid cell width and depth must be positive integers"),
          ("grid", [[0, 1, 0.01]], "grid cell width and depth must be positive integers"),
+         ("grid", [], "grid must be nonempty"),
          ("tau_dim", 1.5, "tau_dim must be in (0, 1)"),
          ("tau_dim", 0, "tau_dim must be in (0, 1)"),
          ("folds", 1, "folds must be >= 2"),
@@ -363,7 +366,7 @@ class TestExitCodes:
          ("fit", {"n_max": 20, "alpha0": -0.1}, "alpha0 must be finite and > 0"),
          ("cv_fit", {"alpha0": 0}, "alpha0 must be finite and > 0")],
         ids=["misspelled-folds", "old-cells-key", "dims-below-one", "max-iterations-zero",
-             "grid-cell-string-depth", "grid-cell-zero-width", "tau-dim-above-one",
+             "grid-cell-string-depth", "grid-cell-zero-width", "grid-empty", "tau-dim-above-one",
              "tau-dim-zero", "folds-one", "col-tol-negative", "tau-one", "min-stratum-one",
              "screen-n-max-zero", "fit-beta-zero",
              "fit-alpha0-negative", "cv-fit-alpha0-zero"])
@@ -545,8 +548,10 @@ class TestExitCodes:
         [({"n_permutations": 0}, "n_permutations must be >= 1"),
          ({"tau": 1.5}, "tau must be in (0, 1)"),
          ({"fit": {"n_max": 20, "beta": 0}}, "unknown key 'beta' for FitConfig"),
-         ({"cv_fit": {"n_max": 5, "alpha0": -0.1}}, "alpha0 must be finite and > 0")],
-        ids=["perms-zero", "tau-above-one", "fit-beta-zero", "cv-fit-alpha0-negative"])
+         ({"cv_fit": {"n_max": 5, "alpha0": -0.1}}, "alpha0 must be finite and > 0"),
+         ({"grid": []}, "grid must be nonempty")],
+        ids=["perms-zero", "tau-above-one", "fit-beta-zero", "cv-fit-alpha0-negative",
+             "grid-empty"])
     def test_bad_pipeline_in_experiment_gives_1_before_any_work(self, inputs, pipeline,
                                                                 message, capsys, monkeypatch):
         def no_replicate(*args, **kwargs):
