@@ -298,8 +298,9 @@ def _batch_gradients(s, y, constants, layers, grads) -> None:
 def _layer_views(buffer, shapes) -> list:
     """``(W, b)`` views of an ``(R, P)`` buffer whose rows hold layers with
     ``(out, in)`` weight shapes ``shapes`` end to end, each weight and then
-    its bias: weights ``(R, out, in)`` and biases ``(R, 1, out)``, the shapes
-    of `features.stack_layers`."""
+    its bias: weights ``(R, out, in)`` and biases ``(R, 1, out)``, so that
+    the biases broadcast over the rows of ``(R, rows, in)`` inputs in
+    `features.mlp_forward`."""
     views, start = [], 0
     for out, inp in shapes:
         w = buffer[:, start:start + out * inp].reshape(-1, out, inp)

@@ -155,9 +155,14 @@ class _PermutedSample:
         n_perm, m = self.perms.shape
         cut = np.empty((n_perm, m - 1))
         lead = np.zeros(n_perm)
+        # flat offsets of the permuted rows; a local, so that a side holds
+        # no (B, m) array beyond its permutations
+        row_offsets = self.perms * m
+        flat_b = self.b.ravel()
         for k in range(m - 1):
-            # column k of each permuted matrix, rows 0..k
-            col = self.b[self.perms[:, : k + 1], self.perms[:, k : k + 1]]
+            # column k of each permuted matrix, rows 0..k, gathered from
+            # the flat matrix in one `take`
+            col = flat_b.take(row_offsets[:, : k + 1] + self.perms[:, k : k + 1])
             lead += 2.0 * col.sum(axis=1) - col[:, k]
             cut[:, k] = -2.0 * lead
         return cut

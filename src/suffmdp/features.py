@@ -20,7 +20,6 @@ __all__ = [
     "mlp_forward",
     "mlp_backward",
     "init_layers",
-    "stack_layers",
     "layers_to_jsonable",
     "layers_from_jsonable",
     "FeatureMap",
@@ -93,8 +92,8 @@ def mlp_backward(cache, layers, delta, grads):
     filled on the forward pass.  ``grads`` holds one ``(dW, db)`` pair of
     arrays per layer, which may be views of one flat buffer: ``dW`` is
     shaped like ``W``, and ``db`` like the row sum of the layer's output
-    gradient with the row axis kept, ``(R, 1, out)`` for the stacked biases
-    of `stack_layers`.  Gradients sum over the row axis.
+    gradient with the row axis kept, ``(R, 1, out)`` for biases stacked on
+    a leading axis.  Gradients sum over the row axis.
     """
     for i in range(len(layers) - 1, -1, -1):
         x, out = cache[i]
@@ -118,16 +117,6 @@ def init_layers(widths, rng: np.random.Generator) -> list:
         w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
         layers.append((w, np.zeros(fan_out)))
     return layers
-
-
-def stack_layers(layer_lists) -> list:
-    """``R`` networks' ``(W, b)`` layers, one shape, as new arrays on a leading
-    axis: weights ``(R, out, in)``, and biases ``(R, 1, out)`` so that they
-    broadcast over the rows of ``(R, rows, in)`` inputs in `mlp_forward`."""
-    return [
-        (np.stack([w for w, _ in layer]), np.stack([b for _, b in layer])[:, None, :])
-        for layer in zip(*layer_lists)
-    ]
 
 
 def layers_to_jsonable(layers) -> list:

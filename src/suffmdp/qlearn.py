@@ -29,7 +29,7 @@ import numpy as np
 from .adnn import ConvergenceError
 from .core import Transitions, check_json_object
 from .features import (FeatureMap, float_array_from_jsonable, init_layers,
-                       layers_from_jsonable, layers_to_jsonable, mlp_forward, stack_layers)
+                       layers_from_jsonable, layers_to_jsonable, mlp_forward)
 from .rng import substream
 from .simgen import ACTIONS, GenerativeModelSpec, step_process
 
@@ -195,30 +195,39 @@ def fit_q_linear(
     _check_epochs(epochs)
     feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
     # The loop is bound by interpreter and NumPy call overhead, not by
-    # arithmetic, so each update makes one row product and reads it as a
-    # Python list: (2, 1, 1, d) next-state and state rows against the (k, d,
-    # 1) weights give every action's value at both, next states first.
-    # Each entry is a 1 x d by d x 1 product, which numpy hands to the same
-    # BLAS ddot as a 1-D `w @ x` (a stacked gemv `W @ x` rounds differently),
-    # so the fit matches one dot product per action bit for bit
-    # (tests/test_qlearn.py holds the reference loop).  ddot rounds a
-    # strided row differently from a contiguous one, so the rows keep the
-    # layout of the features: `np.column_stack` and `np.stack` follow it.
+    # arithmetic, so each update makes four NumPy calls: one row product
+    # into a preallocated buffer, read as a Python list, and the update as
+    # a multiply and an add into preallocated rows.  The (2, 1, 1, d)
+    # next-state and state rows against the (k, d, 1) weights give every
+    # action's value at both, next states first.  Each entry is a 1 x d by
+    # d x 1 product, which numpy hands to the same BLAS ddot as a 1-D
+    # `w @ x` (a stacked gemv `W @ x` rounds differently), so the fit
+    # matches one dot product per action bit for bit (tests/test_qlearn.py
+    # holds the reference loop).  ddot rounds a strided row differently
+    # from a contiguous one, so the rows keep the layout of the features:
+    # `np.column_stack` and `np.stack` follow it.
     ones = np.ones(len(feats))
     inputs = np.stack([np.column_stack([ones, feats_next]), np.column_stack([ones, feats])],
                       axis=1)[:, :, None, None, :]
-    x = inputs[:, 1, 0, 0]  # the rows (1, phi(s))
-    w = np.zeros((n_actions, x.shape[1], 1))  # action a at index a - 1
+    rows = list(inputs)
+    xs = list(inputs[:, 1, 0, 0])  # the rows (1, phi(s))
+    w = np.zeros((n_actions, inputs.shape[-1], 1))  # action a at index a - 1
     views = list(w[:, :, 0])  # updates write through them
+    values = np.empty((2, n_actions, 1, 1))
+    flat_values = values.reshape(-1)
+    scaled = np.empty(inputs.shape[-1])
     acts, utils = actions.tolist(), utilities.tolist()
     rng = substream(seed)
     k = 0
     for _ in range(epochs):
-        for i in rng.permutation(len(x)).tolist():
+        for i in rng.permutation(len(xs)).tolist():
             a = acts[i] - 1
-            values = (inputs[i] @ w).ravel().tolist()
-            delta = utils[i] + gamma * max(values[:n_actions]) - values[n_actions + a]
-            views[a] += alpha0 / (1.0 + k / _BETA) * delta * x[i]
+            np.matmul(rows[i], w, out=values)
+            v = flat_values.tolist()
+            step = alpha0 / (1.0 + k / _BETA) * (utils[i] + gamma * max(v[:n_actions])
+                                                 - v[n_actions + a])
+            np.multiply(xs[i], step, out=scaled)
+            np.add(views[a], scaled, out=views[a])
             k += 1
     _check_finite("linear", w)
     return LinearQ(weights={a + 1: w[a, :, 0] for a in range(n_actions)}, gamma=gamma)
@@ -247,23 +256,46 @@ def fit_q_nn(
     _check_epochs(epochs)
     feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
     rng = substream(seed)
-    # Every action's network (Glorot-uniform, drawn in action order) stacked
-    # on a leading axis, action a at index a - 1, so that one forward pass
-    # per update runs the next state and the state through all of them:
-    # (2, 1, 1, f) inputs against (k, h, f) and (k, 1, h) weights.  Each
-    # product is still one row, so it rounds like the lone network's (see
-    # fit_q_linear).  The pass is `mlp_forward`'s, inlined, with
-    # `features._sigmoid`'s formula and error state: the same operations in
-    # the same order, without the per-call overhead.  The reference loop in
-    # tests/test_qlearn.py calls `_sigmoid` itself, so the two cannot drift.
-    (w1, b1), (w2, b2) = stack_layers(
-        [init_layers([feats.shape[1], _HIDDEN_WIDTH, 1], rng) for _ in range(n_actions)]
-    )
+    # Each action's network (Glorot-uniform, drawn in action order) is one
+    # flat row [W1 | b1 | w2 | b2] of `params`, action a at index a - 1, and
+    # the gradient of an update is one buffer of the same layout, so that an
+    # update is one `grad *= step` and one `row += grad` (the flat-buffer
+    # idiom of `adnn._train_replicas`).  The forward pass runs the next state
+    # and the state through every network at once through views of the rows:
+    # (2, 1, 1, f) inputs against (k, f, h) and (k, h, 1) weights.  Each
+    # product is still one row with the inner strides of a lone network's,
+    # so it rounds like the lone network's (see fit_q_linear).  The pass is
+    # `mlp_forward`'s, inlined, with `features._sigmoid`'s formula and error
+    # state: the same operations in the same order, written into
+    # preallocated buffers.  The reference loop in tests/test_qlearn.py
+    # calls `_sigmoid` itself, so the two cannot drift.  An update makes 17
+    # NumPy calls: eight for the forward pass, one to read the values, six
+    # to write the gradient and two to apply it.
+    f, h = feats.shape[1], _HIDDEN_WIDTH
+    params = np.zeros((n_actions, h * f + 2 * h + 1))
+    for row in params:
+        (w1, _), (w2, _) = init_layers([f, h, 1], rng)
+        row[: h * f] = w1.ravel()
+        row[h * f + h : -1] = w2.ravel()
+    w1 = params[:, : h * f].reshape(n_actions, h, f)
+    b1 = params[:, h * f : h * f + h].reshape(n_actions, 1, h)
+    w2 = params[:, h * f + h : -1].reshape(n_actions, 1, h)
+    b2 = params[:, -1:].reshape(n_actions, 1, 1)
     w1t, w2t = w1.swapaxes(-1, -2), w2.swapaxes(-1, -2)
-    # per action, views of its slices; updates write through them, so the
-    # transposed views above stay current
-    views = [(w1[a], b1[a, 0], w2[a, 0], b2[a, 0, 0, ...]) for a in range(n_actions)]
-    inputs = np.stack([feats_next, feats], axis=1)[:, :, None, None, :]
+    rows = list(params)  # updates write through them, so the views above stay current
+    grad = np.empty(params.shape[1])
+    grad_w1 = grad[: h * f].reshape(h, f)
+    dz = grad[h * f : h * f + h]
+    grad_hidden = grad[h * f + h : -1]
+    hidden = np.empty((2, n_actions, 1, h))
+    hidden_rows = list(hidden[1, :, 0])  # each action's hidden units at the state
+    w2_rows = list(w2[:, 0])
+    dz_column = dz[:, None]
+    slope = np.empty(h)
+    values = np.empty((2, n_actions, 1, 1))
+    flat_values = values.reshape(-1)
+    inputs = list(np.stack([feats_next, feats], axis=1)[:, :, None, None, :])
+    xs = list(feats)
     acts, utils = actions.tolist(), utilities.tolist()
 
     k = 0
@@ -271,20 +303,30 @@ def fit_q_nn(
         for _ in range(epochs):
             for i in rng.permutation(len(feats)).tolist():
                 a = acts[i] - 1
-                hidden = 1.0 / (1.0 + np.exp(-(inputs[i] @ w1t + b1)))
-                values = (hidden @ w2t + b2).ravel().tolist()
-                best_next = max(values[:n_actions])
-                step = alpha0 / (1.0 + k / _BETA) * (utils[i] + gamma * best_next
-                                                    - values[n_actions + a])
-                hidden = hidden[1, a, 0]
-                w1a, b1a, w2a, b2a = views[a]
-                dz = w2a * hidden * (1.0 - hidden)
-                w1a += step * (dz[:, None] * feats[i])
-                b1a += step * dz
-                w2a += step * hidden
-                b2a += step
+                np.matmul(inputs[i], w1t, out=hidden)
+                np.add(hidden, b1, out=hidden)
+                np.negative(hidden, out=hidden)
+                np.exp(hidden, out=hidden)
+                np.add(1.0, hidden, out=hidden)
+                np.divide(1.0, hidden, out=hidden)
+                np.matmul(hidden, w2t, out=values)
+                np.add(values, b2, out=values)
+                v = flat_values.tolist()
+                step = alpha0 / (1.0 + k / _BETA) * (utils[i] + gamma * max(v[:n_actions])
+                                                     - v[n_actions + a])
+                # the gradient [outer(dz, x) | dz | hidden | 1], with
+                # dz = w2 * hidden * (1 - hidden)
+                hid = hidden_rows[a]
+                np.multiply(w2_rows[a], hid, out=dz)
+                np.subtract(1.0, hid, out=slope)
+                np.multiply(dz, slope, out=dz)
+                np.multiply(dz_column, xs[i], out=grad_w1)
+                grad_hidden[:] = hid
+                grad[-1] = 1.0
+                grad *= step
+                rows[a] += grad
                 k += 1
-    _check_finite("neural", w1, b1, w2, b2)
+    _check_finite("neural", params)
     return NeuralQ(
         nets={a + 1: [(w1[a], b1[a, 0]), (w2[a, 0], b2[a, 0, 0])] for a in range(n_actions)},
         gamma=gamma,

@@ -14,10 +14,12 @@ time).  Writing ``A`` for the action coded 0/1 and blocks ``i = 1..16``:
 
 so the first 16 coordinates drive the next state and the first 4 drive the
 utility.  Optional noise coordinates come in three flavors, roughly a third
-each of the requested total ``m``: "dependent" coordinates that evolve by
+each of the requested count ``m``: "dependent" coordinates that evolve by
 the same block law among themselves but never touch the utility
 (``floor(m/3)`` of them), white noise redrawn ``Normal(0, 0.25)`` every
 step, and per-subject constants drawn once at t=1 (``ceil(m/3)`` each).
+The split gives ``m`` columns in all unless ``m = 1 (mod 3)``, when it
+gives ``m + 1``.
 
 Actions are stored as 1/2; the formulas above use the 0/1 coding.
 """
@@ -66,9 +68,10 @@ def g_function(kind: str):
 class GenerativeModelSpec:
     """Parameters of one generative model instance.
 
-    ``n_noise`` is the total noise-coordinate count ``m``; the split into
-    dependent / white / constant is ``floor(m/3)`` / ``ceil(m/3)`` /
-    ``ceil(m/3)``.
+    ``n_noise`` is the requested noise-coordinate count ``m``; the split
+    into dependent / white / constant is ``floor(m/3)`` / ``ceil(m/3)`` /
+    ``ceil(m/3)``.  That is ``m`` columns, except when ``m = 1 (mod 3)``:
+    then it is ``m + 1`` (``m = 4`` gives 1 / 2 / 2).
     """
 
     g_kind: str = "linear"
@@ -134,30 +137,32 @@ class GenerativeModelSpec:
         )
 
 
-def _block_moments(drivers: np.ndarray, a01: np.ndarray, n_cols: int):
-    """Means and standard deviations for one self-transitioning block.
+def _block_law(drivers: np.ndarray, a01: np.ndarray) -> tuple:
+    """``(mean, sd)`` of each of the four column groups of a self-transitioning
+    block.
 
-    ``drivers`` is the (rollouts, ceil(n_cols/4)) matrix of ``g`` values;
-    each driver fills up to four consecutive output columns: two with mean
-    ``(1-A) * driver`` and variance ``0.01(1-A) + 0.25 A``, then two with
-    mean ``A * driver`` and the complementary variance.
+    ``drivers`` is the (rollouts, n_drivers) matrix of ``g`` values; driver
+    ``i`` fills up to four consecutive output columns, column ``4 * i + j``
+    in group ``j``: two with mean ``(1-A) * driver`` and variance
+    ``0.01(1-A) + 0.25 A``, then two with mean ``A * driver`` and the
+    complementary variance.  Means are (rollouts, n_drivers), standard
+    deviations (rollouts, 1).  It is the one statement of the law: the step
+    draws from it, and the closed-form conditional mean in
+    tests/test_adnn.py (`SimgenTruth`) reads it.
     """
-    r = drivers.shape[0]
-    n_blocks = drivers.shape[1]
     a = a01[:, None]
-    mean = np.empty((r, 4 * n_blocks))
-    sd = np.empty((r, 4 * n_blocks))
-    low_mean = (1.0 - a) * drivers
-    high_mean = a * drivers
-    low_sd = np.sqrt(0.01 * (1.0 - a) + 0.25 * a)
-    high_sd = np.sqrt(0.01 * a + 0.25 * (1.0 - a))
-    for offset in (0, 1):
-        mean[:, offset::4] = low_mean
-        sd[:, offset::4] = np.broadcast_to(low_sd, low_mean.shape)
-    for offset in (2, 3):
-        mean[:, offset::4] = high_mean
-        sd[:, offset::4] = np.broadcast_to(high_sd, high_mean.shape)
-    return mean[:, :n_cols], sd[:, :n_cols]
+    low = ((1.0 - a) * drivers, np.sqrt(0.01 * (1.0 - a) + 0.25 * a))
+    high = (a * drivers, np.sqrt(0.01 * a + 0.25 * (1.0 - a)))
+    return low, low, high, high
+
+
+def _draw_block(out: np.ndarray, drivers: np.ndarray, a01: np.ndarray,
+                noise: np.ndarray) -> None:
+    """Write ``sd * noise + mean`` of `_block_law` into the block's columns ``out``."""
+    for j, (mean, sd) in enumerate(_block_law(drivers, a01)):
+        cols = out[:, j::4]
+        np.multiply(sd, noise[:, j::4], out=cols)
+        np.add(cols, mean[:, : cols.shape[1]], out=cols)
 
 
 def _utility_mean(g, states: np.ndarray, a01: np.ndarray) -> np.ndarray:
@@ -180,22 +185,18 @@ def step_process(
     r = states.shape[0]
     nxt = np.empty_like(states)
 
-    n_drivers = spec.signal_dim // 4
-    mean, sd = _block_moments(g(states[:, :n_drivers]), a01, spec.signal_dim)
-    nxt[:, : spec.signal_dim] = mean + sd * rng.standard_normal((r, spec.signal_dim))
-
+    _draw_block(nxt[:, : spec.signal_dim], g(states[:, : spec.signal_dim // 4]), a01,
+                rng.standard_normal((r, spec.signal_dim)))
     if spec.n_dependent > 0:
-        dep = states[:, list(spec.dependent_indices)]
-        mean, sd = _block_moments(
-            g(dep[:, : math.ceil(spec.n_dependent / 4)]), a01, spec.n_dependent
-        )
-        nxt[:, list(spec.dependent_indices)] = mean + sd * rng.standard_normal(
-            (r, spec.n_dependent)
-        )
+        dep = spec.dependent_indices
+        _draw_block(nxt[:, dep.start : dep.stop],
+                    g(states[:, dep.start : dep.start + math.ceil(spec.n_dependent / 4)]),
+                    a01, rng.standard_normal((r, spec.n_dependent)))
     if spec.n_white > 0:
-        nxt[:, list(spec.white_indices)] = 0.5 * rng.standard_normal((r, spec.n_white))
-    cols = list(spec.constant_indices)
-    nxt[:, cols] = states[:, cols]
+        white = spec.white_indices
+        nxt[:, white.start : white.stop] = 0.5 * rng.standard_normal((r, spec.n_white))
+    const = spec.constant_indices
+    nxt[:, const.start : const.stop] = states[:, const.start : const.stop]
 
     utilities = _utility_mean(g, states, a01) + 0.1 * rng.standard_normal(r)
     return nxt, utilities

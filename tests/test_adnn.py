@@ -30,11 +30,11 @@ from suffmdp.adnn import (
 )
 from suffmdp.core import TrajectoryDataset, config_from_jsonable, flatten_transitions
 from suffmdp.experiment import ExperimentConfig
-from suffmdp.features import NetworkFeatureMap, _sigmoid, stack_layers
+from suffmdp.features import NetworkFeatureMap, _sigmoid
 from suffmdp.rng import derive_seed, substream
 from suffmdp.simgen import (
     GenerativeModelSpec,
-    _block_moments,
+    _block_law,
     _utility_mean,
     g_function,
     sample_trajectories,
@@ -458,6 +458,15 @@ def _reference_costs(tr, feature_layers, heads, lam):
     return costs
 
 
+def stack_layers(layer_lists):
+    """``R`` networks' ``(W, b)`` layers, one shape, on a leading axis:
+    weights ``(R, out, in)`` and biases ``(R, 1, out)``."""
+    return [
+        (np.stack([w for w, _ in layer]), np.stack([b for _, b in layer])[:, None, :])
+        for layer in zip(*layer_lists)
+    ]
+
+
 def _reference_train(arch, cfg, fits, lams, actions_subset=None):
     n_actions, state_dim = fits[0][0].n_actions, fits[0][0].state_dim
     actions = list(range(1, n_actions + 1)) if actions_subset is None else sorted(actions_subset)
@@ -839,8 +848,8 @@ class SimgenTruth:
 
     def predict(self, states, action):
         a01 = np.full(len(states), action - 1.0)
-        next_mean, _ = _block_moments(self.g(states[:, :1]), a01, 4)
-        return np.column_stack([_utility_mean(self.g, states, a01), next_mean])
+        next_mean = [mean for mean, _ in _block_law(self.g(states[:, :1]), a01)]
+        return np.column_stack([_utility_mean(self.g, states, a01), *next_mean])
 
 
 def drivers_at_paper_scale(g_kind, seed):

@@ -425,6 +425,24 @@ class TestPermutedSample:
         assert observed == pytest.approx(brute_force_dcov(x, y), abs=1e-12)
         np.testing.assert_allclose(permuted, direct, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("m", [5, 13, 18])
+    def test_cut_equals_fancy_index_formulation_bit_for_bit(self, m, ties):
+        # `cut` as first written, gathering each column with a 2-D fancy
+        # index; the gathers read the same entries, so the sums are equal
+        y = substream(26, m).normal(size=(m, 2))
+        if ties:
+            y[-2:] = y[:2]  # repeated rows, so repeated distances
+        sample = _PermutedSample(y, 150, substream(27, m))
+        perms = sample.perms
+        want = np.empty((len(perms), m - 1))
+        lead = np.zeros(len(perms))
+        for k in range(m - 1):
+            col = sample.b[perms[:, : k + 1], perms[:, k : k + 1]]
+            lead += 2.0 * col.sum(axis=1) - col[:, k]
+            want[:, k] = -2.0 * lead
+        assert sample.cut.tobytes() == want.tobytes()
+
     def test_side_holds_order_b_m_per_stratum(self):
         ds = sample_trajectories(GenerativeModelSpec("linear", 4), 30, 4, rng=1)
         response = np.concatenate([ds.utilities[:, :, None], ds.states[:, 1:, :2]], axis=2)

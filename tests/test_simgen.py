@@ -169,6 +169,84 @@ class TestSampling:
         assert np.array_equal(n1[:, dep], n2[:, dep])
 
 
+# The step as first written: each block's (rollouts, n_cols) mean and sd
+# arrays built in full, then `mean + sd * noise`; `step_process` and
+# `sample_trajectories` must reproduce it bit for bit.
+def _reference_block_moments(drivers, a01, n_cols):
+    r, n_blocks = drivers.shape
+    a = a01[:, None]
+    mean = np.empty((r, 4 * n_blocks))
+    sd = np.empty((r, 4 * n_blocks))
+    low_mean, high_mean = (1.0 - a) * drivers, a * drivers
+    low_sd = np.sqrt(0.01 * (1.0 - a) + 0.25 * a)
+    high_sd = np.sqrt(0.01 * a + 0.25 * (1.0 - a))
+    for offset in (0, 1):
+        mean[:, offset::4] = low_mean
+        sd[:, offset::4] = np.broadcast_to(low_sd, low_mean.shape)
+    for offset in (2, 3):
+        mean[:, offset::4] = high_mean
+        sd[:, offset::4] = np.broadcast_to(high_sd, high_mean.shape)
+    return mean[:, :n_cols], sd[:, :n_cols]
+
+
+def _reference_step(spec, states, a01, rng):
+    g = g_function(spec.g_kind)
+    r = states.shape[0]
+    nxt = np.empty_like(states)
+    mean, sd = _reference_block_moments(g(states[:, : spec.signal_dim // 4]), a01,
+                                        spec.signal_dim)
+    nxt[:, : spec.signal_dim] = mean + sd * rng.standard_normal((r, spec.signal_dim))
+    if spec.n_dependent > 0:
+        dep = states[:, list(spec.dependent_indices)]
+        mean, sd = _reference_block_moments(
+            g(dep[:, : int(np.ceil(spec.n_dependent / 4))]), a01, spec.n_dependent)
+        nxt[:, list(spec.dependent_indices)] = mean + sd * rng.standard_normal(
+            (r, spec.n_dependent))
+    if spec.n_white > 0:
+        nxt[:, list(spec.white_indices)] = 0.5 * rng.standard_normal((r, spec.n_white))
+    cols = list(spec.constant_indices)
+    nxt[:, cols] = states[:, cols]
+    return nxt, _utility_mean(g, states, a01) + 0.1 * rng.standard_normal(r)
+
+
+def _reference_trajectories(spec, n, horizon, seed):
+    rng = substream(seed)
+    states = np.empty((n, horizon + 1, spec.state_dim))
+    actions = np.empty((n, horizon), dtype=np.int64)
+    utilities = np.empty((n, horizon))
+    states[:, 0] = 0.5 * rng.standard_normal((n, spec.state_dim))
+    for t in range(horizon):
+        a01 = (rng.random(n) < 0.5).astype(np.float64)
+        states[:, t + 1], utilities[:, t] = _reference_step(spec, states[:, t], a01, rng)
+        actions[:, t] = a01.astype(np.int64) + 1
+    return states, actions, utilities
+
+
+# dependent, white and constant columns all present, one dependent column;
+# a dependent block of five, whose second driver fills one column; the
+# default 64 signal columns alone
+_BIT_SPECS = [GenerativeModelSpec("quad", 5, signal_dim=8),
+              GenerativeModelSpec("exp", 16, signal_dim=8),
+              GenerativeModelSpec("linear")]
+
+
+@pytest.mark.parametrize("spec", _BIT_SPECS, ids=["quad-5", "exp-16", "linear-64"])
+class TestStepMatchesMaterialisedMoments:
+    def test_step_process_bit_for_bit(self, spec):
+        states = 0.8 * substream(21).standard_normal((40, spec.state_dim))
+        a01 = (substream(22).random(40) < 0.5).astype(np.float64)
+        got = step_process(spec, states, a01, substream(23))
+        want = _reference_step(spec, states, a01, substream(23))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_sample_trajectories_bit_for_bit(self, spec):
+        ds = sample_trajectories(spec, 9, 7, rng=24)
+        want = _reference_trajectories(spec, 9, 7, 24)
+        for g, w in zip((ds.states, ds.actions, ds.utilities), want):
+            assert g.tobytes() == w.tobytes()
+
+
 class TestOracleMaps:
     def test_first4_selects_leading_coordinates(self):
         spec = GenerativeModelSpec("linear", 0)
