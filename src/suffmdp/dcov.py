@@ -65,8 +65,9 @@ __all__ = [
     "stratified_pooled_test",
 ]
 
-# Permutation batches are chunked so the (B, m, m) workspace stays small.
-_PERM_CHUNK_FLOATS = 4_000_000
+# Permutations are scored in chunks whose two (chunk, m, m) gather
+# workspaces stay small enough for the allocator to reuse from call to call.
+_PERM_CHUNK_FLOATS = 32_768
 # Relative distance below the observed statistic within which a permuted
 # statistic still counts as a tie, as in scipy.stats.permutation_test.
 _TIE_RTOL = 100 * np.finfo(np.float64).eps
@@ -119,18 +120,29 @@ class TestReport:
 
 
 def _centered_distances(x: np.ndarray) -> np.ndarray:
-    # Euclidean distances summed column by column from 0.0, then rooted: the
-    # operations of scipy's cdist in its order, so the matrix (and every
-    # p-value) matches cdist bit for bit without importing scipy.
-    d = np.zeros((x.shape[0], x.shape[0]))
-    for col in x.T:
-        diff = col[:, None] - col[None, :]
+    # Euclidean distances summed column by column, rooted and centred: the
+    # operations of scipy's cdist and np.mean in their order, so the matrix
+    # (and every p-value) matches centred cdist bit for bit without
+    # importing scipy.  The first column's squares start the sum, the same
+    # as adding them to 0.0 (0.0 + v == v for v >= 0).  Each mean is
+    # np.mean's reduce and divide without its Python wrapper, the grand mean
+    # reduced over the raveled matrix as np.mean reduces a contiguous one,
+    # and the centring runs in the order of d - row - col + mean.
+    m, q = x.shape
+    col = x[:, 0]
+    d = np.subtract.outer(col, col)
+    d *= d
+    for k in range(1, q):
+        col = x[:, k]
+        diff = np.subtract.outer(col, col)
         diff *= diff
         d += diff
     np.sqrt(d, out=d)
-    row = d.mean(axis=1, keepdims=True)
-    col = d.mean(axis=0, keepdims=True)
-    return d - row - col + d.mean()
+    mean = np.add.reduce(d.ravel()) / (m * m)
+    a = d - np.add.reduce(d, axis=1, keepdims=True) / m
+    a -= np.add.reduce(d, axis=0, keepdims=True) / m
+    a += mean
+    return a
 
 
 class _PermutedSample:
@@ -176,16 +188,25 @@ class _PermutedSample:
         """
         a = _centered_distances(x)
         m = a.shape[0]
-        observed = max(0.0, float(np.mean(a * self.b)))
+        observed = max(0.0, float(np.add.reduce((a * self.b).ravel()) / (m * m)))
         if x.shape[1] == 1:
-            gaps = np.diff(x[np.argsort(x[:, 0], kind="stable"), 0])
-            return observed, self.cut @ gaps / (m * m)
-        chunk = max(1, _PERM_CHUNK_FLOATS // (m * m))
-        permuted = []
-        for start in range(0, len(self.perms), chunk):
-            p = self.perms[start : start + chunk]
-            permuted.append(np.einsum("ij,bij->b", a, self.b[p[:, :, None], p[:, None, :]]))
-        return observed, np.concatenate(permuted) / (m * m)
+            # the stable sort puts even 0.0 and -0.0 in sigma's order
+            xs = np.sort(x[:, 0], kind="stable")
+            permuted = self.cut @ (xs[1:] - xs[:-1])
+        else:
+            chunk = max(1, _PERM_CHUNK_FLOATS // (m * m))
+            permuted = np.empty(len(self.perms))
+            for start in range(0, len(self.perms), chunk):
+                p = self.perms[start : start + chunk]
+                c = len(p)
+                # b[p][:, p] in two gathers of whole rows: row i * c + k of
+                # `cols` is row i of b in perm k's column order, and perm k
+                # takes rows p[k] * c + k of it
+                cols = self.b.take(p, axis=1).reshape(m * c, m)
+                b_perm = cols.take(p * c + np.arange(c)[:, None], axis=0)
+                np.einsum("ij,bij->b", a, b_perm, out=permuted[start : start + c])
+        permuted /= m * m
+        return observed, permuted
 
     def test(self, x: np.ndarray) -> tuple:
         """``(statistic, p_value)`` of the permutation test of ``x`` against the sample.
@@ -316,7 +337,7 @@ def stratified_pooled_test(
         time_ps = []
         for _, a, rows, sample in group:
             statistic, p_value = sample.test(g[rows, t - 1])
-            strata.append(StratumResult(t, a, int(rows.sum()), statistic, p_value))
+            strata.append(StratumResult(t, a, len(sample.b), statistic, p_value))
             time_ps.append(p_value)
         per_time.append(min(1.0, len(time_ps) * min(time_ps)))
     u = len(per_time) // 20 + 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from suffmdp.core import TrajectoryDataset
 from suffmdp.dcov import (
+    _TIE_RTOL,
     InsufficientDataError,
     _centered_distances,
     _PermutedSample,
@@ -449,9 +450,67 @@ class TestPermutedSample:
         b = 999
         side = draw_permuted_side(response, ds, n_permutations=b, seed=1, key=(1,))
         stratified_pooled_test(ds.states[:, :-1, 3], side)  # builds every cut
-        for _, _, rows, sample in side.strata:
-            m = int(rows.sum())
+        for *_, sample in side.strata:
+            m = sample.b.shape[0]
             arrays = [v for v in vars(sample).values() if isinstance(v, np.ndarray)]
             assert {"b", "perms", "cut"} <= set(vars(sample))
             assert all(arr.size < b * m * m for arr in arrays)
             assert sum(arr.nbytes for arr in arrays) <= 8 * (2 * b * m + m * m)
+
+
+def reference_centered_distances(x):
+    """`_centered_distances` as first written: squares added to zeros, then
+    centred with `np.mean`."""
+    d = np.zeros((x.shape[0], x.shape[0]))
+    for col in x.T:
+        diff = col[:, None] - col[None, :]
+        diff *= diff
+        d += diff
+    np.sqrt(d, out=d)
+    return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+
+
+def reference_statistics(sample, x):
+    """`_PermutedSample.statistics` as first written: `np.mean` of the
+    product, one column's gaps from an argsort, a gather and `np.diff`, and
+    several columns' permuted matrices in one 2-D fancy index."""
+    a = reference_centered_distances(x)
+    m = a.shape[0]
+    observed = max(0.0, float(np.mean(a * sample.b)))
+    if x.shape[1] == 1:
+        gaps = np.diff(x[np.argsort(x[:, 0], kind="stable"), 0])
+        return observed, sample.cut @ gaps / (m * m)
+    b_perm = sample.b[sample.perms[:, :, None], sample.perms[:, None, :]]
+    return observed, np.einsum("ij,bij->b", a, b_perm) / (m * m)
+
+
+class TestStatisticsEqualReferenceFormulation:
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_bit_for_bit(self, columns):
+        rng = substream(28, columns)
+        for m in range(2, 41):
+            for case in range(4):
+                scale = 10.0 ** rng.uniform(-100, 100)
+                x = rng.standard_normal((m, columns)) * scale
+                y = rng.standard_normal((m, 2)) * 10.0 ** rng.uniform(-100, 100)
+                if case == 1:
+                    x[rng.integers(1, m)] = x[0]  # tied rows
+                    y[rng.integers(1, m)] = y[0]
+                if case == 2:
+                    x[0], x[-1] = 0.0, -0.0  # ties that a sort may reorder
+                if case == 3:
+                    # a constant column of signed zeros: every gap is a zero
+                    # whose sign follows the sort order
+                    x = np.where(rng.random((m, columns)) < 0.5, 0.0, -0.0)
+                sample = _PermutedSample(y, 40, substream(29, m, case))
+                assert sample.b.tobytes() == reference_centered_distances(y).tobytes()
+                observed, permuted = sample.statistics(x)
+                want_observed, want_permuted = reference_statistics(sample, x)
+                assert permuted.shape == (40,)
+                assert observed.hex() == want_observed.hex()
+                assert permuted.tobytes() == want_permuted.tobytes()
+                exceed = np.count_nonzero(
+                    want_permuted >= want_observed - _TIE_RTOL * want_observed
+                )
+                want_p = (1 + int(exceed)) / 41
+                assert sample.test(x) == (observed, want_p)
