@@ -16,7 +16,6 @@ from .adnn import (
     active_inputs,
     construct_sufficient_features,
     cross_validate_adnn,
-    default_grid,
     fit_adnn,
     residual_independence_pvalue,
     select_feature_dimension,

@@ -16,7 +16,7 @@ replica in lock step, their parameters stacked on a leading replica axis.
 Each fit draws its initialisation and minibatch rows once, for all the
 penalties, so every replica takes the steps a lone fit with its data,
 penalty and seed would take.  `fit_adnn` is the call with one fit and one
-penalty; cross-validation makes one call per (width, depth), with the
+penalty; cross-validation makes one call per network it builds, with the
 training folds as fits.
 
 Minibatches are drawn by random reshuffling.  Each (fit, action) has its
@@ -84,7 +84,6 @@ __all__ = [
     "FitConfig",
     "AdnnModel",
     "fit_adnn",
-    "default_grid",
     "CrossValidationResult",
     "cross_validate_adnn",
     "residual_independence_pvalue",
@@ -112,7 +111,9 @@ class Architecture:
     ``depth`` layers from ``feature_dim`` to the ``p + 1`` response
     coordinates ``(U, S')``, with the final head layer affine (the response
     is not range-bounded, so no sigmoid is applied to it).  ``p`` is the
-    state dimension of the training data.
+    state dimension of the training data.  A depth-1 network has no hidden
+    layer and does not read ``hidden_width``: every width builds the same
+    network, and a fit under one seed gives the same bits.
     """
 
     feature_dim: int
@@ -126,8 +127,9 @@ class Architecture:
 
 
 def _check_lam(lam) -> None:
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    # a NaN or infinite penalty makes every cost non-finite
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be >= 0 and finite, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -512,7 +514,7 @@ def fit_adnn(
 
     The network takes ``ds``'s states to ``arch.feature_dim`` features, and
     each head predicts the response ``(U, S')``.  ``lam`` is the group-lasso
-    penalty, at least 0, on the per-transition scale of the module
+    penalty, finite and at least 0, on the per-transition scale of the module
     docstring's objective; ``seed`` keys the initialisation and the minibatch
     draws.  Per outer iteration, each trained action takes the next
     ``take = floor(batch_fraction * n_a)`` of its transitions from its own
@@ -549,6 +551,8 @@ def default_grid(
 ) -> list:
     """The product grid of cells ``(hidden_width, depth, lam)``, in the
     deterministic order of `itertools.product` (width slowest, lam fastest).
+    It is not the default grid, which is `PipelineConfig.grid`, and not
+    exported; ``bench/workloads.py`` is its one caller.
     """
     return list(itertools.product(hidden_widths, depths, lams))
 
@@ -574,24 +578,32 @@ def cross_validate_adnn(
     split and every fit's seed.  Whole trajectories stay in one fold.  The
     validation score is the unpenalized squared prediction error per
     held-out subject, averaged over folds; ties break toward smaller depth,
-    then smaller width, then larger penalty.  Fit seeds are keyed by
-    ``(width, depth, fold)``, so cells that differ only in ``lam`` share
-    their initialisation and minibatch streams, duplicate cells score
-    identically, and scores do not depend on grid order.
+    then smaller width, then larger penalty.
 
-    Each (width, depth) is one call of the trainer behind `fit_adnn`: its
-    fits are the training folds, each seeded ``derive_seed(seed, width,
-    depth, fold)``, and its penalties are the shape's distinct ``lam``
-    values.  Every (fold, penalty) replica trains in lock step and takes the
-    steps of ``fit_adnn(train fold, Architecture(feature_dim, width,
-    depth), cfg, lam=lam, seed=derive_seed(seed, width, depth, fold))``,
-    up to the rounding of padded batches; a fold draws its initialisation
-    and, per action, one permutation per epoch of minibatch rows (the
-    ``n_a mod take`` rows an epoch leaves over go unused) once, for all its
-    penalties.  So a fold's bits depend only on (data, penalty, seed,
-    schedule), up to that rounding.  A duplicate cell trains once.  A
-    penalty below zero raises ValueError, and a non-finite cost in any
-    replica raises `ConvergenceError`.
+    Cells are grouped by the network they build.  A depth-1 network has no
+    hidden layer (see `Architecture`), so every depth-1 cell builds the
+    network of the default width, ``Architecture.hidden_width``, and trains
+    and scores as that width's cell; a deeper cell builds its own (width,
+    depth).  Fit seeds are keyed by the network's ``(width, depth, fold)``,
+    so cells that differ only in ``lam`` share their initialisation and
+    minibatch streams; duplicate cells, and depth-1 cells that differ only
+    in width, score identically; and scores do not depend on grid order.
+    Among tied depth-1 cells the tie-break reports the smallest width,
+    whose refit builds the same network.
+
+    Each network is one call of the trainer behind `fit_adnn`: its fits
+    are the training folds, each seeded ``derive_seed(seed, width, depth,
+    fold)`` with the network's width, and its penalties are its cells'
+    distinct ``lam`` values.  Every (fold, penalty) replica trains in lock
+    step and takes the steps of ``fit_adnn(train fold,
+    Architecture(feature_dim, width, depth), cfg, lam=lam,
+    seed=derive_seed(seed, width, depth, fold))``, up to the rounding of
+    padded batches; a fold draws its initialisation and, per action, one
+    permutation per epoch of minibatch rows (the ``n_a mod take`` rows an
+    epoch leaves over go unused) once, for all its penalties.  So a fold's
+    bits depend only on (data, penalty, seed, schedule), up to that
+    rounding.  A penalty that is negative or not finite raises ValueError,
+    and a non-finite cost in any replica raises `ConvergenceError`.
     """
     cells = list(grid)
     if not cells:
@@ -606,11 +618,14 @@ def cross_validate_adnn(
         (np.setdiff1d(perm, members), members) for members in fold_members
     ]
 
-    # one trainer call per (width, depth) over its folds and distinct
-    # penalties; seeds are keyed by (width, depth, fold), not lam
+    # one trainer call per network over its folds and distinct penalties;
+    # seeds are keyed by the network's (width, depth, fold), not lam.  A
+    # depth-1 network has no hidden layer: every width is the default's
+    networks = [(width if depth > 1 else Architecture.hidden_width, depth)
+                for width, depth, _ in cells]
     shapes = {}
-    for width, depth, lam in cells:
-        lams = shapes.setdefault((width, depth), [])
+    for network, (_, _, lam) in zip(networks, cells):
+        lams = shapes.setdefault(network, [])
         if lam not in lams:
             lams.append(lam)
     folds_data = []
@@ -631,8 +646,8 @@ def cross_validate_adnn(
                 errors = _squared_errors(tr, tr.responses, model, model.actions)
                 fold_errors.append(sum(errors.values()) / n_valid)
             cell_scores[(width, depth, lam)] = float(np.mean(fold_errors))
-    scores = [((width, depth, lam), cell_scores[(width, depth, lam)])
-              for width, depth, lam in cells]
+    scores = [((width, depth, lam), cell_scores[network + (lam,)])
+              for network, (width, depth, lam) in zip(networks, cells)]
 
     best = min(scores, key=lambda item: (item[1], item[0][1], item[0][0], -item[0][2]))
     return CrossValidationResult(best=best[0], scores=scores)
@@ -782,33 +797,38 @@ class PipelineConfig:
     ``screen_n_max`` at least 1 or None (no cap).
     ``dims``, when given, must be nonempty ascending positive integers.
     ``grid`` must be nonempty, and each cell a ``(width, depth, lam)`` of two
-    positive integers and a penalty ``>= 0``.  The default grid holds 22
-    cells: the product of widths 2, 4 and 8, depths 1 and 2 and lam 0.001,
-    0.01, 0.1 and 1.0, less (4, 2, 1.0) and (8, 2, 1.0).  They are the
-    cells that won, or scored within 10% of the winner, in at least one of
-    213 CV tables of that 24-cell product: 120 on simgen ``linear``,
-    ``quad`` and ``exp`` (n=30, T=90, coordinates 0-3, dimensions 1-4,
-    seeds 1-10) and 93 on the paths that use this default at the default
-    `ExperimentConfig` (`construct_sufficient_features` on its screened
-    coordinates and `baselines.fit_tnn` on all 64, replicates 0-2 of each
-    model, master seed 0).  The 10% margin is about three fold standard
-    errors of a winner's score; the two deleted cells fit the constant.
-    The tables are in CHANGES.md.  ``fit`` is the training schedule of the
-    refit at each dimension and ``cv_fit`` that of the CV fits; the grid
-    cells set their penalties and ``seed`` keys every stream.  The networks
-    are sigmoid.
+    positive integers and a finite penalty ``>= 0``.  The default grid holds
+    16 cells, one per network of the product of widths 2, 4 and 8, depths 1
+    and 2 and lam 0.001, 0.01, 0.1 and 1.0.  A depth-1 network does not
+    read its width (see `cross_validate_adnn`), so depth 1 is listed once
+    per penalty, at the default width 4.  Each network won, or scored
+    within 10% of the winner, in at least one of 213 CV tables of that
+    24-cell product: 120 on simgen ``linear``, ``quad`` and ``exp`` (n=30,
+    T=90, coordinates 0-3, dimensions 1-4, seeds 1-10) and 93 on the paths
+    that use this default at the default `ExperimentConfig`
+    (`construct_sufficient_features` on its screened coordinates and
+    `baselines.fit_tnn` on all 64, replicates 0-2 of each model, master
+    seed 0).  The depth-1 lam 1.0 network qualified only on ``fit_tnn``
+    tables, at 1.04x the winner, and (4, 2, 1.0) and (8, 2, 1.0) only in
+    one of them (``quad``, replicate 1, action 2, dimension 1, whose winner
+    beats the constant fit by about 10%), at 1.0976x and 1.0979x; there
+    they fit the constant, as (2, 2, 0.1) and (2, 2, 1.0) do.  The 10% margin is about
+    three fold standard errors of a winner's score.  The tables are in
+    CHANGES.md.
+
+    ``fit`` is the training schedule of the refit at each dimension and
+    ``cv_fit`` that of the CV fits; the grid cells set their penalties and
+    ``seed`` keys every stream.  The networks are sigmoid.
     """
 
     tau: float = 0.1
     tau_dim: float = 0.05
     dims: Optional[tuple] = None  # default: ladder up to the variable count
     grid: tuple = (
-        (2, 1, 0.001), (2, 1, 0.01), (2, 1, 0.1), (2, 1, 1.0),
-        (2, 2, 0.001), (2, 2, 0.01), (2, 2, 0.1), (2, 2, 1.0),
         (4, 1, 0.001), (4, 1, 0.01), (4, 1, 0.1), (4, 1, 1.0),
-        (4, 2, 0.001), (4, 2, 0.01), (4, 2, 0.1),
-        (8, 1, 0.001), (8, 1, 0.01), (8, 1, 0.1), (8, 1, 1.0),
-        (8, 2, 0.001), (8, 2, 0.01), (8, 2, 0.1),
+        (2, 2, 0.001), (2, 2, 0.01), (2, 2, 0.1), (2, 2, 1.0),
+        (4, 2, 0.001), (4, 2, 0.01), (4, 2, 0.1), (4, 2, 1.0),
+        (8, 2, 0.001), (8, 2, 0.01), (8, 2, 0.1), (8, 2, 1.0),
     )
     folds: int = 5
     fit: FitConfig = FitConfig()

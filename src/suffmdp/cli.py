@@ -35,7 +35,8 @@ or missing key or a value of the wrong JSON kind.  They also include:
 - ``qlearn --epochs`` below 1, which would write an untrained Q file;
 - a pipeline config (``construct --grid-file`` or an experiment's
   ``pipeline``) with an empty ``grid``, which would fail only after
-  screening;
+  screening, or with a grid cell whose penalty is negative or not finite
+  (``NaN`` or ``Infinity``, whose fits diverge);
 - an experiment config that would train nothing or fail only inside a
   replicate: a count below 1 (``replicates``, a set ``threads``,
   ``n_subjects``, ``horizon``, ``n_rollouts``, ``eval_horizon``,

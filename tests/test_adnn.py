@@ -584,6 +584,23 @@ def _random_dataset(p, seed=0, n=8, horizon=4, n_actions=1):
     )
 
 
+def _parameter_bytes(model) -> list:
+    layers = model.feature_layers + [layer for a in model.actions for layer in model.heads[a]]
+    return [array.tobytes() for layer in layers for array in layer]
+
+
+def _count_trainer_calls(monkeypatch) -> list:
+    """Wrap the trainer; each call appends (hidden_width, depth, replicas)."""
+    calls = []
+
+    def counting(arch, cfg, fits, lams, actions_subset=None):
+        calls.append((arch.hidden_width, arch.depth, len(fits) * len(lams)))
+        return _train_replicas(arch, cfg, fits, lams, actions_subset)
+
+    monkeypatch.setattr(adnn, "_train_replicas", counting)
+    return calls
+
+
 class TestFit:
     def test_zero_iterations_returns_initialization(self):
         ds = _random_dataset(2, seed=1)
@@ -670,6 +687,15 @@ class TestFit:
         ):
             fit_adnn(ds, arch, FitConfig(alpha0=1e6, n_max=n_max), seed=1)
 
+    def test_depth_one_network_does_not_read_its_width(self):
+        # no hidden layer at depth 1, so the width builds nothing
+        ds = _random_dataset(2, seed=4, n_actions=2, n=10)
+        cfg = FitConfig(alpha0=0.1, n_max=50, check_every=10)
+        narrow, wide = (fit_adnn(ds, Architecture(2, width, 1), cfg, lam=0.05, seed=11)
+                        for width in (2, 8))
+        assert _parameter_bytes(narrow) == _parameter_bytes(wide)
+        assert narrow.trace == wide.trace
+
     def test_actions_subset_trains_one_head(self):
         ds = _random_dataset(2, seed=5, n_actions=2, n=12)
         arch = Architecture(feature_dim=1)
@@ -709,8 +735,9 @@ class TestCrossValidation:
         assert cv.best == (2, 1, 0.5)
 
     def test_scores_do_not_depend_on_grid_order(self):
+        # depth 2, where the two widths are two networks
         ds = _random_dataset(2, seed=18, n=8)
-        grid = [(2, 1, 0.01), (2, 1, 0.5), (3, 1, 0.01), (3, 1, 0.5)]
+        grid = [(2, 2, 0.01), (2, 2, 0.5), (3, 2, 0.01), (3, 2, 0.5)]
         cfg = FitConfig(n_max=30, check_every=10)
         forward = cross_validate_adnn(ds, feature_dim=1, grid=grid,
                                       folds=2, cfg=cfg, seed=4)
@@ -732,7 +759,8 @@ class TestCrossValidation:
     @pytest.mark.parametrize("subset", [None, [2]], ids=["all-actions", "action-2"])
     def test_stacked_equals_per_cell_reference(self, subset):
         # 2 shapes x 2 penalties plus a duplicate cell over 3 unequal folds:
-        # every cell scores exactly what lone fit_adnn fits of its folds score
+        # every cell scores exactly what lone fit_adnn fits of its folds score,
+        # seeded by the network's width, which is 4 for every depth-1 cell
         ds = _random_dataset(2, seed=19, n=11, horizon=6, n_actions=2)
         grid = [(2, 1, 0.01), (3, 2, 0.2), (2, 1, 0.2), (3, 2, 0.01), (2, 1, 0.01)]
         cfg, seed = FitConfig(alpha0=0.2, batch_fraction=0.3, n_max=40, check_every=15), 6
@@ -752,8 +780,10 @@ class TestCrossValidation:
             arch = Architecture(2, width, depth)
             errors = []
             for fi, (train, valid) in enumerate(folds):
+                network_width = width if depth > 1 else 4
                 model = fit_adnn(ds.subset_subjects(train), arch, cfg, lam=lam,
-                                 seed=derive_seed(seed, width, depth, fi), actions_subset=subset)
+                                 seed=derive_seed(seed, network_width, depth, fi),
+                                 actions_subset=subset)
                 held_out = ds.subset_subjects(valid)
                 tr = flatten_transitions(held_out)
                 squared = sum(
@@ -765,6 +795,35 @@ class TestCrossValidation:
             reference.append(((width, depth, lam), float(np.mean(errors))))
         assert cv.scores == reference
         assert cv.scores[0][1] == cv.scores[4][1]
+
+    def test_depth_one_cells_of_any_width_train_one_network(self, monkeypatch):
+        # a depth-1 cell builds and seeds the width-4 network; depth-2 cells
+        # each keep their own
+        calls = _count_trainer_calls(monkeypatch)
+        ds = _random_dataset(2, seed=22, n=9, n_actions=2)
+        cfg, lam = FitConfig(alpha0=0.2, batch_fraction=0.3, n_max=30, check_every=10), 0.05
+
+        def cv(grid):
+            return cross_validate_adnn(ds, 1, grid, folds=3, cfg=cfg, seed=5)
+
+        grid = [(2, 1, lam), (8, 1, lam), (4, 1, lam), (2, 2, lam), (8, 2, lam)]
+        scores = dict(cv(grid).scores)
+        assert sorted(call[:2] for call in calls) == [(2, 2), (4, 1), (8, 2)]
+        depth_one = cv([(4, 1, lam)]).scores[0][1]
+        for width in (2, 4, 8):
+            assert scores[(width, 1, lam)].hex() == depth_one.hex()
+        for width in (2, 8):
+            assert scores[(width, 2, lam)].hex() == cv([(width, 2, lam)]).scores[0][1].hex()
+        assert scores[(2, 2, lam)] != scores[(8, 2, lam)]
+        # the tie among widths goes to the smallest
+        assert cv([(8, 1, lam), (4, 1, lam), (2, 1, lam)]).best == (2, 1, lam)
+
+    def test_default_grid_trains_four_networks(self, monkeypatch):
+        # one for depth 1 and one per depth-2 width: 16 cells x 5 folds
+        calls = _count_trainer_calls(monkeypatch)
+        ds = _random_dataset(2, seed=23, n=10, horizon=6, n_actions=2)
+        cross_validate_adnn(ds, 1, PipelineConfig().grid, folds=5, cfg=FitConfig(n_max=1))
+        assert (len(calls), sum(replicas for _, _, replicas in calls)) == (4, 80)
 
     def test_negative_penalty_rejected(self):
         ds = _random_dataset(2, seed=20, n=8)
@@ -1053,6 +1112,24 @@ class TestConfigChecks:
             PipelineConfig(**{key: value})
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_jsonable(ExperimentConfig, {"pipeline": {key: value}})
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_penalty_rejected(self, lam):
+        # it once passed, and every fit then diverged
+        with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
+            PipelineConfig(grid=((2, 1, lam),))
+        with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
+            fit_adnn(_random_dataset(2, seed=24), Architecture(1), FitConfig(n_max=1), lam=lam)
+
+    def test_default_grid_has_one_cell_per_network(self):
+        def network(cell):
+            width, depth, lam = cell
+            model = _init_model(Architecture(1, width, depth), 3, [1], substream(0))
+            return tuple(w.shape for w, _ in model.feature_layers + model.heads[1]), lam
+
+        grid = PipelineConfig().grid
+        assert len(grid) == 16
+        assert len({network(cell) for cell in grid}) == 16
 
     def test_pipeline_config_accepts_edge_values(self):
         cfg = PipelineConfig(tau=0.999, n_permutations=1, min_stratum=2, screen_n_max=1)

@@ -380,6 +380,21 @@ class TestExitCodes:
         assert run(argv, inputs) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")], ids=["nan", "infinity"])
+    def test_non_finite_penalty_gives_1_and_writes_no_model(self, inputs, tmp_path, lam,
+                                                            capsys, monkeypatch):
+        # json writes and reads these as NaN and Infinity; the file once ran
+        # screening and then exited 2, "training diverged at iteration 20"
+        def no_screening(*args, **kwargs):
+            raise AssertionError("screening ran on a bad grid file")
+
+        monkeypatch.setattr(adnn, "screen", no_screening)
+        (inputs / "bad.json").write_text(json.dumps(dict(GRID, grid=[[2, 1, lam]])))
+        argv = CONSTRUCT.replace("{in}/grid.json", "{in}/bad.json")
+        assert run(argv, inputs) == 1
+        assert "lam must be >= 0 and finite" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     @pytest.mark.parametrize(
         "spec,key",
         [({"model": "linear", "noise": 9}, "'noise'"),
