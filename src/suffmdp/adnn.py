@@ -132,6 +132,12 @@ def _check_lam(lam) -> None:
         raise ValueError(f"lam must be >= 0 and finite, got {lam}")
 
 
+def _check_col_tol(col_tol) -> None:
+    # a NaN or infinite tolerance marks no input active
+    if not (math.isfinite(col_tol) and col_tol >= 0):
+        raise ValueError(f"col_tol must be >= 0 and finite, got {col_tol}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Training schedule.
@@ -663,7 +669,6 @@ def residual_independence_pvalue(
     model,
     n_permutations: int = 999,
     seed: int = 0,
-    tau: float = 0.05,
     min_stratum: int = 5,
     actions_subset: Optional[Sequence[int]] = None,
 ) -> TestReport:
@@ -671,9 +676,10 @@ def residual_independence_pvalue(
 
     ``model`` is anything with ``predict(states, action) -> (m, p+1)``.
     Residuals ``Y^{t+1} - prediction`` are tested against ``S^t`` within
-    action levels and pooled over time; failing to reject supports the
-    model's features as capturing all state information relevant to the
-    response.
+    action levels and pooled over time.  The report carries the pooled
+    p-value, which the caller compares with its own level; a p-value above
+    it supports the model's features as capturing all state information
+    relevant to the response.
     """
     actions = sorted(range(1, ds.n_actions + 1) if actions_subset is None else actions_subset)
     tr = flatten_transitions(ds)
@@ -687,7 +693,7 @@ def residual_independence_pvalue(
         min_stratum=min_stratum, actions=actions,
     )
     # rows of untested actions stay NaN; the test never reads them
-    return stratified_pooled_test(resid.reshape(ds.actions.shape + (-1,)), side, tau=tau)
+    return stratified_pooled_test(resid.reshape(ds.actions.shape + (-1,)), side)
 
 
 @dataclass(frozen=True)
@@ -745,7 +751,6 @@ def select_feature_dimension(
             model,
             n_permutations=config.n_permutations,
             seed=derive_seed(seed, r, 2),
-            tau=tau,
             min_stratum=config.min_stratum,
             actions_subset=actions_subset,
         )
@@ -770,8 +775,7 @@ def active_inputs(model: AdnnModel, col_tol: float = 0.05) -> list:
     one to ten percent of a live column's norm, hence the relative
     tolerance.
     """
-    if col_tol < 0:
-        raise ValueError(f"col_tol must be >= 0, got {col_tol}")
+    _check_col_tol(col_tol)
     norms = np.sqrt(np.square(model.first_layer).sum(axis=0))
     threshold = col_tol * norms.max() if norms.size else 0.0
     return [int(j) for j in np.flatnonzero(norms > threshold)]
@@ -792,7 +796,7 @@ class PipelineConfig:
 
     ``tau`` is the screening level and ``tau_dim`` the level at which the
     residual test must fail to reject for a dimension to be accepted, both
-    in (0, 1).  ``folds`` must be at least 2, ``col_tol`` at least 0,
+    in (0, 1).  ``folds`` must be at least 2, ``col_tol`` finite and at least 0,
     ``n_permutations`` at least 1, ``min_stratum`` at least 2, and
     ``screen_n_max`` at least 1 or None (no cap).
     ``dims``, when given, must be nonempty ascending positive integers.
@@ -855,11 +859,12 @@ class PipelineConfig:
             raise ValueError(f"screen_n_max must be >= 1 or None, got {self.screen_n_max}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
-        if self.col_tol < 0:
-            raise ValueError(f"col_tol must be >= 0, got {self.col_tol}")
+        _check_col_tol(self.col_tol)
         if self.dims is not None:
             dims = list(self.dims)
-            if (not dims or any(not isinstance(r, numbers.Integral) or r < 1 for r in dims)
+            if (not dims
+                    or any(isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 1
+                           for r in dims)
                     or sorted(dims) != dims):
                 raise ValueError(f"dims must be nonempty ascending positive integers, got {dims}")
         if not self.grid:

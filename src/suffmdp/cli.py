@@ -36,7 +36,9 @@ or missing key or a value of the wrong JSON kind.  They also include:
 - a pipeline config (``construct --grid-file`` or an experiment's
   ``pipeline``) with an empty ``grid``, which would fail only after
   screening, or with a grid cell whose penalty is negative or not finite
-  (``NaN`` or ``Infinity``, whose fits diverge);
+  (``NaN`` or ``Infinity``, whose fits diverge), a ``col_tol`` that is
+  negative or not finite (which would mark no input active), or a ``dims``
+  entry that is not a positive integer (``true`` included);
 - an experiment config that would train nothing or fail only inside a
   replicate: a count below 1 (``replicates``, a set ``threads``,
   ``n_subjects``, ``horizon``, ``n_rollouts``, ``eval_horizon``,
@@ -63,14 +65,12 @@ from typing import Optional
 from . import experiment as experiment_mod
 from .adnn import PipelineConfig, construct_sufficient_features
 from .core import (
-    DataValidationError,
     config_from_jsonable,
     flatten_transitions,
     format_float,
     load_dataset_csv,
     save_dataset_csv,
 )
-from .dcov import InsufficientDataError
 from .features import feature_map_from_jsonable
 from .qlearn import evaluate_policy, fit_q_linear, fit_q_nn, q_approximator_from_jsonable
 from .screening import screen
@@ -275,8 +275,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DataValidationError, InsufficientDataError, ValueError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"suffmdp {args.command}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

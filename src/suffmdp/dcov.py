@@ -20,7 +20,8 @@ through the order-statistic rule
 with ``p_(u)`` the u-th smallest of the T p-values.  The pooled value is a
 valid p-value for any fixed ``u``; ``u = 1`` is the Bonferroni correction,
 and the stratified test uses ``u = floor(T/20) + 1``, which never exceeds
-``T``.
+``T``.  A test returns its pooled p-value and decides nothing: each caller
+compares it with its own level.
 
 A stratified test runs in two steps.  :func:`draw_permuted_side` takes the
 second sample ``h`` and, for each stratum of ``m`` subjects, computes its
@@ -44,7 +45,6 @@ scored by gathering ``b[pi][:, pi]`` in chunks, with the same ``pi``.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -92,11 +92,10 @@ class StratumResult:
 class TestReport:
     """Result of a stratified pooled test (see :func:`stratified_pooled_test`).
 
-    ``statistic`` lists the per-stratum statistics in the order of
+    ``p_value`` is the pooled p-value; the caller compares it with its own
+    level.  ``statistic`` lists the per-stratum statistics in the order of
     ``strata``, and ``pooled_u`` is the order-statistic index the pooling
-    used.  ``seed`` and ``reject`` keep defaults only because
-    ``bench/test_bench.py`` builds a report without them;
-    `stratified_pooled_test` always sets both.
+    used.
     """
 
     statistic: list
@@ -104,19 +103,6 @@ class TestReport:
     strata: list
     pooled_u: int
     n_permutations: int
-    seed: Optional[int] = None
-    reject: Optional[bool] = None
-
-    def to_jsonable(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "strata": [dataclasses.asdict(s) for s in self.strata],
-            "u": self.pooled_u,
-            "B": self.n_permutations,
-            "seed": self.seed,
-            "reject": self.reject,
-        }
 
 
 def _centered_distances(x: np.ndarray) -> np.ndarray:
@@ -265,7 +251,6 @@ class PermutedSide:
     actions: np.ndarray
     tested: np.ndarray
     n_permutations: int
-    seed: int
 
 
 def draw_permuted_side(
@@ -311,14 +296,10 @@ def draw_permuted_side(
             f"insufficient per-stratum data: no (t, action) stratum has "
             f">= {min_stratum} subjects"
         )
-    return PermutedSide(tuple(strata), ds.actions, tested, n_permutations, seed)
+    return PermutedSide(tuple(strata), ds.actions, tested, n_permutations)
 
 
-def stratified_pooled_test(
-    g,
-    side: PermutedSide,
-    tau: float = 0.1,
-) -> TestReport:
+def stratified_pooled_test(g, side: PermutedSide) -> TestReport:
     """Test ``G^t independent of H^t`` within action levels, pooled over time.
 
     ``g`` has the layout of the ``h`` that ``side`` was drawn from, and is
@@ -326,10 +307,9 @@ def stratified_pooled_test(
     distance-covariance test of ``g``'s rows against its drawn sample;
     action levels at the same time point are combined by Bonferroni over the
     number of tested strata, and the ``T'`` per-time p-values are pooled by
-    :func:`pooled_pvalue` at ``u = floor(T'/20) + 1``.
+    :func:`pooled_pvalue` at ``u = floor(T'/20) + 1``.  The report
+    carries the pooled p-value; the caller compares it with its own level.
     """
-    if not 0 < tau < 1:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
     g = _time_block(g, "g", side.actions, side.tested)
     strata: list[StratumResult] = []
     per_time: list[float] = []
@@ -348,6 +328,4 @@ def stratified_pooled_test(
         strata=strata,
         pooled_u=u,
         n_permutations=side.n_permutations,
-        seed=side.seed,
-        reject=bool(pooled <= tau),
     )

@@ -103,7 +103,7 @@ def screen(
         pvals: dict[int, float] = {}
         added: list[int] = []
         for j in tested:
-            report = stratified_pooled_test(ds.states[:, :-1, j], side, tau=tau)
+            report = stratified_pooled_test(ds.states[:, :-1, j], side)
             pvals[j] = report.p_value
             if report.p_value <= tau:
                 added.append(j)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from suffmdp import adnn
+from suffmdp import adnn, dcov
 from suffmdp.adnn import (
     AdnnModel,
     Architecture,
@@ -870,6 +870,14 @@ class TestActiveInputs:
         m = make_model(seed=14)
         assert active_inputs(m, col_tol=0.0) == [0, 1, 2]
 
+    @pytest.mark.parametrize("col_tol", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, col_tol):
+        # it once passed, and no input was then active
+        with pytest.raises(ValueError, match="col_tol must be >= 0 and finite"):
+            active_inputs(make_model(seed=14), col_tol)
+        with pytest.raises(ValueError, match="col_tol must be >= 0 and finite"):
+            PipelineConfig(col_tol=col_tol)
+
     def test_relative_threshold(self):
         m = make_model(seed=15)
         w0, b0 = m.feature_layers[0]
@@ -891,7 +899,7 @@ class TestResidualTest:
                     return np.zeros((states.shape[0], 3))
 
             report = residual_independence_pvalue(
-                ds, ZeroPredictor(), n_permutations=199, seed=rep, tau=0.1
+                ds, ZeroPredictor(), n_permutations=199, seed=rep
             )
             rejections += report.p_value <= 0.1
         assert rejections <= 6
@@ -958,9 +966,29 @@ class TestDimensionSelection:
         assert not sel.none_sufficient
         assert len(sel.reports) == 1
 
+    def test_p_value_equal_to_tau_dim_rejects_the_dimension(self, monkeypatch):
+        # select_feature_dimension states the rule p > tau_dim; the residual
+        # test only returns p
+        tau_dim = 0.05
+        p_values = iter([tau_dim, float(np.nextafter(tau_dim, 1.0))])
+
+        def at_the_boundary(ds, model, **kwargs):
+            return dcov.TestReport(statistic=[], p_value=next(p_values), strata=[],
+                                   pooled_u=1, n_permutations=kwargs["n_permutations"])
+
+        monkeypatch.setattr(adnn, "residual_independence_pvalue", at_the_boundary)
+        cfg = PipelineConfig(dims=(1, 2), tau_dim=tau_dim, grid=((2, 1, 0.01),), folds=2,
+                             fit=FitConfig(n_max=1))
+        sel = select_feature_dimension(_random_dataset(3, seed=25), cfg, seed=1)
+        assert [(r, report.p_value) for r, _, _, report in sel.reports] == [
+            (1, tau_dim), (2, float(np.nextafter(tau_dim, 1.0)))]
+        assert sel.feature_dim == 2
+        assert not sel.none_sufficient
+
     def test_dims_must_be_ascending(self):
-        # checked when the config is made, so both pipelines fail alike
-        for dims in ((2, 1), (0, 1), (), (1.5,)):
+        # checked when the config is made, so both pipelines fail alike;
+        # True is an Integral, and once failed only after screening
+        for dims in ((2, 1), (0, 1), (), (1.5,), (True,)):
             with pytest.raises(ValueError, match="dims must be nonempty ascending positive"):
                 PipelineConfig(dims=dims)
 

@@ -75,3 +75,14 @@ def test_full_workload_fit_counters_read_the_schedule(name, monkeypatch):
     fits = [sp for sp in tracer.spans if sp.name == "adnn.fit"]
     assert fits
     assert [sp.counts["iterations"] for sp in fits] == [configs[0].fit.n_max] * len(fits)
+
+
+def test_report_built_as_the_bench_self_test_builds_it():
+    # bench/test_bench.py::test_p_value_floor_matches_the_pooling_rule builds
+    # these by field name and position; that file is outside the tier-1 paths
+    from suffmdp.dcov import StratumResult, TestReport
+
+    strata = [StratumResult(t, a, 15, 0.0, 0.001) for t in range(1, 31) for a in (1, 2)]
+    report = TestReport(statistic=[], p_value=0.03, strata=strata, pooled_u=2,
+                        n_permutations=999)
+    assert tracing.p_value_floor(report) == pytest.approx(0.03)

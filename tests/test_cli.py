@@ -396,6 +396,41 @@ class TestExitCodes:
         assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize(
+        "key,value,message",
+        [("col_tol", float("nan"), "col_tol must be >= 0 and finite"),
+         ("col_tol", float("inf"), "col_tol must be >= 0 and finite"),
+         ("dims", [True], "dims must be nonempty ascending positive integers")],
+        ids=["col-tol-nan", "col-tol-infinity", "dims-true"])
+    def test_unusable_pipeline_value_gives_1_and_writes_no_model(
+            self, inputs, tmp_path, key, value, message, capsys, monkeypatch):
+        # a NaN col_tol once exited 0 with a model flagged all-inputs-shrunk;
+        # dims [true] once ran screening and then exited 2 from init_layers
+        def no_screening(*args, **kwargs):
+            raise AssertionError("screening ran on a bad grid file")
+
+        monkeypatch.setattr(adnn, "screen", no_screening)
+        (inputs / "bad.json").write_text(json.dumps(dict(GRID, **{key: value})))
+        argv = CONSTRUCT.replace("{in}/grid.json", "{in}/bad.json")
+        assert run(argv, inputs) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_grid_file_that_is_not_json_gives_1(self, inputs, tmp_path, capsys):
+        (inputs / "bad.json").write_text("grid: [[2, 1, 0.01]]\n")
+        argv = CONSTRUCT.replace("{in}/grid.json", "{in}/bad.json")
+        assert run(argv, inputs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("suffmdp construct: ") and "unexpected failure" not in err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_too_few_subjects_to_screen_gives_1(self, inputs, capsys):
+        # 4 subjects: no (t, action) stratum reaches the 5 a test needs
+        assert run("simulate --model linear --n 4 --t 4 --seed 1 --out small.csv", inputs) == 0
+        capsys.readouterr()
+        assert run("screen --data small.csv --perms 19 --out screen.json", inputs) == 1
+        assert "insufficient per-stratum data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "spec,key",
         [({"model": "linear", "noise": 9}, "'noise'"),
          ({"model": "linear", "n_noise": 2.7}, "'n_noise'")],

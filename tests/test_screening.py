@@ -1,5 +1,7 @@
 import dataclasses
 
+import numpy as np
+
 from suffmdp import dcov, screening
 from suffmdp.screening import screen
 from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
@@ -50,3 +52,24 @@ def test_one_pooled_test_call_per_tested_coordinate_per_round(monkeypatch):
             assert isinstance(s, dcov.StratumResult)
             assert [f.name for f in dataclasses.fields(s)] == [
                 "t", "action", "sample_size", "statistic", "p_value"]
+
+
+def test_p_value_equal_to_tau_adds_the_coordinate(monkeypatch):
+    # screen states the rule p <= tau; the pooled test only returns p
+    tau = 0.1
+    # round 1 tests every coordinate in index order, so the first two calls
+    # are coordinates 0 and 1; every other call returns 1
+    p_values = iter([tau, float(np.nextafter(tau, 1.0))])
+
+    def at_the_boundary(g, side):
+        p = next(p_values, 1.0)
+        return dcov.TestReport(statistic=[], p_value=p, strata=[], pooled_u=1,
+                               n_permutations=side.n_permutations)
+
+    monkeypatch.setattr(screening, "stratified_pooled_test", at_the_boundary)
+    ds = sample_trajectories(GenerativeModelSpec("linear", 2, signal_dim=8), 20, 4, rng=3)
+    result = screen(ds, tau=tau, n_permutations=9, seed=5)
+    assert result.rounds[0].p_values[0] == tau
+    assert result.rounds[0].added == [0]
+    assert result.selected == [0]
+    assert result.converged
