@@ -6,9 +6,12 @@ feature vector; one regression head per action predicts the response
 actions: each outer iteration takes, for every action in turn, one
 subgradient descent step on (shared network, that action's head) using a
 minibatch of that action's transitions, leaving the other heads untouched.
-Fitting works on the row-stacked steps of ``core.flatten_transitions``, and
-the shared network and a head run forward and backward as one network
-through ``features.mlp_forward`` and ``features.mlp_backward``.
+Fitting works on the row-stacked steps of ``core.flatten_transitions``.  A
+training step runs the shared network and a head forward and backward as
+one network through a step plan, `_StepPlan`, whose buffers are made once
+per fit; a fitted model runs forward through ``features.mlp_forward``.  The
+two passes share the sigmoid, `features.sigmoid_in_place`, and give the
+same bits.
 
 There is one training loop.  It takes fits ``(training data, seed)`` of one
 architecture and a list of penalties, and trains every (fit, penalty)
@@ -29,7 +32,8 @@ not on the other fits or penalties of the call, nor on how many steps'
 rows the trainer writes at once.
 
 The arrays are small (a few rows per batch), so a step costs numpy calls
-rather than arithmetic, and the step is written to make few of them.  The
+rather than arithmetic, and the step is written to make few of them: it
+allocates nothing, and the batches of many steps are gathered at once.  The
 replicas' feature layers lie in one flat ``(replicas, parameters)``
 buffer and each action's head in another; the layer arrays are views of
 them.  A step writes its gradients into a buffer of the same layout,
@@ -74,7 +78,7 @@ import numpy as np
 
 from .core import TrajectoryDataset, Transitions, flatten_transitions
 from .dcov import TestReport, draw_permuted_side, stratified_pooled_test
-from .features import NetworkFeatureMap, _mlp_forward, init_layers, mlp_backward, mlp_forward
+from .features import NetworkFeatureMap, init_layers, mlp_forward, sigmoid_in_place
 from .rng import derive_seed, substream
 from .screening import ScreenResult, screen
 
@@ -253,54 +257,125 @@ def _costs_by_action(tr, y, model, lam, actions):
     return {a: err / int(np.count_nonzero(tr.actions == a)) + pen for a, err in errors.items()}
 
 
-def _batch_constants(takes, lams) -> tuple:
-    """``(take, pad, lam)`` for `_batch_gradients` on replicas that own the
-    first ``takes[r]`` rows of ``(R, max(takes), .)`` batches, with penalties
-    ``lams``: the ``(R, 1, 1)`` row counts, the ``(R, max(takes), 1)`` mask
-    of padding rows, or ``None`` when no replica is padded, and the ``(R, 1,
-    1)`` penalties.  They are the same at every step, so a trainer makes
-    them once.
-    """
-    take = np.asarray(takes, dtype=np.float64)[:, None, None]
-    pad = np.arange(take.max())[:, None] >= take
-    return (take, pad if pad.any() else None,
-            np.asarray(lams, dtype=np.float64)[:, None, None])
-
-
-def _batch_gradients(s, y, constants, layers, grads) -> None:
-    """Gradients of each replica's batch objective, written into ``grads``:
-    the mean over its batch rows of the squared error, plus its penalty's
-    subgradient (see the module docstring).
+class _StepPlan:
+    """One action's minibatch step in the lock-step trainer, with every array
+    the step writes made once.
 
     ``layers`` is a stacked network (see `_stack`), every array with a
     leading replica axis ``R``: the feature layers and then one action's
     head, run as one network whose last layer is affine.  ``grads`` holds a
     ``(dW, db)`` pair shaped like each layer's parameters; the trainer's are
     views of flat buffers laid out like the parameters' (see
-    `_layer_views`), and `features.mlp_backward` writes them in place.
-    ``s`` and ``y`` are ``(R, rows, .)`` batches in which replica ``r`` owns
-    its first ``take[r]`` rows; the rest are padding, get a zero loss
-    gradient and do not count in the mean.  ``constants`` holds the row
-    counts, padding mask and penalties (see `_batch_constants`).  The
-    group-lasso subgradient on the first feature layer is ``lam[r] * column
-    / ||column||`` for nonzero columns and zero otherwise.  The caller
-    silences the overflow of the sigmoids' exp.
-    """
-    take, pad, lam = constants
-    cache = []
-    # the affine output is fresh, so the loss gradient is made in its place
-    delta = _mlp_forward(s, layers, affine_last=True, cache=cache)
-    delta -= y
-    delta *= 2.0
-    delta /= take
-    if pad is not None:
-        np.copyto(delta, 0.0, where=pad)
-    mlp_backward(cache, layers, delta, grads)
+    `_layer_views`).  Replica ``r`` owns the first ``takes[r]`` rows of the
+    ``(R, max(takes), .)`` batches and has the penalty ``lams[r]``.
 
-    w1, dw1 = layers[0][0], grads[0][0]
-    norms = np.sqrt(np.add.reduce(np.square(w1), axis=-2, keepdims=True))
-    scale = np.divide(lam, norms, out=np.zeros(norms.shape), where=norms > 0)
-    dw1 += w1 * scale
+    The plan holds the weights' transposed views for the forward pass; per
+    layer, ``(R, max(takes), width)`` buffers for its output, the error
+    back-propagated to it (with its transposed view) and its sigmoid's
+    derivative; the row counts, padding mask and penalties; and the
+    penalty's workspaces.  The weights are views of the caller's arrays, so
+    the plan follows the parameters as they are updated in place.  Every
+    operation of a step writes into these buffers and gives the bits it would
+    give in a fresh array.  A row count or penalty that every replica shares
+    is kept as one float, which divides as the array of it would, for a
+    cheaper call.
+    """
+
+    def __init__(self, layers, grads, takes, lams):
+        n_replicas, rows = len(takes), max(takes)
+        weights = [w for w, _ in layers]
+        self.forward_layers = [(w.swapaxes(-1, -2), b) for w, b in layers]
+        self.outs = [np.empty((n_replicas, rows, w.shape[-2])) for w in weights]
+        # the last layer is affine: its error is made over its output
+        errors = [np.empty_like(out) for out in self.outs[:-1]] + self.outs[-1:]
+        # per layer, from the last: its error and the error's transpose; its
+        # input (None for the batch); its gradients; the output of its
+        # sigmoid and a buffer for the sigmoid's derivative (None for the
+        # affine layer); and the weight and buffer that carry the error back
+        # (None for the first layer)
+        self.backward = []
+        for i in range(len(layers) - 1, -1, -1):
+            sigmoid, first = i < len(layers) - 1, i == 0
+            self.backward.append((
+                errors[i], errors[i].swapaxes(-1, -2),
+                None if first else self.outs[i - 1],
+                *grads[i],
+                self.outs[i] if sigmoid else None,
+                np.empty_like(errors[i]) if sigmoid else None,
+                None if first else weights[i],
+                None if first else errors[i - 1],
+            ))
+        self.take = _shared(takes)
+        pad = np.arange(rows)[:, None] >= np.asarray(takes)[:, None, None]
+        self.pad = pad if pad.any() else None
+        self.lam = _shared(lams)
+        self.w1, self.dw1 = weights[0], grads[0][0]
+        self.squares, self.product = np.empty(self.w1.shape), np.empty(self.w1.shape)
+        self.norms = np.empty((n_replicas, 1, self.w1.shape[-1]))
+        self.nonzero = np.empty(self.norms.shape, dtype=bool)
+        self.scale = np.empty(self.norms.shape)
+
+    def forward(self, s) -> np.ndarray:
+        """The network's output on the ``(R, max(takes), p)`` batch ``s``,
+        written into the plan's last output buffer; the sigmoids are
+        `features.sigmoid_in_place`.  The caller silences their exp's
+        overflow."""
+        x, last = s, self.outs[-1]
+        for (w_t, b), out in zip(self.forward_layers, self.outs):
+            np.matmul(x, w_t, out=out)
+            out += b
+            if out is not last:
+                sigmoid_in_place(out)
+            x = out
+        return x
+
+    def gradients(self, s, y) -> None:
+        """Gradients of each replica's batch objective, written into the
+        plan's ``grads``: the mean over its batch rows of the squared error,
+        plus its penalty's subgradient (see the module docstring).
+
+        ``s`` and ``y`` are ``(R, max(takes), .)`` batches in which replica
+        ``r`` owns its first ``takes[r]`` rows; the rest are padding, get a
+        zero loss gradient and do not count in the mean.  The group-lasso
+        subgradient on the first feature layer is ``lam[r] * column /
+        ||column||`` for nonzero columns and zero otherwise.  The caller
+        silences the overflow of the sigmoids' exp.
+        """
+        delta = self.forward(s)
+        delta -= y
+        # two operations, as 2 * error / take rounds: one division by take / 2
+        # differs once 2 * error overflows
+        delta *= 2.0
+        delta /= self.take
+        if self.pad is not None:
+            np.copyto(delta, 0.0, where=self.pad)
+        for delta, delta_t, x, dw, db, out, slope, w, back in self.backward:
+            if slope is not None:
+                # the sigmoid's derivative, out * (1 - out)
+                np.subtract(1.0, out, out=slope)
+                slope *= out
+                delta *= slope
+            np.matmul(delta_t, s if x is None else x, out=dw)
+            np.add.reduce(delta, axis=-2, keepdims=True, out=db)
+            if w is not None:
+                np.matmul(delta, w, out=back)
+
+        np.square(self.w1, out=self.squares)
+        np.add.reduce(self.squares, axis=-2, keepdims=True, out=self.norms)
+        np.sqrt(self.norms, out=self.norms)
+        np.greater(self.norms, 0.0, out=self.nonzero)
+        self.scale.fill(0.0)
+        np.divide(self.lam, self.norms, out=self.scale, where=self.nonzero)
+        np.multiply(self.w1, self.scale, out=self.product)
+        self.dw1 += self.product
+
+
+def _shared(values):
+    """``values``, one per replica, as one float when they are all equal,
+    else as an ``(R, 1, 1)`` array."""
+    if len(set(values)) == 1:
+        return float(values[0])
+    return np.asarray(values, dtype=np.float64)[:, None, None]
 
 
 def _layer_views(buffer, shapes) -> list:
@@ -355,6 +430,21 @@ def _replica(stacked: AdnnModel, r: int) -> AdnnModel:
 # do not depend on it; it bounds the memory of the block index.
 _BLOCK = 64
 
+# Floats of the batches that a trainer gathers at once for one action.
+_GATHER_FLOATS = 1 << 15
+
+
+def _gather_steps(n_replicas, take, state_dim) -> int:
+    """Steps whose batches a trainer gathers at once for one action: as many
+    as `_GATHER_FLOATS` holds, at least 1 and at most `_BLOCK`.  A step's
+    batch is ``n_replicas * take`` rows of a state and its response, ``2 *
+    state_dim + 1`` floats.  The rows gathered do not depend on it.  A 3-fold
+    CV of 2 penalties on 10 coordinates (504 floats a step) gathers whole
+    blocks; a 20-replica CV of 135-row batches on 64 coordinates (348,300
+    floats, 2.8 MB) gathers one step at a time.
+    """
+    return min(_BLOCK, max(1, _GATHER_FLOATS // (n_replicas * take * (2 * state_dim + 1))))
+
 
 class _Reshuffle:
     """One (fit, action)'s minibatch rows, by random reshuffling.
@@ -398,16 +488,18 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     ``n_a`` rows per epoch, cut in order into ``n_a // take`` batches, the
     last ``n_a mod take`` rows unused (see `_Reshuffle`).  Every `_BLOCK`
     iterations each (fit, action) writes the next block's batches into one
-    ``(block, R, max take)`` index per action, and a step reads its row of
-    it.  The draws depend only on the fit's data, seed and schedule, not on
-    the block, the other fits or ``actions_subset``.  Each step gathers
-    every replica's batch from the action's pool, where each fit's rows
-    appear once, into one ``(R, max take, .)`` array padded with a zero row,
-    and descends on all replicas at once.  A replica whose batches are
-    padded can end a few ulps from the lone fit, because the padded gradient
-    may sum its rows in another order.  Returns one model per replica, in
-    order, each with its own cost trace; a non-finite cost in any replica
-    raises `ConvergenceError`.
+    ``(block, R, max take)`` index per action.  The draws depend only on the
+    fit's data, seed and schedule, not on the block, the other fits or
+    ``actions_subset``.  The batches are gathered from the action's pools of
+    states and responses, where each fit's rows appear once and a zero row
+    pads the shorter batches, `_gather_steps` steps at a time, into
+    ``(steps, R, max take, .)`` buffers made once.  Each action's step runs
+    through its `_StepPlan`, made once per call, and descends on all
+    replicas at once.  A replica whose batches are padded can end a few
+    ulps from the lone fit, because the padded gradient may sum its rows in
+    another order.  Returns one model per replica, in order, each with its
+    own cost trace; a non-finite cost in any replica raises
+    `ConvergenceError`.
 
     The parameters live in the flat buffers of `_stack`: one for the feature
     layers and one per action's head.  A step writes its gradients into one
@@ -454,7 +546,8 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     # per action: every fit's rows end to end, then a zero row that pads the
     # shorter batches; block[j, d * n_lams + l] is replica d * n_lams + l's
     # batch at the j-th step of a block.  A fit's draws are written through
-    # a view of its replicas' first `take` columns.
+    # a view of its replicas' first `take` columns.  Two takes, one of states
+    # and one of responses, gather the batches of `chunk` steps at a time.
     draws, steps = [], []
     for a in actions:
         sizes = np.array([rows[a].size for rows in action_rows])
@@ -466,12 +559,15 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
         draws += [_Reshuffle(substream(seed, a), n, take, offset, block[:, d, :, :take])
                   for d, ((_, seed), n, take, offset)
                   in enumerate(zip(fits, sizes.tolist(), takes.tolist(), offsets.tolist()))]
+        chunk = _gather_steps(n_replicas, takes.max(), state_dim)
         steps.append((
+            _StepPlan(model.feature_layers + model.heads[a], grads,
+                      np.repeat(takes, n_lams).tolist(), list(lams) * len(fits)),
             block.reshape(_BLOCK, n_replicas, -1),
             np.concatenate(states + [np.zeros((1, state_dim))]),
             np.concatenate(responses + [np.zeros((1, state_dim + 1))]),
-            _batch_constants(np.repeat(takes, n_lams), list(lams) * len(fits)),
-            model.feature_layers + model.heads[a],
+            np.empty((chunk, n_replicas, takes.max(), state_dim)),
+            np.empty((chunk, n_replicas, takes.max(), state_dim + 1)),
             head_params[a],
         ))
 
@@ -490,10 +586,13 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
             if j == 0:
                 for draw in draws:
                     draw.fill(min(_BLOCK, cfg.n_max - b + 1))
-            for block, states, responses, constants, layers, head in steps:
-                rows = block[j]
-                _batch_gradients(states.take(rows, axis=0), responses.take(rows, axis=0),
-                                 constants, layers, grads)
+            for plan, block, states, responses, s, y, head in steps:
+                k = j % len(s)
+                if k == 0:
+                    rows = block[j:j + len(s)]
+                    states.take(rows, axis=0, out=s[:len(rows)], mode="clip")
+                    responses.take(rows, axis=0, out=y[:len(rows)], mode="clip")
+                plan.gradients(s[k], y[k])
                 grad *= alpha
                 feature_params -= feature_grad
                 head -= head_grad

@@ -44,7 +44,9 @@ or missing key or a value of the wrong JSON kind.  They also include:
   ``n_subjects``, ``horizon``, ``n_rollouts``, ``eval_horizon``,
   ``q_epochs_linear`` or ``q_epochs_nn``), an empty ``models``,
   ``noise_counts`` or ``feature_methods``, an unknown model or oracle
-  variant, and a negative noise count.
+  variant, a negative noise count, an entry of ``models``,
+  ``feature_methods`` or ``q_methods`` that is not a string, and a
+  ``noise_counts`` entry that is not an integer (``true`` included).
 
 A ``qlearn`` fit that diverges (non-finite parameters) is a runtime failure:
 it exits 2 and writes no Q file.

@@ -219,8 +219,12 @@ def pooled_pvalue(pvals: Sequence[float], u: int) -> float:
         raise ValueError("p-values must lie in [0, 1]")
     if not 1 <= u <= ps.size:
         raise ValueError(f"u must be in 1..{ps.size}, got {u}")
-    order_stat = np.sort(ps)[u - 1]
-    return min(1.0, ps.size * order_stat / u)
+    return _pool(ps, u)
+
+
+def _pool(ps: np.ndarray, u: int) -> float:
+    # `pooled_pvalue` on p-values that are known to be valid
+    return min(1.0, ps.size * np.sort(ps)[u - 1] / u)
 
 
 def _time_block(x, name: str, actions: np.ndarray, tested: np.ndarray) -> np.ndarray:
@@ -307,7 +311,7 @@ def stratified_pooled_test(g, side: PermutedSide) -> TestReport:
     distance-covariance test of ``g``'s rows against its drawn sample;
     action levels at the same time point are combined by Bonferroni over the
     number of tested strata, and the ``T'`` per-time p-values are pooled by
-    :func:`pooled_pvalue` at ``u = floor(T'/20) + 1``.  The report
+    the rule of :func:`pooled_pvalue` at ``u = floor(T'/20) + 1``.  The report
     carries the pooled p-value; the caller compares it with its own level.
     """
     g = _time_block(g, "g", side.actions, side.tested)
@@ -321,10 +325,11 @@ def stratified_pooled_test(g, side: PermutedSide) -> TestReport:
             time_ps.append(p_value)
         per_time.append(min(1.0, len(time_ps) * min(time_ps)))
     u = len(per_time) // 20 + 1
-    pooled = pooled_pvalue(per_time, u)
     return TestReport(
         statistic=[s.statistic for s in strata],
-        p_value=pooled,
+        # each p-value lies in (0, 1] by construction, so `pooled_pvalue`'s
+        # checks are skipped
+        p_value=_pool(np.array(per_time), u),
         strata=strata,
         pooled_u=u,
         n_permutations=side.n_permutations,

@@ -24,6 +24,7 @@ entry has the outcome ``utility-independent-of-state``.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -69,8 +70,9 @@ class ExperimentConfig:
     The counts ``n_subjects``, ``horizon``, ``replicates``, ``n_rollouts``,
     ``eval_horizon``, ``q_epochs_linear``, ``q_epochs_nn`` and a set
     ``threads`` must be at least 1.  ``models``, ``noise_counts`` and
-    ``feature_methods`` must be nonempty, each model a simgen g kind and
-    each noise count at least 0, and ``oracle_variant`` one of
+    ``feature_methods`` must be nonempty, each model a simgen g kind (a
+    string, as each method is) and each noise count an integer (not a
+    boolean) at least 0, and ``oracle_variant`` one of
     ``first4``, ``first16`` and ``nonlinear3``.  A bad setting raises
     ValueError here, before any replicate runs.  The Q fits' other
     settings and PCA's are constants of `qlearn` and `baselines`.
@@ -93,6 +95,13 @@ class ExperimentConfig:
     threads: Optional[int] = None
 
     def __post_init__(self):
+        # `config_from_jsonable` checks a list's JSON kind, not its entries'
+        for name in ("models", "feature_methods", "q_methods"):
+            if not all(isinstance(v, str) for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be strings, got {list(getattr(self, name))}")
+        if any(isinstance(m, bool) or not isinstance(m, numbers.Integral)
+               for m in self.noise_counts):
+            raise ValueError(f"noise_counts entries must be integers, got {list(self.noise_counts)}")
         for name, kind, known in (("feature_methods", "feature", FEATURE_METHODS),
                                   ("q_methods", "Q", Q_METHODS)):
             methods = tuple(m.lower() for m in getattr(self, name))

@@ -5,6 +5,11 @@ one the pipeline fits, serializes: its JSON form carries ``kind:
 "network"``, so that a fitted map can be stored and reloaded apart from the
 model that produced it.  The other maps are built in memory from a dataset
 or a generative model (the oracle maps live in `suffmdp.simgen`).
+
+The network pass, `mlp_forward`, is rank-generic, so it runs one network or
+a stack of them.  Its sigmoid is `sigmoid_in_place`, which the ADNN
+trainer's step (`adnn._StepPlan`) runs over its own preallocated buffers,
+so the two passes give the same bits.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .core import check_json_object
 
 __all__ = [
     "mlp_forward",
-    "mlp_backward",
     "init_layers",
     "layers_to_jsonable",
     "layers_from_jsonable",
@@ -46,6 +50,15 @@ def _transpose(w):
     return w if w.ndim == 1 else w.swapaxes(-1, -2)
 
 
+def sigmoid_in_place(z) -> None:
+    """Overwrite ``z`` with its sigmoid, by `_sigmoid`'s operations in its
+    order and so with its bits.  The caller silences exp's overflow."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+
+
 def mlp_forward(x, layers, affine_last=False):
     """Apply ``(W, b)`` layers, ``x -> sigmoid(x @ W.T + b)``, to row-stacked
     inputs (or to one 1-D input).
@@ -54,57 +67,18 @@ def mlp_forward(x, layers, affine_last=False):
     in)`` against inputs ``(R, rows, in)``, with biases shaped ``(R, 1, out)``
     so that they broadcast over the row axis.  With ``affine_last`` the final
     layer skips the sigmoid; a 1-D final weight then gives one value per
-    row.
+    row.  Each sigmoid is `sigmoid_in_place` over the layer's fresh
+    pre-activation.
     """
-    with np.errstate(over="ignore"):
-        return _mlp_forward(x, layers, affine_last)
-
-
-def _mlp_forward(x, layers, affine_last=False, cache=None):
-    # `mlp_forward` under the caller's error state, so that a trainer
-    # silences exp's overflow once around all its passes.  Each sigmoid is
-    # `_sigmoid`'s operations in its order, written over the layer's fresh
-    # pre-activation.  When `cache` is a list, each layer appends its
-    # (input, output) for `mlp_backward`, the output None for an affine
-    # layer.
     last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        z = x @ _transpose(w)
-        z += b
-        affine = affine_last and i == last
-        if not affine:
-            np.negative(z, out=z)
-            np.exp(z, out=z)
-            z += 1.0
-            np.divide(1.0, z, out=z)
-        if cache is not None:
-            cache.append((x, None if affine else z))
-        x = z
+    with np.errstate(over="ignore"):
+        for i, (w, b) in enumerate(layers):
+            z = x @ _transpose(w)
+            z += b
+            if not (affine_last and i == last):
+                sigmoid_in_place(z)
+            x = z
     return x
-
-
-def mlp_backward(cache, layers, delta, grads):
-    """Parameter gradients of a loss through a cached forward pass, written
-    into ``grads``.
-
-    ``delta`` is the loss gradient with respect to the network output, and
-    the pass overwrites it; ``cache`` is the list that ``_mlp_forward``
-    filled on the forward pass.  ``grads`` holds one ``(dW, db)`` pair of
-    arrays per layer, which may be views of one flat buffer: ``dW`` is
-    shaped like ``W``, and ``db`` like the row sum of the layer's output
-    gradient with the row axis kept, ``(R, 1, out)`` for biases stacked on
-    a leading axis.  Gradients sum over the row axis.
-    """
-    for i in range(len(layers) - 1, -1, -1):
-        x, out = cache[i]
-        if out is not None:
-            # the sigmoid's derivative is out * (1 - out)
-            delta *= out * (1.0 - out)
-        dw, db = grads[i]
-        np.matmul(delta.swapaxes(-1, -2), x, out=dw)
-        np.add.reduce(delta, axis=-2, keepdims=True, out=db)
-        if i:
-            delta = delta @ layers[i][0]
 
 
 def init_layers(widths, rng: np.random.Generator) -> list:

@@ -12,8 +12,7 @@ from suffmdp.adnn import (
     Architecture,
     ConvergenceError,
     FitConfig,
-    _batch_constants,
-    _batch_gradients,
+    _StepPlan,
     _costs_by_action,
     _init_model,
     _layer_views,
@@ -30,7 +29,7 @@ from suffmdp.adnn import (
 )
 from suffmdp.core import TrajectoryDataset, config_from_jsonable, flatten_transitions
 from suffmdp.experiment import ExperimentConfig
-from suffmdp.features import NetworkFeatureMap, _sigmoid
+from suffmdp.features import NetworkFeatureMap, _sigmoid, mlp_forward
 from suffmdp.rng import derive_seed, substream
 from suffmdp.simgen import (
     GenerativeModelSpec,
@@ -232,20 +231,20 @@ def relative_error(a, b):
     return np.abs(a - b) / np.maximum(np.abs(b), 1e-6)
 
 
-def stacked_gradients(s, y, constants, stacked, action):
+def stacked_gradients(s, y, takes, lams, stacked, action):
     """A stacked model's batch gradients for one action, as the trainer makes
-    them: ``(feature_grads, head_grads)`` written into fresh arrays."""
+    them, through a step plan: ``(feature_grads, head_grads)`` written into
+    fresh arrays."""
     layers = stacked.feature_layers + stacked.heads[action]
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
-    _batch_gradients(s, y, constants, layers, grads)
+    _StepPlan(layers, grads, takes, lams).gradients(s, y)
     k = len(stacked.feature_layers)
     return grads[:k], grads[k:]
 
 
 def replica_gradients(s, y, model, lam, action):
     """One replica's batch gradients through a one-replica stacked call."""
-    f_g, h_g = stacked_gradients(s[None], y[None], _batch_constants([len(s)], [lam]),
-                                 _stack([model])[0], action)
+    f_g, h_g = stacked_gradients(s[None], y[None], [len(s)], [lam], _stack([model])[0], action)
     return [(dw[0], db[0, 0]) for dw, db in f_g], [(dw[0], db[0, 0]) for dw, db in h_g]
 
 
@@ -291,13 +290,12 @@ class TestSubgradient:
         ds = _random_dataset(3, seed=5, n_actions=2)
         s, y = action_batch(ds, 1)
         s, y = np.stack([s, s]), np.stack([y, y])
-        constants = _batch_constants([len(s[0])] * 2, [0.1, 0.1])
         feature_grad = np.full_like(feature_params, np.nan)
         head_grad = np.full_like(head_params[1], np.nan)
         layers = stacked.feature_layers + stacked.heads[1]
         grads = (_layer_views(feature_grad, [w.shape[1:] for w, _ in stacked.feature_layers])
                  + _layer_views(head_grad, [w.shape[1:] for w, _ in stacked.heads[1]]))
-        _batch_gradients(s, y, constants, layers, grads)
+        _StepPlan(layers, grads, [len(s[0])] * 2, [0.1, 0.1]).gradients(s, y)
         assert np.isfinite(feature_grad).all() and np.isfinite(head_grad).all()
         for (dw, db), (w, b) in zip(grads, layers, strict=True):
             assert dw.shape == w.shape and db.shape == b.shape
@@ -315,11 +313,30 @@ class TestSubgradient:
         s, y = s_all[rows], y_all[rows]
         for r, take in enumerate(takes):
             s[r, take:], y[r, take:] = 7.0, -3.0
-        f_g, h_g = stacked_gradients(s, y, _batch_constants(takes, lams), _stack(models)[0], 2)
+        f_g, h_g = stacked_gradients(s, y, takes, lams, _stack(models)[0], 2)
         for r, (model, lam, take) in enumerate(zip(models, lams, takes)):
             f_ref, h_ref = replica_gradients(s[r, :take], y[r, :take], model, lam, 2)
             for (dw, db), (dw_ref, db_ref) in zip(f_g + h_g, f_ref + h_ref, strict=True):
                 assert np.array_equal(dw[r], dw_ref) and np.array_equal(db[r, 0], db_ref)
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("takes", [[5, 5, 5], [5, 2, 4]], ids=["unpadded", "padded"])
+    def test_forward_equals_mlp_forward(self, depth, takes):
+        # the trainer's pass and the one a fitted model runs give the same
+        # bits, on the stack and on each replica's own rows
+        models = [make_model(input_dim=3, depth=depth, seed=70 + r, scale=3.0) for r in range(3)]
+        stacked = _stack(models)[0]
+        layers = stacked.feature_layers + stacked.heads[2]
+        grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
+        plan = _StepPlan(layers, grads, takes, [0.1] * 3)
+        s = 4.0 * substream(71).normal(size=(3, max(takes), 3))
+        with np.errstate(over="ignore"):
+            out = plan.forward(s)
+        assert np.array_equal(out, mlp_forward(s, layers, affine_last=True))
+        for r, (model, take) in enumerate(zip(models, takes)):
+            assert np.array_equal(out[r, :take], model.predict(s[r, :take], 2))
 
 
 def assert_same_model(model, reference):
@@ -363,18 +380,45 @@ class TestTrainReplicas:
     @pytest.mark.parametrize("block", [1, 7, adnn._BLOCK], ids=["1", "7", "default"])
     def test_fitted_bits_do_not_depend_on_the_block(self, block, monkeypatch):
         # three unequal fits and two penalties, over an n_max that is not a
-        # multiple of 7, so the last block is short and batches are padded
+        # multiple of 7, so the last block is short and batches are padded;
+        # depth 3 has a hidden-to-hidden layer
         ds = _random_dataset(2, seed=41, n=16, horizon=5, n_actions=2)
         fits = [(ds.subset_subjects(np.arange(0, 8)), 3), (ds.subset_subjects(np.arange(8, 13)), 4),
                 (ds.subset_subjects(np.arange(13, 16)), 5)]
         cfg = dataclasses.replace(self.CFG, n_max=150)
         assert cfg.n_max % 7 and cfg.n_max > adnn._BLOCK
-        arch = Architecture(feature_dim=2, hidden_width=2, depth=2)
-        reference = _reference_train(arch, cfg, fits, [0.0, 0.2])
-        monkeypatch.setattr(adnn, "_BLOCK", block)
-        models = _train_replicas(arch, cfg, fits, [0.0, 0.2])
+        for depth in (2, 3):
+            arch = Architecture(feature_dim=2, hidden_width=2, depth=depth)
+            reference = _reference_train(arch, cfg, fits, [0.0, 0.2])
+            with monkeypatch.context() as patch:
+                patch.setattr(adnn, "_BLOCK", block)
+                models = _train_replicas(arch, cfg, fits, [0.0, 0.2])
+            for model, ref in zip(models, reference, strict=True):
+                assert_same_model(model, ref)
+
+    @pytest.mark.parametrize("floats", [1, 150, 400], ids=["one-step", "2-steps", "6-steps"])
+    def test_fitted_bits_do_not_depend_on_the_gather_budget(self, floats, monkeypatch):
+        # 150 floats hold 2 of action 1's 66-float steps (2 replicas of 3
+        # rows, one padded, of 11 floats) and 400 hold 6, which do not divide
+        # a block of 7
+        ds = _random_dataset(5, seed=43, n=9, horizon=5, n_actions=2)
+        fits = [(ds.subset_subjects(np.arange(0, 5)), 6), (ds.subset_subjects(np.arange(5, 9)), 7)]
+        cfg = dataclasses.replace(self.CFG, n_max=40)
+        arch = Architecture(feature_dim=2, hidden_width=3, depth=2)
+        reference = _reference_train(arch, cfg, fits, [0.1])
+        monkeypatch.setattr(adnn, "_BLOCK", 7)
+        monkeypatch.setattr(adnn, "_GATHER_FLOATS", floats)
+        models = _train_replicas(arch, cfg, fits, [0.1])
         for model, ref in zip(models, reference, strict=True):
             assert_same_model(model, ref)
+
+    def test_gather_budget_caps_paper_scale_steps(self):
+        # a 3-fold CV of 2 penalties on 10 coordinates gathers a whole block;
+        # a 20-replica CV of 135-row batches on 64 coordinates one step,
+        # 2.8 MB, not a block of 180 MB
+        assert adnn._gather_steps(6, 4, 10) == adnn._BLOCK
+        assert adnn._gather_steps(1, 6, 10) == adnn._BLOCK
+        assert adnn._gather_steps(20, 135, 64) == 1
 
     def test_batches_of_an_epoch_are_disjoint_rows_of_the_action(self, monkeypatch):
         # every state's first coordinate is a distinct positive row id, so a
@@ -385,13 +429,13 @@ class TestTrainReplicas:
             states = ds.states.copy()
             states[..., 0] = 1000 * (d + 1) + 1 + np.arange(n * 6).reshape(n, 6)
             fits.append((TrajectoryDataset(states, ds.actions, ds.utilities, 2), 60 + d))
-        seen = []
+        seen, gradients = [], _StepPlan.gradients
 
-        def recording(s, y, constants, layers, grads):
+        def recording(plan, s, y):
             seen.append(s[:, :, 0].copy())
-            return _batch_gradients(s, y, constants, layers, grads)
+            return gradients(plan, s, y)
 
-        monkeypatch.setattr(adnn, "_batch_gradients", recording)
+        monkeypatch.setattr(adnn._StepPlan, "gradients", recording)
         cfg = dataclasses.replace(self.CFG, n_max=100)
         _train_replicas(Architecture(feature_dim=1, hidden_width=2), cfg, fits, [0.1])
         assert len(seen) == 2 * cfg.n_max

@@ -583,6 +583,25 @@ class TestExitCodes:
         assert run("experiment --config {in}/bad.json", inputs) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("noise_counts", [1.5], "noise_counts entries must be integers"),
+         ("noise_counts", [True], "noise_counts entries must be integers"),
+         ("feature_methods", [True], "feature_methods entries must be strings"),
+         ("q_methods", [None], "q_methods entries must be strings")],
+        ids=["noise-float", "noise-true", "feature-true", "q-null"])
+    def test_experiment_list_entry_of_the_wrong_kind_gives_1(self, inputs, key, value, message,
+                                                            capsys, monkeypatch):
+        # the first, third and fourth exited 2 from inside the harness, and
+        # a noise count of true ran as 1
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(experiment, "_run_replicate", no_replicate)
+        (inputs / "bad.json").write_text(json.dumps(dict(EXPERIMENT, **{key: value})))
+        assert run("experiment --config {in}/bad.json", inputs) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["linear", "nn"])
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_qlearn_epochs_below_one_gives_1(self, inputs, tmp_path, kind, epochs, capsys):

@@ -324,6 +324,26 @@ class TestStratifiedPooledTest:
         assert [s.action for s in report.strata] == [1]
 
 
+    def test_p_value_is_pooled_pvalue_of_its_per_time_p_values(self):
+        # the report pools without re-checking its p-values; both paths give
+        # the same float, here with two action levels and u = 2
+        rng = substream(24)
+        g, h = rng.normal(size=(24, 23)), rng.normal(size=(24, 23))
+        actions = rng.integers(1, 3, size=(24, 22))
+        ds = _dataset_with_columns(g, h, actions)
+        side = draw_permuted_side(ds.states[:, :-1, 1], ds, n_permutations=19, seed=5,
+                                  min_stratum=3)
+        report = stratified_pooled_test(ds.states[:, :-1, 0], side)
+        by_time = {}
+        for s in report.strata:
+            by_time.setdefault(s.t, []).append(s.p_value)
+        per_time = [min(1.0, len(ps) * min(ps)) for ps in by_time.values()]
+        assert len(per_time) == 22 and report.pooled_u == 2
+        assert any(len(ps) == 2 for ps in by_time.values())
+        pooled = pooled_pvalue(per_time, report.pooled_u)
+        assert report.p_value == pooled and type(report.p_value) is type(pooled)
+
+
 class TestStratifiedArrayContract:
     @staticmethod
     def _two_action_data():
