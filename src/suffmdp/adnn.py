@@ -234,10 +234,6 @@ def _init_model(arch: Architecture, state_dim: int, actions: Sequence[int],
     return AdnnModel(feature_layers=feature_layers, heads=heads)
 
 
-def _penalty(model: AdnnModel, lam: float) -> float:
-    return lam * float(np.sqrt(np.square(model.first_layer).sum(axis=0)).sum())
-
-
 def _squared_errors(tr: Transitions, y: np.ndarray, model: AdnnModel, actions) -> dict:
     """Per-action summed squared error of the predicted responses ``y``."""
     feats = model.features(tr.states)
@@ -249,12 +245,25 @@ def _squared_errors(tr: Transitions, y: np.ndarray, model: AdnnModel, actions) -
     return errors
 
 
-def _costs_by_action(tr, y, model, lam, actions):
-    """Per-action objective: that action's per-transition mean squared error
-    plus the penalty."""
-    pen = _penalty(model, lam)
-    errors = _squared_errors(tr, y, model, actions)
-    return {a: err / int(np.count_nonzero(tr.actions == a)) + pen for a, err in errors.items()}
+def _costs(states, by_action, model: AdnnModel, lams) -> list:
+    """Each replica's per-action objective on one fit's data: that action's
+    per-transition mean squared error plus the replica's penalty.
+
+    ``model`` is a stacked network (see `_stack`) with one replica per
+    penalty in ``lams``, all of them on the fit's ``states``; ``by_action``
+    maps each action to its rows of the data and their responses.  One
+    forward pass runs every replica, and each replica's costs have the bits
+    of a pass of its network alone.
+    """
+    norms = np.sqrt(np.square(model.first_layer).sum(axis=-2)).sum(axis=-1).tolist()
+    feats = model.features(states)
+    costs = [{} for _ in lams]
+    for a, (rows, y) in by_action.items():
+        pred = model._head_forward(feats.take(rows, axis=-2), a)
+        errors = np.add.reduce(np.square(pred - y).reshape(len(lams), -1), axis=-1).tolist()
+        for cost, lam, err, norm in zip(costs, lams, errors, norms):
+            cost[a] = err / rows.size + lam * norm
+    return costs
 
 
 class _StepPlan:
@@ -499,7 +508,9 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     ulps from the lone fit, because the padded gradient may sum its rows in
     another order.  Returns one model per replica, in order, each with its
     own cost trace; a non-finite cost in any replica raises
-    `ConvergenceError`.
+    `ConvergenceError`.  Each record of the traces runs one forward pass per
+    fit over all its replicas (`_costs`), on each action's rows found once
+    per call.
 
     The parameters live in the flat buffers of `_stack`: one for the feature
     layers and one per action's head.  A step writes its gradients into one
@@ -571,12 +582,25 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
             head_params[a],
         ))
 
+    # per fit: its states, each action's rows and responses, and its
+    # replicas as a stacked model of views, which follow the updates
+    by_fit = []
+    for d, ((tr, y), rows_by_action) in enumerate(zip(data, action_rows)):
+        fit = slice(d * n_lams, (d + 1) * n_lams)
+        by_fit.append((
+            tr.states,
+            {a: (rows, y[rows]) for a, rows in rows_by_action.items()},
+            AdnnModel(feature_layers=[(w[fit], b[fit]) for w, b in model.feature_layers],
+                      heads={a: [(w[fit], b[fit]) for w, b in layers]
+                             for a, layers in model.heads.items()}),
+        ))
     traces = [[] for _ in range(n_replicas)]
 
     def record_costs():
-        for r, trace in enumerate(traces):
-            tr, y = data[r // n_lams]
-            trace.append(_costs_by_action(tr, y, _replica(model, r), lams[r % n_lams], actions))
+        for d, (states, by_action, replicas) in enumerate(by_fit):
+            costs = _costs(states, by_action, replicas, lams)
+            for trace, cost in zip(traces[d * n_lams:(d + 1) * n_lams], costs):
+                trace.append(cost)
 
     record_costs()
     alpha = cfg.alpha0

@@ -23,12 +23,20 @@ and the stratified test uses ``u = floor(T/20) + 1``, which never exceeds
 ``T``.  A test returns its pooled p-value and decides nothing: each caller
 compares it with its own level.
 
-A stratified test runs in two steps.  :func:`draw_permuted_side` takes the
-second sample ``h`` and, for each stratum of ``m`` subjects, computes its
-centred distance matrix ``b`` and draws its ``B = n_permutations``
-permutations ``pi`` once.  Every candidate ``g`` that
-:func:`stratified_pooled_test` scores against that shared side uses the
-same draws; screening scores all coordinates of a round against one side.
+A stratified test runs in three steps.  :func:`draw_permuted_side` takes
+the second sample ``h`` and, for each stratum of ``m`` subjects, computes
+its centred distance matrix ``b`` and draws its ``B = n_permutations``
+permutations ``pi`` once.  :func:`observe_candidates` then observes a batch
+of one-column candidates ``g`` against that side, one stratum at a time:
+it gathers the stratum's rows of every candidate once, centres their
+distance matrices together and keeps each candidate's observed statistic
+and sorted gaps, with the bits of a candidate observed alone.  Last,
+:func:`stratified_pooled_test` scores one candidate: its permuted
+statistics, its p-value per stratum and the pooling.  Every candidate
+scored against a side uses the same draws; screening observes all
+coordinates of a round at once and scores each one against the round's
+side.  An array passed to :func:`stratified_pooled_test` is observed there,
+as a batch of one.
 
 A candidate with one column costs O(B m) per stratum instead of O(B m^2).
 Because ``b`` is double-centred, ``sum_ij A_ij b_(tau i)(tau j)`` equals
@@ -62,11 +70,14 @@ __all__ = [
     "pooled_pvalue",
     "PermutedSide",
     "draw_permuted_side",
+    "ObservedCandidate",
+    "observe_candidates",
     "stratified_pooled_test",
 ]
 
-# Permutations are scored in chunks whose two (chunk, m, m) gather
-# workspaces stay small enough for the allocator to reuse from call to call.
+# Permutations are scored, and candidates observed, in chunks whose
+# (chunk, m, m) workspaces stay small enough for the allocator to reuse from
+# call to call.
 _PERM_CHUNK_FLOATS = 32_768
 # Relative distance below the observed statistic within which a permuted
 # statistic still counts as a tie, as in scipy.stats.permutation_test.
@@ -105,30 +116,54 @@ class TestReport:
     n_permutations: int
 
 
-def _centered_distances(x: np.ndarray) -> np.ndarray:
+def _centered_distances(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The centred distance matrices ``(..., m, m)`` of the samples ``x``,
+    ``(..., m, q)``, written into the C-ordered ``out`` when it is given."""
     # Euclidean distances summed column by column, rooted and centred: the
-    # operations of scipy's cdist and np.mean in their order, so the matrix
+    # operations of scipy's cdist and np.mean in their order, so each matrix
     # (and every p-value) matches centred cdist bit for bit without
     # importing scipy.  The first column's squares start the sum, the same
     # as adding them to 0.0 (0.0 + v == v for v >= 0).  Each mean is
     # np.mean's reduce and divide without its Python wrapper, the grand mean
     # reduced over the raveled matrix as np.mean reduces a contiguous one,
-    # and the centring runs in the order of d - row - col + mean.
-    m, q = x.shape
-    col = x[:, 0]
-    d = np.subtract.outer(col, col)
+    # and the centring runs in place in the order of d - row - col + mean.
+    # The matrices are C-ordered whatever the layout of ``x``: the row and
+    # grand-mean reductions then run over contiguous rows, as they do for
+    # one matrix, and a stack of matrices gets each one's bits.
+    m, q = x.shape[-2:]
+    d = np.empty(x.shape[:-1] + (m,)) if out is None else out
+    col = x[..., 0]
+    np.subtract(col[..., :, None], col[..., None, :], out=d)
     d *= d
-    for k in range(1, q):
-        col = x[:, k]
-        diff = np.subtract.outer(col, col)
-        diff *= diff
-        d += diff
+    if q > 1:
+        diff = np.empty_like(d)
+        for k in range(1, q):
+            col = x[..., k]
+            np.subtract(col[..., :, None], col[..., None, :], out=diff)
+            diff *= diff
+            d += diff
     np.sqrt(d, out=d)
-    mean = np.add.reduce(d.ravel()) / (m * m)
-    a = d - np.add.reduce(d, axis=1, keepdims=True) / m
-    a -= np.add.reduce(d, axis=0, keepdims=True) / m
-    a += mean
-    return a
+    mean = np.add.reduce(d.reshape(d.shape[:-2] + (1, m * m)), axis=-1, keepdims=True)
+    mean /= m * m
+    row = np.add.reduce(d, axis=-1, keepdims=True)
+    row /= m
+    col = np.add.reduce(d, axis=-2, keepdims=True)
+    col /= m
+    d -= row
+    d -= col
+    d += mean
+    return d
+
+
+def _p_value(observed: float, permuted: np.ndarray) -> float:
+    """The permutation p-value of ``observed`` among the ``permuted`` statistics.
+
+    The permuted statistics are summed in another order than the observed
+    one, so a permutation that reproduces the observed statistic can land
+    an ulp below it; anything within ``_TIE_RTOL`` of it counts as a tie.
+    """
+    exceed = int(np.count_nonzero(permuted >= observed - _TIE_RTOL * observed))
+    return (1 + exceed) / (len(permuted) + 1)
 
 
 class _PermutedSample:
@@ -138,7 +173,8 @@ class _PermutedSample:
     ``b`` is the sample's ``(m, m)`` centred distance matrix and ``perms``
     the ``(B, m)`` drawn permutations.  Permuting rows of the sample permutes
     rows and columns of ``b``, so the statistic under ``perm`` is
-    ``mean(A * b[perm][:, perm])``.
+    ``mean(A * b[perm][:, perm])``.  A test observes its candidates
+    (`observe`) and then scores each one's permutations (`permuted`).
     """
 
     def __init__(self, y: np.ndarray, n_permutations: int, rng: np.random.Generator):
@@ -165,20 +201,50 @@ class _PermutedSample:
             cut[:, k] = -2.0 * lead
         return cut
 
-    def statistics(self, x: np.ndarray) -> tuple:
-        """``(observed, permuted)`` statistics for a validated 2-D sample ``x``.
+    def observe(self, xs: np.ndarray) -> tuple:
+        """``(observed, keys)`` for a batch of ``c`` validated candidates
+        ``xs``, ``(c, m, q)``.
 
-        One column is scored through ``cut`` under ``perm o sigma^-1``, with
-        ``sigma`` the stable sort of ``x``; several columns by gathering
-        ``b[perm][:, perm]`` in chunks.
+        ``observed`` lists the ``c`` observed statistics as floats.  The
+        ``keys`` are what `permuted` scores each candidate's permutations
+        from: ``(c, m-1)`` gaps of each candidate's stable sort when ``q ==
+        1``, else the ``(c, m, m)`` centred distance matrices.  The centring
+        and the products with ``b`` run on chunks of at most
+        `_PERM_CHUNK_FLOATS` floats, with each candidate's bits.
         """
-        a = _centered_distances(x)
-        m = a.shape[0]
-        observed = max(0.0, float(np.add.reduce((a * self.b).ravel()) / (m * m)))
-        if x.shape[1] == 1:
+        c, m, q = xs.shape
+        xs = np.ascontiguousarray(xs)
+        chunk = max(1, _PERM_CHUNK_FLOATS // (m * m))
+        observed = np.empty(c)
+        if q == 1:
             # the stable sort puts even 0.0 and -0.0 in sigma's order
-            xs = np.sort(x[:, 0], kind="stable")
-            permuted = self.cut @ (xs[1:] - xs[:-1])
+            xs_sorted = np.sort(xs[:, :, 0], axis=1, kind="stable")
+            keys = xs_sorted[:, 1:] - xs_sorted[:, :-1]
+            work = np.empty((min(c, chunk), m, m))
+        else:
+            keys = np.empty((c, m, m))
+        for start in range(0, c, chunk):
+            stop = min(start + chunk, c)
+            if q == 1:
+                product = _centered_distances(xs[start:stop], out=work[: stop - start])
+                product *= self.b
+            else:
+                product = _centered_distances(xs[start:stop], out=keys[start:stop]) * self.b
+            np.add.reduce(product.reshape(stop - start, m * m), axis=1, out=observed[start:stop])
+        observed /= m * m
+        return [max(0.0, v) for v in observed.tolist()], keys
+
+    def permuted(self, key: np.ndarray) -> np.ndarray:
+        """The ``B`` permuted statistics of one observed candidate, from its
+        key (see `observe`).
+
+        Gaps are scored through ``cut`` under ``perm o sigma^-1``, with
+        ``sigma`` the candidate's stable sort; a centred matrix ``a`` by
+        gathering ``b[perm][:, perm]`` in chunks.
+        """
+        m = len(self.b)
+        if key.ndim == 1:
+            permuted = self.cut @ key
         else:
             chunk = max(1, _PERM_CHUNK_FLOATS // (m * m))
             permuted = np.empty(len(self.perms))
@@ -190,20 +256,20 @@ class _PermutedSample:
                 # takes rows p[k] * c + k of it
                 cols = self.b.take(p, axis=1).reshape(m * c, m)
                 b_perm = cols.take(p * c + np.arange(c)[:, None], axis=0)
-                np.einsum("ij,bij->b", a, b_perm, out=permuted[start : start + c])
+                np.einsum("ij,bij->b", key, b_perm, out=permuted[start : start + c])
         permuted /= m * m
-        return observed, permuted
+        return permuted
+
+    def statistics(self, x: np.ndarray) -> tuple:
+        """``(observed, permuted)`` statistics for a validated 2-D sample ``x``:
+        `observe` and `permuted` on a batch of one."""
+        observed, keys = self.observe(x[None])
+        return observed[0], self.permuted(keys[0])
 
     def test(self, x: np.ndarray) -> tuple:
-        """``(statistic, p_value)`` of the permutation test of ``x`` against the sample.
-
-        The permuted statistics are summed in another order than the observed
-        one, so a permutation that reproduces the observed statistic can land
-        an ulp below it; anything within ``_TIE_RTOL`` of it counts as a tie.
-        """
+        """``(statistic, p_value)`` of the permutation test of ``x`` against the sample."""
         observed, permuted = self.statistics(x)
-        exceed = int(np.count_nonzero(permuted >= observed - _TIE_RTOL * observed))
-        return observed, (1 + exceed) / (len(permuted) + 1)
+        return observed, _p_value(observed, permuted)
 
 
 def pooled_pvalue(pvals: Sequence[float], u: int) -> float:
@@ -247,8 +313,9 @@ class PermutedSide:
     """The second sample of a stratified test with its permutations drawn.
 
     ``strata`` holds ``(t, action, rows, sample)`` per tested stratum in
-    time order, ``rows`` selecting the stratum's subjects.  Built by
-    :func:`draw_permuted_side` and scored by :func:`stratified_pooled_test`.
+    time order, ``rows`` indexing the stratum's subjects.  Built by
+    :func:`draw_permuted_side`; its candidates are observed by
+    :func:`observe_candidates` and scored by :func:`stratified_pooled_test`.
     """
 
     strata: tuple
@@ -289,8 +356,8 @@ def draw_permuted_side(
     for t in range(1, ds.horizon + 1):
         at = ds.actions[:, t - 1]
         for a in tested_actions:
-            rows = at == a
-            if rows.sum() >= min_stratum:
+            rows = np.flatnonzero(at == a)
+            if rows.size >= min_stratum:
                 sample = _PermutedSample(
                     h[rows, t - 1], n_permutations, substream(seed, *key, t, a)
                 )
@@ -303,25 +370,75 @@ def draw_permuted_side(
     return PermutedSide(tuple(strata), ds.actions, tested, n_permutations)
 
 
+@dataclass(frozen=True)
+class ObservedCandidate:
+    """One first sample ``g`` observed against ``side``, ready to be scored
+    by :func:`stratified_pooled_test`.
+
+    ``strata`` holds, per stratum of ``side``, the ``(observed, keys)`` of
+    the batch the candidate was observed in (see
+    :func:`observe_candidates`), and ``index`` is its place in that batch.
+    """
+
+    side: PermutedSide
+    strata: tuple
+    index: int
+
+
+def observe_candidates(g, side: PermutedSide) -> list:
+    """Observe ``c`` one-column candidates against ``side`` in one pass per
+    stratum: the first step of their stratified tests.
+
+    ``g`` has shape ``(n, T, c)`` (or ``(n, T)`` for one candidate), laid
+    out like the ``h`` that ``side`` was drawn from, with candidate ``i`` in
+    ``g[..., i]``; it is checked as :func:`stratified_pooled_test` checks
+    its ``g``, before any candidate is observed.  For each stratum, the
+    stratum's rows of every candidate are gathered once and give every
+    candidate's observed statistic and sorted gaps, with the bits of a test
+    of that candidate alone.  Returns one :class:`ObservedCandidate` per
+    candidate, in order.
+    """
+    g = _time_block(g, "g", side.actions, side.tested)
+    # `take` gathers a stratum's rows of every candidate as a C-ordered
+    # (c, m) block
+    strata = tuple(
+        sample.observe(g[:, t - 1].T.take(rows, axis=1)[:, :, None])
+        for t, _, rows, sample in side.strata
+    )
+    return [ObservedCandidate(side, strata, i) for i in range(g.shape[2])]
+
+
 def stratified_pooled_test(g, side: PermutedSide) -> TestReport:
     """Test ``G^t independent of H^t`` within action levels, pooled over time.
 
-    ``g`` has the layout of the ``h`` that ``side`` was drawn from, and is
-    paired with it row by row.  Each stratum of ``side`` runs a permutation
-    distance-covariance test of ``g``'s rows against its drawn sample;
-    action levels at the same time point are combined by Bonferroni over the
-    number of tested strata, and the ``T'`` per-time p-values are pooled by
-    the rule of :func:`pooled_pvalue` at ``u = floor(T'/20) + 1``.  The report
-    carries the pooled p-value; the caller compares it with its own level.
+    ``g`` is either an :class:`ObservedCandidate` of ``side`` or an array
+    with the layout of the ``h`` that ``side`` was drawn from, paired with
+    it row by row; an array is observed stratum by stratum as a batch of
+    one.  Each stratum of ``side`` scores the candidate's permutations
+    against its drawn sample, giving a permutation distance-covariance
+    p-value; action levels at the same time point are combined by
+    Bonferroni over the number of tested strata, and the ``T'`` per-time
+    p-values are pooled by the rule of :func:`pooled_pvalue` at ``u =
+    floor(T'/20) + 1``.  The report carries the pooled p-value; the caller
+    compares it with its own level.
     """
-    g = _time_block(g, "g", side.actions, side.tested)
+    if isinstance(g, ObservedCandidate):
+        if g.side is not side:
+            raise ValueError("the candidate was observed against another side")
+        batches, i = g.strata, g.index
+    else:
+        g = _time_block(g, "g", side.actions, side.tested)
+        # observed one stratum at a time, so no stratum's matrices outlive
+        # its scoring
+        batches = (sample.observe(g[rows, t - 1][None]) for t, _, rows, sample in side.strata)
+        i = 0
     strata: list[StratumResult] = []
     per_time: list[float] = []
-    for t, group in itertools.groupby(side.strata, key=lambda s: s[0]):
+    for t, group in itertools.groupby(zip(side.strata, batches), key=lambda s: s[0][0]):
         time_ps = []
-        for _, a, rows, sample in group:
-            statistic, p_value = sample.test(g[rows, t - 1])
-            strata.append(StratumResult(t, a, len(sample.b), statistic, p_value))
+        for (_, a, _, sample), (observed, keys) in group:
+            p_value = _p_value(observed[i], sample.permuted(keys[i]))
+            strata.append(StratumResult(t, a, len(sample.b), observed[i], p_value))
             time_ps.append(p_value)
         per_time.append(min(1.0, len(time_ps) * min(time_ps)))
     u = len(per_time) // 20 + 1

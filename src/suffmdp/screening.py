@@ -9,13 +9,16 @@ nothing (or after ``n_max`` rounds).
 
 Every coordinate of a round is tested against the same response block
 ``(U^t, S^{t+1}_selected)``, so the round draws that block's permutations
-once per stratum, from streams keyed ``(seed, round, t, action)``, and
-scores each coordinate against them (see :mod:`suffmdp.dcov`): coordinate
-``j`` is tested under ``pi o sigma_j^-1``, with ``pi`` the stratum's drawn
-permutations and ``sigma_j`` the sort order of the coordinate's values.  The
-outcome does not depend on the order of the state's columns, up to roundoff
-in the response block's distances, and each coordinate's p-value is valid on
-its own.
+once per stratum, from streams keyed ``(seed, round, t, action)``, observes
+all of its coordinates against them in one pass per stratum, and then
+scores each coordinate with its own pooled test (see :mod:`suffmdp.dcov`):
+coordinate ``j`` is tested under ``pi o sigma_j^-1``, with ``pi`` the
+stratum's drawn permutations and ``sigma_j`` the sort order of the
+coordinate's values.  The outcome does not depend on the order of the
+state's columns, up to roundoff in the response block's distances, and
+each coordinate's p-value is valid on its own.  A round with no
+coordinate left to test draws nothing: it is recorded empty, and
+screening stops there.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import TrajectoryDataset
-from .dcov import draw_permuted_side, stratified_pooled_test
+from .dcov import draw_permuted_side, observe_candidates, stratified_pooled_test
 
 __all__ = ["ScreenRound", "ScreenResult", "screen"]
 
@@ -92,6 +95,11 @@ def screen(
     converged = False
     for k in range(1, n_max + 1):
         tested = [j for j in range(p) if j not in selected]
+        if not tested:
+            # every coordinate is selected: nothing to test, so no side is drawn
+            rounds.append(ScreenRound(round_index=k, tested=[], p_values={}, added=[]))
+            converged = True
+            break
         # response block (U^t, S^{t+1}_selected) for every t, shared by the round
         response = np.concatenate(
             [ds.utilities[:, :, None], ds.states[:, 1:, selected]], axis=2
@@ -100,10 +108,11 @@ def screen(
             response, ds, n_permutations=n_permutations, seed=seed, key=(k,),
             min_stratum=min_stratum,
         )
+        candidates = observe_candidates(ds.states[:, :-1, tested], side)
         pvals: dict[int, float] = {}
         added: list[int] = []
-        for j in tested:
-            report = stratified_pooled_test(ds.states[:, :-1, j], side)
+        for j, candidate in zip(tested, candidates):
+            report = stratified_pooled_test(candidate, side)
             pvals[j] = report.p_value
             if report.p_value <= tau:
                 added.append(j)

@@ -13,7 +13,7 @@ from suffmdp.adnn import (
     ConvergenceError,
     FitConfig,
     _StepPlan,
-    _costs_by_action,
+    _costs,
     _init_model,
     _layer_views,
     _stack,
@@ -128,8 +128,9 @@ class TestForward:
 def one_action_cost(ds, model, lam):
     """The fit criterion on a one-action dataset: that action's cost."""
     tr = flatten_transitions(ds)
-    (cost,) = _costs_by_action(tr, tr.responses, model, lam, [1]).values()
-    return cost
+    rows = np.flatnonzero(tr.actions == 1)
+    (costs,) = _costs(tr.states, {1: (rows, tr.responses[rows])}, _stack([model])[0], [lam])
+    return costs[1]
 
 
 class TestCost:

@@ -10,7 +10,10 @@ checked: the tracer does not see into forked workers.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +45,21 @@ def test_smoke_workload_runs_and_checks_clean(name):
     prepared = workloads.WORKLOADS[name](3, smoke=True)
     result = prepared.call()
     assert prepared.check(result) == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_runner_smoke_run_exits_clean(name):
+    # the benchmark's own command on tiny inputs; --trace 0 writes no file,
+    # and no child it starts writes bytecode next to the sources
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-B", "bench/run.py", "--workload", name, "--seed", "1",
+         "--smoke", "--seconds", "0", "--trace", "0"],
+        cwd=BENCH.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
 
 
 @pytest.mark.parametrize(

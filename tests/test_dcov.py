@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from suffmdp import dcov
 from suffmdp.core import TrajectoryDataset
 from suffmdp.dcov import (
     _TIE_RTOL,
     InsufficientDataError,
     _centered_distances,
+    _p_value,
     _PermutedSample,
     draw_permuted_side,
+    observe_candidates,
     pooled_pvalue,
     stratified_pooled_test,
 )
@@ -521,3 +524,114 @@ class TestStatisticsEqualReferenceFormulation:
                 )
                 want_p = (1 + int(exceed)) / 41
                 assert sample.test(x) == (observed, want_p)
+
+
+def _candidate_columns(rng, m, c, case):
+    """An ``(m, c)`` block of one-column candidates for the batch tests."""
+    cols = rng.standard_normal((m, c)) * 10.0 ** rng.uniform(-100, 100, size=c)
+    if case == "tied rows" and m > 2:
+        cols[rng.integers(1, m, size=c), np.arange(c)] = cols[0]
+    if case == "signed zeros":
+        cols[0], cols[-1] = 0.0, -0.0  # ties that a sort may reorder
+        # every third candidate a column of signed zeros only
+        cols[:, ::3] = np.where(rng.random(cols[:, ::3].shape) < 0.5, 0.0, -0.0)
+    if case == "constant column" and c:
+        cols[:, 0] = 1.5
+    return cols
+
+
+class TestObserveBatch:
+    """`_PermutedSample.observe` on a batch gives every candidate the bits of
+    scoring it alone, however the batch is chunked and laid out."""
+
+    CASES = ["distinct", "tied rows", "signed zeros", "constant column"]
+
+    @staticmethod
+    def _alone(sample, x):
+        observed, permuted = sample.statistics(x)
+        return observed.hex(), permuted.tobytes(), sample.test(x)[1]
+
+    @staticmethod
+    def _batched(sample, xs):
+        observed, keys = sample.observe(xs)
+        out = []
+        for obs, key in zip(observed, keys):
+            permuted = sample.permuted(key)
+            out.append((obs.hex(), permuted.tobytes(), _p_value(obs, permuted)))
+        return out
+
+    @pytest.mark.parametrize("chunking", ["default", "one per chunk", "uneven"])
+    @pytest.mark.parametrize("c", [0, 1, 2, 64])
+    def test_each_candidate_equals_scoring_it_alone(self, c, chunking, monkeypatch):
+        rng = substream(30, c)
+        for m in range(2, 41):
+            for case in self.CASES:
+                y = rng.standard_normal((m, 2)) * 10.0 ** rng.uniform(-100, 100)
+                sample = _PermutedSample(y, 40, substream(31, m))
+                cols = _candidate_columns(rng, m, c, case)
+                want = [self._alone(sample, cols[:, [i]]) for i in range(c)]
+                if chunking == "one per chunk":
+                    monkeypatch.setattr(dcov, "_PERM_CHUNK_FLOATS", 1)
+                elif chunking == "uneven":
+                    # chunks of 3 candidates: 64 splits as 21 * 3 + 1
+                    monkeypatch.setattr(dcov, "_PERM_CHUNK_FLOATS", 3 * m * m)
+                # the (c, m) block as a transposed, Fortran-ordered view, as a
+                # gather of a stratum's rows gives it, and as a C-ordered copy
+                for xs in (cols.T[:, :, None], np.ascontiguousarray(cols.T)[:, :, None]):
+                    assert self._batched(sample, xs) == want
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    def test_several_columns_each_equals_scoring_it_alone(self, c, monkeypatch):
+        rng = substream(32, c)
+        monkeypatch.setattr(dcov, "_PERM_CHUNK_FLOATS", 2 * 13 * 13)
+        for m in (2, 7, 13, 20):
+            y = rng.standard_normal((m, 1))
+            sample = _PermutedSample(y, 40, substream(33, m))
+            xs = rng.standard_normal((c, m, 3))
+            xs[:, -1] = xs[:, 0]  # tied rows
+            want = [self._alone(sample, x) for x in xs]
+            assert self._batched(sample, xs) == want
+            assert self._batched(sample, np.asfortranarray(xs)) == want
+
+
+class TestObserveCandidates:
+    def test_each_candidate_equals_its_array_test(self):
+        rng = substream(34)
+        n, horizon = 30, 5
+        actions = rng.integers(1, 3, size=(n, horizon))
+        ds = _dataset_with_columns(rng.normal(size=(n, horizon + 1)),
+                                   rng.normal(size=(n, horizon + 1)), actions)
+        g = rng.normal(size=(n, horizon, 6))
+        g[:, :, 2] = 0.0  # a constant candidate
+        side = draw_permuted_side(ds.states[:, :-1, 1], ds, n_permutations=49, seed=2,
+                                  min_stratum=3)
+        candidates = observe_candidates(g, side)
+        assert [c.index for c in candidates] == list(range(6))
+        for i, candidate in enumerate(candidates):
+            assert stratified_pooled_test(candidate, side) == stratified_pooled_test(
+                g[:, :, i], side)
+        (one,) = observe_candidates(g[:, :, 0], side)
+        assert stratified_pooled_test(one, side) == stratified_pooled_test(candidates[0], side)
+        assert observe_candidates(g[:, :, :0], side) == []
+
+    def test_candidate_of_another_side_rejected(self):
+        rng = substream(35)
+        ds = _dataset_with_columns(rng.normal(size=(12, 3)), rng.normal(size=(12, 3)),
+                                   np.ones((12, 2), dtype=int))
+        h = ds.states[:, :-1, 1]
+        side = draw_permuted_side(h, ds, n_permutations=9, seed=1)
+        other = draw_permuted_side(h, ds, n_permutations=9, seed=1)
+        (candidate,) = observe_candidates(ds.states[:, :-1, 0], side)
+        with pytest.raises(ValueError, match="another side"):
+            stratified_pooled_test(candidate, other)
+
+    def test_invalid_block_rejected_before_any_stratum(self):
+        ds, g, h = TestStratifiedArrayContract._two_action_data()
+        side = draw_permuted_side(h, ds, n_permutations=19)
+        bad = g.copy()
+        bad[0, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="g contains non-finite entries in a tested row"):
+            observe_candidates(bad, side)
+        with pytest.raises(ValueError, match="shape"):
+            observe_candidates(g[:, :-1], side)

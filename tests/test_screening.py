@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from suffmdp import dcov, screening
 from suffmdp.screening import screen
@@ -73,3 +74,90 @@ def test_p_value_equal_to_tau_adds_the_coordinate(monkeypatch):
     assert result.rounds[0].added == [0]
     assert result.selected == [0]
     assert result.converged
+
+
+def test_round_with_nothing_to_test_draws_no_side(monkeypatch):
+    # tau 0.999 selects all 6 coordinates in round 1, so round 2 has no
+    # untested coordinate: it is recorded empty and screening stops
+    draws = []
+    original = screening.draw_permuted_side
+
+    def counted(*args, **kwargs):
+        draws.append(kwargs.get("key"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(screening, "draw_permuted_side", counted)
+    ds = sample_trajectories(GenerativeModelSpec("linear", 2, signal_dim=4), 20, 4, rng=3)
+    result = screen(ds, tau=0.999, n_permutations=19)
+    assert result.selected == list(range(ds.state_dim)) == result.rounds[0].added
+    assert result.rounds[-1] == screening.ScreenRound(
+        round_index=2, tested=[], p_values={}, added=[])
+    assert len(result.rounds) == 2
+    assert result.converged
+    assert draws == [(1,)]
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, -0.1, 1.5, float("nan")])
+def test_tau_outside_the_open_unit_interval_rejected(tau):
+    ds = sample_trajectories(GenerativeModelSpec("linear", 2, signal_dim=4), 20, 4, rng=3)
+    with pytest.raises(ValueError, match=r"tau must be in \(0, 1\)"):
+        screen(ds, tau=tau, n_permutations=9)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_n_max_below_one_rejected(n_max):
+    ds = sample_trajectories(GenerativeModelSpec("linear", 2, signal_dim=4), 20, 4, rng=3)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        screen(ds, n_max=n_max, n_permutations=9)
+
+
+def test_n_max_caps_the_rounds_and_leaves_converged_false():
+    # uncapped, this dataset adds coordinates in rounds 1 and 2 (see above)
+    ds = sample_trajectories(GenerativeModelSpec("linear", 2, signal_dim=8), 20, 4, rng=3)
+    uncapped = screen(ds, n_permutations=99, seed=5)
+    assert len(uncapped.rounds) >= 3 and uncapped.converged
+    for n_max in (1, 2):
+        capped = screen(ds, n_max=n_max, n_permutations=99, seed=5)
+        assert capped.rounds == uncapped.rounds[:n_max]
+        assert capped.rounds[-1].added
+        assert capped.selected == sorted(j for r in capped.rounds for j in r.added)
+        assert not capped.converged
+
+
+def test_nan_in_a_tested_state_row_raises_before_any_coordinate_is_scored(monkeypatch):
+    scored = []
+    monkeypatch.setattr(screening, "stratified_pooled_test",
+                        lambda g, side: scored.append(g))
+    ds = sample_trajectories(GenerativeModelSpec("linear", 2, signal_dim=4), 20, 4, rng=3)
+    states = ds.states.copy()
+    states[0, 0, 5] = np.nan  # the last coordinate, at a time whose state is tested
+    # the dataset validates its states when built, so plant the NaN after
+    object.__setattr__(ds, "states", states)
+    with pytest.raises(ValueError, match="g contains non-finite entries in a tested row"):
+        screen(ds, n_permutations=9)
+    assert scored == []
+
+
+def test_batched_round_equals_one_coordinate_at_a_time():
+    # each round's coordinates are observed together; a loop that tests
+    # each coordinate's array alone against the round's side gives the
+    # same result, over several rounds
+    ds = sample_trajectories(GenerativeModelSpec("linear", 2, signal_dim=8), 20, 4, rng=3)
+    tau, n_permutations, seed = 0.1, 99, 5
+    selected, rounds = [], []
+    for k in range(1, ds.state_dim + 1):
+        tested = [j for j in range(ds.state_dim) if j not in selected]
+        response = np.concatenate(
+            [ds.utilities[:, :, None], ds.states[:, 1:, selected]], axis=2)
+        side = dcov.draw_permuted_side(response, ds, n_permutations=n_permutations,
+                                       seed=seed, key=(k,))
+        p_values = {j: dcov.stratified_pooled_test(ds.states[:, :-1, j], side).p_value
+                    for j in tested}
+        added = [j for j in tested if p_values[j] <= tau]
+        rounds.append(screening.ScreenRound(k, tested, p_values, added))
+        if not added:
+            break
+        selected = sorted(selected + added)
+    assert len(rounds) >= 3
+    want = screening.ScreenResult(selected, rounds, tau, converged=True)
+    assert screen(ds, tau=tau, n_permutations=n_permutations, seed=seed) == want
