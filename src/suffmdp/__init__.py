@@ -35,7 +35,6 @@ from .dcov import (
     PermutedSide,
     TestReport,
     draw_permuted_side,
-    pooled_pvalue,
     stratified_pooled_test,
 )
 from .experiment import ExperimentConfig, ExperimentResult, run_experiment
@@ -43,7 +42,6 @@ from .features import (
     ConcatFeatureMap,
     CoordinateFeatureMap,
     FeatureMap,
-    IdentityFeatureMap,
     LinearFeatureMap,
     NetworkFeatureMap,
     feature_map_from_jsonable,

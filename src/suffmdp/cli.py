@@ -42,7 +42,8 @@ or missing key or a value of the wrong JSON kind.  They also include:
 - an experiment config that would train nothing or fail only inside a
   replicate: a count below 1 (``replicates``, a set ``threads``,
   ``n_subjects``, ``horizon``, ``n_rollouts``, ``eval_horizon``,
-  ``q_epochs_linear`` or ``q_epochs_nn``), an empty ``models``,
+  ``q_epochs_linear`` or ``q_epochs_nn``), a negative ``master_seed``
+  (``--seed``), an empty ``models``,
   ``noise_counts`` or ``feature_methods``, an unknown model or oracle
   variant, a negative noise count, an entry of ``models``,
   ``feature_methods`` or ``q_methods`` that is not a string, and a

@@ -51,6 +51,14 @@ def format_float(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
+def mean_and_se(values) -> tuple:
+    """``(mean, standard error)`` of a nonempty sample, as floats: the
+    error is ``std(ddof=1) / sqrt(n)``, and 0 for one value."""
+    values = np.asarray(values, dtype=np.float64)
+    se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(values.mean()), se
+
+
 def config_from_jsonable(cls, data: dict):
     """Config dataclass ``cls`` from its ``dataclasses.asdict`` form.
 

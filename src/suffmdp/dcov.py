@@ -12,16 +12,10 @@ p-value.
 
 Trajectory data are dependent over time within a subject, so a joint test
 runs one independence test per time point within each action level, combines
-action levels at a time point by Bonferroni, and pools the per-time p-values
-through the order-statistic rule
-
-    pooled = min(1, T * p_(u) / u),
-
-with ``p_(u)`` the u-th smallest of the T p-values.  The pooled value is a
-valid p-value for any fixed ``u``; ``u = 1`` is the Bonferroni correction,
-and the stratified test uses ``u = floor(T/20) + 1``, which never exceeds
-``T``.  A test returns its pooled p-value and decides nothing: each caller
-compares it with its own level.
+action levels at a time point by Bonferroni, and pools the T per-time
+p-values by the order-statistic rule of `_pool` at ``u = floor(T/20) + 1``,
+which never exceeds ``T``.  A test returns its pooled p-value and decides
+nothing: each caller compares it with its own level.
 
 A stratified test runs in three steps.  :func:`draw_permuted_side` takes
 the second sample ``h`` and, for each stratum of ``m`` subjects, computes
@@ -67,7 +61,6 @@ __all__ = [
     "InsufficientDataError",
     "StratumResult",
     "TestReport",
-    "pooled_pvalue",
     "PermutedSide",
     "draw_permuted_side",
     "ObservedCandidate",
@@ -260,36 +253,15 @@ class _PermutedSample:
         permuted /= m * m
         return permuted
 
-    def statistics(self, x: np.ndarray) -> tuple:
-        """``(observed, permuted)`` statistics for a validated 2-D sample ``x``:
-        `observe` and `permuted` on a batch of one."""
-        observed, keys = self.observe(x[None])
-        return observed[0], self.permuted(keys[0])
-
-    def test(self, x: np.ndarray) -> tuple:
-        """``(statistic, p_value)`` of the permutation test of ``x`` against the sample."""
-        observed, permuted = self.statistics(x)
-        return observed, _p_value(observed, permuted)
-
-
-def pooled_pvalue(pvals: Sequence[float], u: int) -> float:
-    """Pool p-values via the u-th order statistic: ``min(1, T * p_(u) / u)``.
-
-    Valid under arbitrary dependence among the inputs; ``u = 1`` is the
-    Bonferroni correction.
-    """
-    ps = np.asarray(list(pvals), dtype=np.float64)
-    if ps.size == 0:
-        raise ValueError("cannot pool an empty list of p-values")
-    if np.any((ps < 0) | (ps > 1)) or not np.all(np.isfinite(ps)):
-        raise ValueError("p-values must lie in [0, 1]")
-    if not 1 <= u <= ps.size:
-        raise ValueError(f"u must be in 1..{ps.size}, got {u}")
-    return _pool(ps, u)
-
 
 def _pool(ps: np.ndarray, u: int) -> float:
-    # `pooled_pvalue` on p-values that are known to be valid
+    """Pool the ``T`` p-values ``ps`` by their u-th order statistic:
+    ``min(1, T * p_(u) / u)``, with ``p_(u)`` the u-th smallest.
+
+    The pooled value is a valid p-value for any fixed ``u`` in ``1..T``,
+    under arbitrary dependence among the inputs; ``u = 1`` is the Bonferroni
+    correction.  The inputs are not checked: each must lie in [0, 1].
+    """
     return min(1.0, ps.size * np.sort(ps)[u - 1] / u)
 
 
@@ -418,9 +390,9 @@ def stratified_pooled_test(g, side: PermutedSide) -> TestReport:
     against its drawn sample, giving a permutation distance-covariance
     p-value; action levels at the same time point are combined by
     Bonferroni over the number of tested strata, and the ``T'`` per-time
-    p-values are pooled by the rule of :func:`pooled_pvalue` at ``u =
-    floor(T'/20) + 1``.  The report carries the pooled p-value; the caller
-    compares it with its own level.
+    p-values are pooled by the rule of `_pool` at ``u = floor(T'/20) + 1``.
+    The report carries the pooled p-value; the caller compares it with its
+    own level.
     """
     if isinstance(g, ObservedCandidate):
         if g.side is not side:
@@ -444,8 +416,7 @@ def stratified_pooled_test(g, side: PermutedSide) -> TestReport:
     u = len(per_time) // 20 + 1
     return TestReport(
         statistic=[s.statistic for s in strata],
-        # each p-value lies in (0, 1] by construction, so `pooled_pvalue`'s
-        # checks are skipped
+        # each p-value lies in (0, 1] by construction
         p_value=_pool(np.array(per_time), u),
         strata=strata,
         pooled_u=u,

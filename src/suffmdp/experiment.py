@@ -4,7 +4,9 @@ For each (generative model, noise count, replicate): sample a training
 batch, build every requested feature map, fit linear and neural Q-learners
 on the reduced data, and score the greedy policies on fresh rollouts.
 Results aggregate to one row per (model, noise, feature method) with Monte
-Carlo standard errors, mirroring a results-table layout.
+Carlo standard errors (`core.mean_and_se`), mirroring a results-table
+layout.  The ``raw`` map selects every state coordinate; the ``oracle`` map
+and the coordinates it reads, its ``n_var``, come from `simgen`.
 
 The Q fits keep their functions' default discount of 0.9.  Their step size
 starts at ``qlearn.LINEAR_ALPHA0`` or ``qlearn.NN_ALPHA0`` and halves on a
@@ -33,19 +35,18 @@ import numpy as np
 
 from .adnn import ConvergenceError, PipelineConfig, construct_sufficient_features
 from .baselines import fit_tnn, pca_feature_map
-from .core import flatten_transitions, format_float
-from .features import IdentityFeatureMap
+from .core import flatten_transitions, format_float, mean_and_se
+from .features import CoordinateFeatureMap
 from .qlearn import LINEAR_ALPHA0, NN_ALPHA0, evaluate_policy, fit_q_linear, fit_q_nn
 from .rng import derive_seed
-from .simgen import GenerativeModelSpec, oracle_feature_map, sample_trajectories
+from .simgen import (ORACLE_VARIABLES, GenerativeModelSpec, oracle_feature_map,
+                     sample_trajectories)
 
 __all__ = ["ExperimentConfig", "CellSummary", "ExperimentResult", "run_experiment",
            "resolve_threads"]
 
 FEATURE_METHODS = ("raw", "oracle", "adnn", "tnn", "pca")
 Q_METHODS = ("linear", "nn")
-# the raw coordinates each oracle map reads
-_ORACLE_VARIABLES = {"first4": 4, "first16": 16, "nonlinear3": 4}
 
 
 def resolve_threads(threads: Optional[int] = None) -> int:
@@ -69,11 +70,11 @@ class ExperimentConfig:
     forked worker processes that run replicates (see ``resolve_threads``).
     The counts ``n_subjects``, ``horizon``, ``replicates``, ``n_rollouts``,
     ``eval_horizon``, ``q_epochs_linear``, ``q_epochs_nn`` and a set
-    ``threads`` must be at least 1.  ``models``, ``noise_counts`` and
-    ``feature_methods`` must be nonempty, each model a simgen g kind (a
-    string, as each method is) and each noise count an integer (not a
-    boolean) at least 0, and ``oracle_variant`` one of
-    ``first4``, ``first16`` and ``nonlinear3``.  A bad setting raises
+    ``threads`` must be at least 1, and ``master_seed`` at least 0.
+    ``models``, ``noise_counts`` and ``feature_methods`` must be nonempty,
+    each model a simgen g kind (a string, as each method is) and each noise
+    count an integer (not a boolean) at least 0, and ``oracle_variant`` a
+    key of `simgen.ORACLE_VARIABLES`.  A bad setting raises
     ValueError here, before any replicate runs.  The Q fits' other
     settings and PCA's are constants of `qlearn` and `baselines`.
     """
@@ -116,16 +117,16 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
         for model in self.models:
             for noise in self.noise_counts:
-                GenerativeModelSpec(g_kind=model, n_noise=noise)  # validates both
-        if self.oracle_variant not in _ORACLE_VARIABLES:
-            raise ValueError(f"unknown oracle variant {self.oracle_variant!r}; "
-                             f"expected one of {tuple(_ORACLE_VARIABLES)}")
+                spec = GenerativeModelSpec(g_kind=model, n_noise=noise)  # validates both
+                oracle_feature_map(spec, self.oracle_variant)  # validates the variant
         for name in ("n_subjects", "horizon", "replicates", "n_rollouts", "eval_horizon",
                      "q_epochs_linear", "q_epochs_nn"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.pipeline.seed != PipelineConfig.seed:
             raise ValueError(f"pipeline.seed {self.pipeline.seed} is replaced per replicate; "
                              "set master_seed instead")
@@ -184,10 +185,10 @@ def _build_feature_map(method, ds, gen_spec, cfg: ExperimentConfig, seed: int,
     """
     p = ds.state_dim
     if method == "raw":
-        return IdentityFeatureMap(p), p
+        return CoordinateFeatureMap(p, range(p)), p
     if method == "oracle":
         return (oracle_feature_map(gen_spec, cfg.oracle_variant),
-                _ORACLE_VARIABLES[cfg.oracle_variant])
+                len(ORACLE_VARIABLES[cfg.oracle_variant]))
     if method == "pca":
         return pca_feature_map(ds), p
 
@@ -325,15 +326,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             for method in cfg.feature_methods:
                 entries = [r["methods"][method] for r in group if method in r["methods"]]
                 stats = {}
-                for name in names:
-                    values = np.array([e[name] for e in entries], dtype=np.float64)
-                    if values.size:
-                        se = (
-                            float(values.std(ddof=1) / np.sqrt(values.size))
-                            if values.size > 1
-                            else 0.0
-                        )
-                        stats[name] = (float(values.mean()), se)
+                if entries:
+                    for name in names:
+                        stats[name] = mean_and_se([e[name] for e in entries])
                 cells.append(
                     CellSummary(
                         model=model,

@@ -4,12 +4,14 @@ All maps operate on row-stacked state matrices.  Only the network map, the
 one the pipeline fits, serializes: its JSON form carries ``kind:
 "network"``, so that a fitted map can be stored and reloaded apart from the
 model that produced it.  The other maps are built in memory from a dataset
-or a generative model (the oracle maps live in `suffmdp.simgen`).
+or a generative model (the oracle maps live in `suffmdp.simgen`).  The raw
+state is `CoordinateFeatureMap` over every column, whose C-ordered rows give
+a fit the bits of the states themselves.
 
 The network pass, `mlp_forward`, is rank-generic, so it runs one network or
 a stack of them.  Its sigmoid is `sigmoid_in_place`, which the ADNN
-trainer's step (`adnn._StepPlan`) runs over its own preallocated buffers,
-so the two passes give the same bits.
+trainer's step (`adnn._StepPlan`) and the neural Q fit (`qlearn.fit_q_nn`)
+run over their own preallocated buffers, so every pass gives the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "layers_to_jsonable",
     "layers_from_jsonable",
     "FeatureMap",
-    "IdentityFeatureMap",
     "CoordinateFeatureMap",
     "LinearFeatureMap",
     "NetworkFeatureMap",
@@ -156,18 +157,6 @@ class FeatureMap(ABC):
         """Apply the map to an (m, p) state matrix, returning (m, dim)."""
 
 
-class IdentityFeatureMap(FeatureMap):
-    def __init__(self, input_dim: int):
-        self.input_dim = int(input_dim)
-
-    @property
-    def dim(self) -> int:
-        return self.input_dim
-
-    def transform(self, states):
-        return np.asarray(states, dtype=np.float64)
-
-
 class CoordinateFeatureMap(FeatureMap):
     """Selection of a subset of raw coordinates (0-based indices)."""
 
@@ -183,7 +172,7 @@ class CoordinateFeatureMap(FeatureMap):
 
     def transform(self, states):
         # a column gather is Fortran-ordered; a C-ordered copy gives a fit the
-        # rows an identity map over the same columns gives it, bit for bit
+        # rows, and so the bits, of the states themselves over those columns
         return np.ascontiguousarray(np.asarray(states, dtype=np.float64)[:, self.indices])
 
 

@@ -27,9 +27,10 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .adnn import ConvergenceError
-from .core import Transitions, check_json_object
+from .core import Transitions, check_json_object, mean_and_se
 from .features import (FeatureMap, float_array_from_jsonable, init_layers,
-                       layers_from_jsonable, layers_to_jsonable, mlp_forward)
+                       layers_from_jsonable, layers_to_jsonable, mlp_forward,
+                       sigmoid_in_place)
 from .rng import substream
 from .simgen import ACTIONS, GenerativeModelSpec, step_process
 
@@ -149,7 +150,13 @@ def greedy_actions(q: QApproximator, feats: np.ndarray) -> np.ndarray:
     return actions[idx]
 
 
-def _prepare(transitions: Transitions, feature_map: FeatureMap, n_actions: int):
+def _prepare(transitions: Transitions, feature_map: FeatureMap, n_actions: int,
+             gamma: float, epochs: int):
+    if not 0 < gamma < 1:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    # no pass leaves the initial parameters, which are not a fit
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     if not len(transitions):
         raise ValueError("transitions must be nonempty")
     if feature_map.dim == 0:
@@ -160,12 +167,6 @@ def _prepare(transitions: Transitions, feature_map: FeatureMap, n_actions: int):
     feats = feature_map.transform(transitions.states)
     feats_next = feature_map.transform(transitions.next_states)
     return feats, feats_next, transitions.actions, transitions.utilities
-
-
-def _check_epochs(epochs: int) -> None:
-    # no pass leaves the initial parameters, which are not a fit
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
 
 
 def _check_finite(kind: str, *params) -> None:
@@ -190,10 +191,8 @@ def fit_q_linear(
     Actions must lie in ``1..n_actions``; each level gets a weight vector.
     Non-finite final weights raise `ConvergenceError`.
     """
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    _check_epochs(epochs)
-    feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
+    feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions,
+                                                     gamma, epochs)
     # The loop is bound by interpreter and NumPy call overhead, not by
     # arithmetic, so each update makes four NumPy calls: one row product
     # into a preallocated buffer, read as a Python list, and the update as
@@ -251,10 +250,8 @@ def fit_q_nn(
     each update.  Actions must lie in ``1..n_actions``; each level gets a
     network.  Non-finite final parameters raise `ConvergenceError`.
     """
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    _check_epochs(epochs)
-    feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions)
+    feats, feats_next, actions, utilities = _prepare(transitions, feature_map, n_actions,
+                                                     gamma, epochs)
     rng = substream(seed)
     # Each action's network (Glorot-uniform, drawn in action order) is one
     # flat row [W1 | b1 | w2 | b2] of `params`, action a at index a - 1, and
@@ -265,12 +262,13 @@ def fit_q_nn(
     # (2, 1, 1, f) inputs against (k, f, h) and (k, h, 1) weights.  Each
     # product is still one row with the inner strides of a lone network's,
     # so it rounds like the lone network's (see fit_q_linear).  The pass is
-    # `mlp_forward`'s, inlined, with `features._sigmoid`'s formula and error
-    # state: the same operations in the same order, written into
-    # preallocated buffers.  The reference loop in tests/test_qlearn.py
-    # calls `_sigmoid` itself, so the two cannot drift.  An update makes 17
-    # NumPy calls: eight for the forward pass, one to read the values, six
-    # to write the gradient and two to apply it.
+    # `mlp_forward`'s, inlined, with its `sigmoid_in_place` and error state:
+    # the same operations in the same order, written into preallocated
+    # buffers.  The reference loop in tests/test_qlearn.py calls
+    # `features._sigmoid` itself, so the two cannot drift.  An update makes
+    # 17 NumPy calls: eight for the forward pass (four of them in
+    # `sigmoid_in_place`), one to read the values, six to write the
+    # gradient and two to apply it.
     f, h = feats.shape[1], _HIDDEN_WIDTH
     params = np.zeros((n_actions, h * f + 2 * h + 1))
     for row in params:
@@ -305,10 +303,7 @@ def fit_q_nn(
                 a = acts[i] - 1
                 np.matmul(inputs[i], w1t, out=hidden)
                 np.add(hidden, b1, out=hidden)
-                np.negative(hidden, out=hidden)
-                np.exp(hidden, out=hidden)
-                np.add(1.0, hidden, out=hidden)
-                np.divide(1.0, hidden, out=hidden)
+                sigmoid_in_place(hidden)
                 np.matmul(hidden, w2t, out=values)
                 np.add(values, b2, out=values)
                 v = flat_values.tolist()
@@ -385,8 +380,7 @@ def evaluate_policy(
     else:
         discounts = q.gamma ** np.arange(horizon)
         per_rollout = utilities @ discounts
-    mean = float(per_rollout.mean())
-    se = float(per_rollout.std(ddof=1) / np.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
+    mean, se = mean_and_se(per_rollout)
     return PolicyValue(
         mean_outcome=mean,
         std_error=se,

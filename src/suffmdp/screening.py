@@ -78,15 +78,16 @@ def screen(
 ) -> ScreenResult:
     """Screen state coordinates relevant to the utility process.
 
-    ``n_max`` caps the number of rounds (default: one per coordinate, which
-    can never bind).  Each round tests the unselected coordinates in index
-    order.
+    ``n_max`` caps the number of rounds.  The default, ``p + 1``, can never
+    bind: each round but the last adds a coordinate, and a round that finds
+    every coordinate selected tests nothing and stops screening.  Each round
+    tests the unselected coordinates in index order.
     """
     if not 0 < tau < 1:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
     p = ds.state_dim
     if n_max is None:
-        n_max = p
+        n_max = p + 1
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 

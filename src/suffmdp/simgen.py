@@ -42,6 +42,7 @@ __all__ = [
     "sample_trajectories",
     "step_process",
     "TruncatedGFeatureMap",
+    "ORACLE_VARIABLES",
     "oracle_feature_map",
 ]
 
@@ -254,16 +255,20 @@ class TruncatedGFeatureMap(FeatureMap):
         return np.column_stack([g[:, 0], g[:, 1], g[:, 2] + g[:, 3]])
 
 
+# The oracle variants, each with the raw coordinates its map reads.
+ORACLE_VARIABLES = {"first4": range(4), "first16": range(16), "nonlinear3": range(4)}
+
+
 def oracle_feature_map(spec: GenerativeModelSpec, variant: str) -> FeatureMap:
     """Known-sufficient reference maps for a generative model.
 
     ``first4`` and ``first16`` select leading coordinates;  ``nonlinear3``
-    is the three-dimensional map ``(g(s1), g(s2), g(s3) + g(s4))``.
+    is the three-dimensional map ``(g(s1), g(s2), g(s3) + g(s4))``.  Each
+    reads the coordinates ``ORACLE_VARIABLES`` lists.
     """
-    if variant == "first4":
-        return CoordinateFeatureMap(spec.state_dim, range(4))
-    if variant == "first16":
-        return CoordinateFeatureMap(spec.state_dim, range(16))
+    if variant not in ORACLE_VARIABLES:
+        raise ValueError(f"unknown oracle variant {variant!r}; "
+                         f"expected one of {tuple(ORACLE_VARIABLES)}")
     if variant == "nonlinear3":
         return TruncatedGFeatureMap(spec.g_kind, spec.state_dim)
-    raise ValueError(f"unknown oracle variant {variant!r}")
+    return CoordinateFeatureMap(spec.state_dim, ORACLE_VARIABLES[variant])

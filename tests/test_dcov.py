@@ -11,9 +11,9 @@ from suffmdp.dcov import (
     _centered_distances,
     _p_value,
     _PermutedSample,
+    _pool,
     draw_permuted_side,
     observe_candidates,
-    pooled_pvalue,
     stratified_pooled_test,
 )
 from suffmdp.rng import substream
@@ -75,15 +75,29 @@ def _sample(v):
     return v[:, None] if v.ndim == 1 else v
 
 
+def statistics(sample, x):
+    """``(observed, permuted)`` statistics of a validated 2-D sample ``x``
+    against ``sample``: `observe` and `permuted` on a batch of one."""
+    observed, keys = sample.observe(x[None])
+    return observed[0], sample.permuted(keys[0])
+
+
+def single_test(sample, x):
+    """``(statistic, p_value)`` of the permutation test of ``x`` against ``sample``."""
+    observed, permuted = statistics(sample, x)
+    return observed, _p_value(observed, permuted)
+
+
 def dcov_statistic(x, y):
     """The observed statistic of a permutation test of ``x`` against ``y``."""
-    return _PermutedSample(_sample(y), 1, substream(0)).statistics(_sample(x))[0]
+    return statistics(_PermutedSample(_sample(y), 1, substream(0)), _sample(x))[0]
 
 
 def permutation_pvalue(x, y, n_permutations, seed):
     """``(statistic, p_value)`` of the test of ``x`` against ``y`` whose
     permutations come from ``substream(seed)``, as a stratum's do."""
-    return _PermutedSample(_sample(y), n_permutations, substream(seed)).test(_sample(x))
+    return single_test(_PermutedSample(_sample(y), n_permutations, substream(seed)),
+                       _sample(x))
 
 
 class TestDcovStatistic:
@@ -201,7 +215,7 @@ class TestPermutationPvalue:
 
 class TestPooledPvalue:
     def test_bonferroni_case(self):
-        assert pooled_pvalue([0.02, 0.5, 0.3, 0.7, 0.9], u=1) == pytest.approx(0.10)
+        assert _pool(np.array([0.02, 0.5, 0.3, 0.7, 0.9]), u=1) == pytest.approx(0.10)
 
     def test_default_order_rule(self):
         # floor(T/20) + 1 at T=90 gives 5; pooled = 90 * p_(5) / 5
@@ -212,18 +226,10 @@ class TestPooledPvalue:
         side = draw_permuted_side(ds.states[:, :-1, 1], ds, n_permutations=9, seed=1)
         assert stratified_pooled_test(ds.states[:, :-1, 0], side).pooled_u == 5
         ps = [0.004] * 5 + [0.5] * 85
-        assert pooled_pvalue(ps, u=5) == pytest.approx(90 * 0.004 / 5)
+        assert _pool(np.array(ps), u=5) == pytest.approx(90 * 0.004 / 5)
 
     def test_all_ones_capped(self):
-        assert pooled_pvalue([1.0, 1.0, 1.0], u=2) == 1.0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            pooled_pvalue([], u=1)
-        with pytest.raises(ValueError):
-            pooled_pvalue([0.5, 1.2], u=1)
-        with pytest.raises(ValueError):
-            pooled_pvalue([0.5, 0.5], u=3)
+        assert _pool(np.array([1.0, 1.0, 1.0]), u=2) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -232,16 +238,16 @@ class TestPooledPvalue:
     )
     def test_monotone_and_order_invariant(self, ps, data):
         u = data.draw(st.integers(min_value=1, max_value=len(ps)))
-        base = pooled_pvalue(ps, u)
+        base = _pool(np.array(ps), u)
         shuffled = list(ps)
         order = data.draw(st.permutations(range(len(ps))))
-        assert pooled_pvalue([shuffled[i] for i in order], u) == base
+        assert _pool(np.array([shuffled[i] for i in order]), u) == base
         idx = data.draw(st.integers(min_value=0, max_value=len(ps) - 1))
         bumped = list(ps)
         bumped[idx] = min(1.0, bumped[idx] + data.draw(
             st.floats(min_value=0, max_value=1 - bumped[idx])
         ))
-        assert pooled_pvalue(bumped, u) >= base
+        assert _pool(np.array(bumped), u) >= base
 
 
 def _dataset_with_columns(g_col, h_col, actions, utilities=None):
@@ -285,7 +291,7 @@ class TestStratifiedPooledTest:
             )
             report = stratified_pooled_test(ds.states[:, :-1, 0], side)
             # one action level: the strata are the per-time tests
-            rejections["u=1"] += pooled_pvalue([s.p_value for s in report.strata], 1) <= 0.1
+            rejections["u=1"] += _pool(np.array([s.p_value for s in report.strata]), 1) <= 0.1
             rejections["default"] += report.p_value <= 0.1
         assert report.pooled_u == 3
         for count in rejections.values():
@@ -328,8 +334,8 @@ class TestStratifiedPooledTest:
 
 
     def test_p_value_is_pooled_pvalue_of_its_per_time_p_values(self):
-        # the report pools without re-checking its p-values; both paths give
-        # the same float, here with two action levels and u = 2
+        # the report pools the Bonferroni-combined per-time p-values, here
+        # with two action levels and u = 2
         rng = substream(24)
         g, h = rng.normal(size=(24, 23)), rng.normal(size=(24, 23))
         actions = rng.integers(1, 3, size=(24, 22))
@@ -343,7 +349,7 @@ class TestStratifiedPooledTest:
         per_time = [min(1.0, len(ps) * min(ps)) for ps in by_time.values()]
         assert len(per_time) == 22 and report.pooled_u == 2
         assert any(len(ps) == 2 for ps in by_time.values())
-        pooled = pooled_pvalue(per_time, report.pooled_u)
+        pooled = _pool(np.array(per_time), report.pooled_u)
         assert report.p_value == pooled and type(report.p_value) is type(pooled)
 
 
@@ -406,7 +412,7 @@ class TestStratifiedArrayContract:
             rows = ds.actions[:, s.t - 1] == s.action
             single = _PermutedSample(h[rows, s.t - 1], 49, substream(seed, *key, s.t, s.action))
             assert s.sample_size == rows.sum()
-            assert (s.statistic, s.p_value) == single.test(g[rows, s.t - 1])
+            assert (s.statistic, s.p_value) == single_test(single, g[rows, s.t - 1])
 
     def test_each_stratum_equals_single_test_on_its_rows(self):
         self._check_each_stratum_equals_single_test(width=2)
@@ -426,7 +432,7 @@ class TestPermutedSample:
             assert len(np.unique(x)) < m
         y = x * rng.normal(size=(m, 2)) + rng.normal(size=(m, 2))
         sample = _PermutedSample(y, b, substream(25))
-        observed, permuted = sample.statistics(x)
+        observed, permuted = statistics(sample, x)
         a = np.abs(x - x.T)
         a = a - a.mean(axis=0) - a.mean(axis=1, keepdims=True) + a.mean()
         inverse_sort = np.argsort(np.argsort(x[:, 0], kind="stable"))
@@ -481,7 +487,7 @@ def reference_centered_distances(x):
 
 
 def reference_statistics(sample, x):
-    """`_PermutedSample.statistics` as first written: `np.mean` of the
+    """`statistics` as first written: `np.mean` of the
     product, one column's gaps from an argsort, a gather and `np.diff`, and
     several columns' permuted matrices in one 2-D fancy index."""
     a = reference_centered_distances(x)
@@ -514,7 +520,7 @@ class TestStatisticsEqualReferenceFormulation:
                     x = np.where(rng.random((m, columns)) < 0.5, 0.0, -0.0)
                 sample = _PermutedSample(y, 40, substream(29, m, case))
                 assert sample.b.tobytes() == reference_centered_distances(y).tobytes()
-                observed, permuted = sample.statistics(x)
+                observed, permuted = statistics(sample, x)
                 want_observed, want_permuted = reference_statistics(sample, x)
                 assert permuted.shape == (40,)
                 assert observed.hex() == want_observed.hex()
@@ -523,7 +529,7 @@ class TestStatisticsEqualReferenceFormulation:
                     want_permuted >= want_observed - _TIE_RTOL * want_observed
                 )
                 want_p = (1 + int(exceed)) / 41
-                assert sample.test(x) == (observed, want_p)
+                assert single_test(sample, x) == (observed, want_p)
 
 
 def _candidate_columns(rng, m, c, case):
@@ -548,8 +554,8 @@ class TestObserveBatch:
 
     @staticmethod
     def _alone(sample, x):
-        observed, permuted = sample.statistics(x)
-        return observed.hex(), permuted.tobytes(), sample.test(x)[1]
+        observed, permuted = statistics(sample, x)
+        return observed.hex(), permuted.tobytes(), single_test(sample, x)[1]
 
     @staticmethod
     def _batched(sample, xs):

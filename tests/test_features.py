@@ -6,7 +6,6 @@ import pytest
 from suffmdp.features import (
     ConcatFeatureMap,
     CoordinateFeatureMap,
-    IdentityFeatureMap,
     LinearFeatureMap,
     NetworkFeatureMap,
     _sigmoid as sigmoid,
@@ -116,14 +115,11 @@ def test_mlp_one_dimensional_last_weight_gives_one_value_per_row():
 
 
 class TestOtherMaps:
-    def test_identity(self):
-        x = substream(4).normal(size=(6, 3))
-        assert np.array_equal(IdentityFeatureMap(3).transform(x), x)
-
     def test_coordinates(self):
         x = substream(5).normal(size=(6, 4))
         fm = CoordinateFeatureMap(4, [3, 0])
         assert np.array_equal(fm.transform(x), x[:, [3, 0]])
+        assert np.array_equal(CoordinateFeatureMap(4, range(4)).transform(x), x)
         with pytest.raises(ValueError):
             CoordinateFeatureMap(4, [4])
 
@@ -135,7 +131,7 @@ class TestOtherMaps:
 
     def test_concat(self):
         x = substream(6).normal(size=(5, 4))
-        fm = ConcatFeatureMap([IdentityFeatureMap(4), CoordinateFeatureMap(4, [0])])
+        fm = ConcatFeatureMap([CoordinateFeatureMap(4, range(4)), CoordinateFeatureMap(4, [0])])
         assert fm.dim == 5
         assert np.array_equal(fm.transform(x)[:, :4], x)
 

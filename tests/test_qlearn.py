@@ -7,7 +7,7 @@ import pytest
 from suffmdp.adnn import ConvergenceError
 from suffmdp.baselines import pca_feature_map
 from suffmdp.core import TrajectoryDataset, Transitions, flatten_transitions
-from suffmdp.features import CoordinateFeatureMap, IdentityFeatureMap, _sigmoid
+from suffmdp.features import CoordinateFeatureMap, FeatureMap, _sigmoid
 from suffmdp.qlearn import (
     LinearQ,
     NeuralQ,
@@ -19,6 +19,11 @@ from suffmdp.qlearn import (
 )
 from suffmdp.rng import substream
 from suffmdp.simgen import GenerativeModelSpec, sample_trajectories
+
+
+def all_columns(p):
+    """The map of every raw coordinate, as the harness's ``raw`` method builds it."""
+    return CoordinateFeatureMap(p, range(p))
 
 
 def test_greedy_ties_go_to_smallest_action():
@@ -34,7 +39,7 @@ def test_greedy_ties_go_to_smallest_action():
 def test_q_approximator_json_round_trip(kind):
     ds = sample_trajectories(GenerativeModelSpec("linear", 0), 10, 4, rng=1)
     tr = flatten_transitions(ds)
-    fmap = IdentityFeatureMap(ds.state_dim)
+    fmap = all_columns(ds.state_dim)
     fit = fit_q_linear if kind == "linear" else fit_q_nn
     q = fit(tr, fmap, epochs=1, seed=2, n_actions=ds.n_actions)
     again = q_approximator_from_jsonable(json.loads(json.dumps(q.to_jsonable())))
@@ -127,7 +132,7 @@ def test_evaluate_policy_deterministic_given_seed(definition):
              (substream(10 + a).normal(size=3), 0.0)] for a in (1, 2)},
         gamma=0.9,
     )
-    fmap = IdentityFeatureMap(spec.state_dim)
+    fmap = all_columns(spec.state_dim)
 
     def value(seed):
         return evaluate_policy(spec, fmap, q, n_rollouts=20, horizon=6, seed=seed,
@@ -146,7 +151,7 @@ def test_evaluate_policy_rejects_other_action_levels(levels):
     spec = GenerativeModelSpec("linear", 0)
     q = LinearQ({a: np.zeros(1 + spec.state_dim) for a in levels}, gamma=0.9)
     with pytest.raises(ValueError, match=r"not the generative model's \[1, 2\]"):
-        evaluate_policy(spec, IdentityFeatureMap(spec.state_dim), q, n_rollouts=2, horizon=2)
+        evaluate_policy(spec, all_columns(spec.state_dim), q, n_rollouts=2, horizon=2)
 
 
 def test_fit_q_linear_moves_toward_fixed_point():
@@ -158,7 +163,7 @@ def test_fit_q_linear_moves_toward_fixed_point():
     target = u / (1 - gamma)
     errors = []
     for epochs in (1, 5, 20, 60):
-        q = fit_q_linear(tr, IdentityFeatureMap(1), gamma=gamma, epochs=epochs, seed=0,
+        q = fit_q_linear(tr, all_columns(1), gamma=gamma, epochs=epochs, seed=0,
                          n_actions=1)
         value = float(q.action_values(np.zeros((1, 1)))[0, 0])
         assert 0.0 < value < target
@@ -175,7 +180,7 @@ def test_fit_q_nn_moves_toward_fixed_point():
     target = u / (1 - gamma)
     errors = []
     for epochs in (1, 5, 20, 60):
-        q = fit_q_nn(tr, IdentityFeatureMap(1), gamma=gamma, epochs=epochs, seed=0,
+        q = fit_q_nn(tr, all_columns(1), gamma=gamma, epochs=epochs, seed=0,
                      n_actions=1)
         errors.append(abs(target - float(q.action_values(np.zeros((1, 1)))[0, 0])))
     assert errors == sorted(errors, reverse=True)
@@ -187,7 +192,7 @@ def test_fit_q_nn_prefers_the_rewarded_action():
     actions = rng.integers(1, 3, size=(20, 5))
     ds = TrajectoryDataset(states=rng.standard_normal((20, 6, 2)), actions=actions,
                            utilities=(actions == 2).astype(float), n_actions=2)
-    q = fit_q_nn(flatten_transitions(ds), IdentityFeatureMap(2), gamma=0.5, epochs=5, seed=1,
+    q = fit_q_nn(flatten_transitions(ds), all_columns(2), gamma=0.5, epochs=5, seed=1,
                  n_actions=2)
     assert isinstance(q, NeuralQ) and q.actions == [1, 2]
     assert (greedy_actions(q, rng.standard_normal((50, 2))) == 2).all()
@@ -200,7 +205,7 @@ def test_diverged_fit_raises(fit):
     # fit would score as a finite policy value
     ds = sample_trajectories(GenerativeModelSpec("linear", 0), 20, 11, rng=1)
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
-        fit(flatten_transitions(ds), IdentityFeatureMap(ds.state_dim), epochs=1, alpha0=1e4,
+        fit(flatten_transitions(ds), all_columns(ds.state_dim), epochs=1, alpha0=1e4,
             seed=2, n_actions=ds.n_actions)
 
 
@@ -210,7 +215,7 @@ def test_epochs_below_one_rejected(fit, epochs):
     # no pass returned all-zero linear weights or the networks' initial draw
     tr = _transitions([1, 2, 1])
     with pytest.raises(ValueError, match=f"epochs must be >= 1, got {epochs}"):
-        fit(tr, IdentityFeatureMap(2), epochs=epochs, n_actions=2)
+        fit(tr, all_columns(2), epochs=epochs, n_actions=2)
 
 
 def _transitions(actions):
@@ -225,7 +230,7 @@ def _transitions(actions):
                          ids=["action-zero", "above-n-actions"])
 def test_actions_outside_range_rejected(fit, actions, n_actions):
     with pytest.raises(ValueError, match="actions must lie in 1.."):
-        fit(_transitions(actions), IdentityFeatureMap(2), epochs=1, n_actions=n_actions)
+        fit(_transitions(actions), all_columns(2), epochs=1, n_actions=n_actions)
 
 
 # Per-update loops of the fits as first written, one dict entry per action and
@@ -297,8 +302,8 @@ def _bit_identity_case(fmap_kind, n_actions, absent):
     actions = np.where(ds.actions == 1, levels[0], levels[-1])
     ds = TrajectoryDataset(ds.states, actions, ds.utilities, n_actions=n_actions)
     fmap = {
-        "identity": lambda: IdentityFeatureMap(ds.state_dim),
-        "identity-64": lambda: IdentityFeatureMap(ds.state_dim),
+        "identity": lambda: all_columns(ds.state_dim),
+        "identity-64": lambda: all_columns(ds.state_dim),
         "coordinate": lambda: CoordinateFeatureMap(ds.state_dim, [0, 2, 5]),
         "pca": lambda: pca_feature_map(ds),
     }[fmap_kind]()
@@ -324,15 +329,29 @@ def test_fits_match_reference_loops_bit_for_bit(kind, fmap_kind, n_actions, abse
     assert _param_bytes(got) == _param_bytes(want)
 
 
+class StatesAsGiven(FeatureMap):
+    """The states themselves: what a fit over every column is checked against."""
+
+    def __init__(self, p):
+        self.p = p
+
+    @property
+    def dim(self):
+        return self.p
+
+    def transform(self, states):
+        return np.asarray(states, dtype=np.float64)
+
+
 @pytest.mark.parametrize("kind", ["linear", "nn"])
 def test_coordinate_map_over_every_column_fits_as_identity(kind):
     # the fits' last bits depend on the feature array's layout, so a
-    # coordinate map must hand them the layout an identity map does
+    # coordinate map must hand them the layout of the states themselves
     ds = sample_trajectories(GenerativeModelSpec("linear", 0), 30, 11, rng=11)
     tr, p = flatten_transitions(ds), ds.state_dim
     fit = fit_q_linear if kind == "linear" else fit_q_nn
     got, want = (fit(tr, fmap, epochs=2, seed=4, n_actions=ds.n_actions)
-                 for fmap in (CoordinateFeatureMap(p, range(p)), IdentityFeatureMap(p)))
+                 for fmap in (all_columns(p), StatesAsGiven(p)))
     attr = "weights" if kind == "linear" else "nets"
     assert _param_bytes(getattr(got, attr)) == _param_bytes(getattr(want, attr))
 

@@ -97,7 +97,18 @@ def test_round_with_nothing_to_test_draws_no_side(monkeypatch):
     assert draws == [(1,)]
 
 
-@pytest.mark.parametrize("tau", [0.0, 1.0, -0.1, 1.5, float("nan")])
+def test_default_n_max_leaves_room_for_the_round_that_finds_nothing_left():
+    # the one coordinate joins in round 1; with one round per coordinate the
+    # empty round 2 never ran, and the result read as not converged
+    ds = sample_trajectories(GenerativeModelSpec("linear", 0, signal_dim=4), 30, 6,
+                             rng=1).restrict_columns([0])
+    result = screen(ds, tau=0.5, n_permutations=99, seed=1)
+    assert result.selected == [0]
+    assert [r.tested for r in result.rounds] == [[0], []]
+    assert result.converged
+
+
+@pytest.mark.parametrize("tau",[0.0, 1.0, -0.1, 1.5, float("nan")])
 def test_tau_outside_the_open_unit_interval_rejected(tau):
     ds = sample_trajectories(GenerativeModelSpec("linear", 2, signal_dim=4), 20, 4, rng=3)
     with pytest.raises(ValueError, match=r"tau must be in \(0, 1\)"):
