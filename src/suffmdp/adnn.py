@@ -33,14 +33,14 @@ rows the trainer writes at once.
 
 The arrays are small (a few rows per batch), so a step costs numpy calls
 rather than arithmetic, and the step is written to make few of them: it
-allocates nothing, and the batches of many steps are gathered at once.  The
-replicas' feature layers lie in one flat ``(replicas, parameters)``
-buffer and each action's head in another; the layer arrays are views of
-them.  A step writes its gradients into a buffer of the same layout,
-scales it with one in-place ``grad *= alpha`` and updates each group with
-one ``params -= grad``.  These are the floating-point operations of one
-``w -= alpha * dw`` per array, so the fitted parameters do not depend on
-the layout.
+allocates nothing, and it gathers its batch from the block index of drawn
+rows with one take of states and one of responses.  The replicas' feature
+layers lie in one flat ``(replicas, parameters)`` buffer and each action's
+head in another; the layer arrays are views of them.  A step writes its
+gradients into a buffer of the same layout, scales it with one in-place
+``grad *= alpha`` and updates each group with one ``params -= grad``.
+These are the floating-point operations of one ``w -= alpha * dw`` per
+array, so the fitted parameters do not depend on the layout.
 
 Each action ``a`` has one objective, the per-transition mean squared error
 over its transitions plus the full penalty,
@@ -137,9 +137,9 @@ def _check_lam(lam) -> None:
 
 
 def _check_col_tol(col_tol) -> None:
-    # a NaN or infinite tolerance marks no input active
-    if not (math.isfinite(col_tol) and col_tol >= 0):
-        raise ValueError(f"col_tol must be >= 0 and finite, got {col_tol}")
+    # a NaN tolerance, or one of 1 or more, marks no input active
+    if not 0 <= col_tol < 1:
+        raise ValueError(f"col_tol must be >= 0 and finite and < 1, got {col_tol}")
 
 
 @dataclass(frozen=True)
@@ -435,24 +435,10 @@ def _replica(stacked: AdnnModel, r: int) -> AdnnModel:
     )
 
 
-# Iterations whose minibatch rows a trainer writes at once.  The rows drawn
-# do not depend on it; it bounds the memory of the block index.
+# Iterations whose minibatch rows a trainer writes at once into its block
+# index, from which each step gathers its batch: the only row cadence.  The
+# rows drawn do not depend on it; it bounds the memory of the index.
 _BLOCK = 64
-
-# Floats of the batches that a trainer gathers at once for one action.
-_GATHER_FLOATS = 1 << 15
-
-
-def _gather_steps(n_replicas, take, state_dim) -> int:
-    """Steps whose batches a trainer gathers at once for one action: as many
-    as `_GATHER_FLOATS` holds, at least 1 and at most `_BLOCK`.  A step's
-    batch is ``n_replicas * take`` rows of a state and its response, ``2 *
-    state_dim + 1`` floats.  The rows gathered do not depend on it.  A 3-fold
-    CV of 2 penalties on 10 coordinates (504 floats a step) gathers whole
-    blocks; a 20-replica CV of 135-row batches on 64 coordinates (348,300
-    floats, 2.8 MB) gathers one step at a time.
-    """
-    return min(_BLOCK, max(1, _GATHER_FLOATS // (n_replicas * take * (2 * state_dim + 1))))
 
 
 class _Reshuffle:
@@ -493,24 +479,23 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     arch, cfg, lam=lam, seed=seed)`` call.  A fit draws its initialisation
     from ``substream(seed)`` and each action's minibatch rows from
     ``substream(seed, action)`` (actions are at least 1, so these keys are
-    never the initialisation's), once for all its penalties: one permutation of the action's
-    ``n_a`` rows per epoch, cut in order into ``n_a // take`` batches, the
-    last ``n_a mod take`` rows unused (see `_Reshuffle`).  Every `_BLOCK`
-    iterations each (fit, action) writes the next block's batches into one
-    ``(block, R, max take)`` index per action.  The draws depend only on the
-    fit's data, seed and schedule, not on the block, the other fits or
-    ``actions_subset``.  The batches are gathered from the action's pools of
-    states and responses, where each fit's rows appear once and a zero row
-    pads the shorter batches, `_gather_steps` steps at a time, into
-    ``(steps, R, max take, .)`` buffers made once.  Each action's step runs
-    through its `_StepPlan`, made once per call, and descends on all
-    replicas at once.  A replica whose batches are padded can end a few
-    ulps from the lone fit, because the padded gradient may sum its rows in
-    another order.  Returns one model per replica, in order, each with its
-    own cost trace; a non-finite cost in any replica raises
-    `ConvergenceError`.  Each record of the traces runs one forward pass per
-    fit over all its replicas (`_costs`), on each action's rows found once
-    per call.
+    never the initialisation's), once for all its penalties: one
+    permutation of the action's ``n_a`` rows per epoch, cut in order into
+    ``n_a // take`` batches, the last ``n_a mod take`` rows unused (see
+    `_Reshuffle`).  Every `_BLOCK` iterations each (fit, action) writes the
+    next block's batches into one ``(block, R, max take)`` index per action.
+    The draws depend only on the fit's data, seed and schedule, not on the
+    block, the other fits or ``actions_subset``.  Each step gathers its
+    batch from the action's pools of states and responses, where each fit's
+    rows appear once and a zero row pads the shorter batches, into ``(R, max
+    take, .)`` buffers made once.  Each action's step runs through its
+    `_StepPlan`, made once per call, and descends on all replicas at once.
+    A replica whose batches are padded can end a few ulps from the lone fit,
+    because the padded gradient may sum its rows in another order.  Returns
+    one model per replica, in order, each with its own cost trace; a
+    non-finite cost in any replica raises `ConvergenceError`.  Each record
+    of the traces runs one forward pass per fit over all its replicas
+    (`_costs`), on each action's rows and responses, found once per call.
 
     The parameters live in the flat buffers of `_stack`: one for the feature
     layers and one per action's head.  A step writes its gradients into one
@@ -526,11 +511,16 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     for lam in lams:
         _check_lam(lam)
     n_lams = len(lams)
-    data, action_rows = [], []
-    for train, _ in fits:
+    n_replicas = len(fits) * n_lams
+    inits = [_init_model(arch, state_dim, actions, substream(seed)) for _, seed in fits]
+    model, feature_params, head_params = _stack([init for init in inits for _ in lams])
+
+    # per fit: its states, each action's rows and responses, and its
+    # replicas as a stacked model of views, which follow the updates
+    by_fit = []
+    for d, (train, _) in enumerate(fits):
         tr = flatten_transitions(train)
-        data.append((tr, tr.responses))
-        rows_by_action = {}
+        y, by_action = tr.responses, {}
         for a in actions:
             rows = np.flatnonzero(tr.actions == a)
             if rows.size == 0:
@@ -540,12 +530,16 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
                     f"batch fraction too small: floor({cfg.batch_fraction} * {rows.size}) = 0 "
                     f"for action {a}"
                 )
-            rows_by_action[a] = rows
-        action_rows.append(rows_by_action)
+            by_action[a] = (rows, y[rows])
+        fit = slice(d * n_lams, (d + 1) * n_lams)
+        by_fit.append((
+            tr.states,
+            by_action,
+            AdnnModel(feature_layers=[(w[fit], b[fit]) for w, b in model.feature_layers],
+                      heads={a: [(w[fit], b[fit]) for w, b in layers]
+                             for a, layers in model.heads.items()}),
+        ))
 
-    inits = [_init_model(arch, state_dim, actions, substream(seed)) for _, seed in fits]
-    model, feature_params, head_params = _stack([init for init in inits for _ in lams])
-    n_replicas = len(fits) * n_lams
     # one gradient buffer: the feature layers' part, then a part that every
     # head shares (the heads have one shape)
     n_feature = feature_params.shape[1]
@@ -557,43 +551,30 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
     # per action: every fit's rows end to end, then a zero row that pads the
     # shorter batches; block[j, d * n_lams + l] is replica d * n_lams + l's
     # batch at the j-th step of a block.  A fit's draws are written through
-    # a view of its replicas' first `take` columns.  Two takes, one of states
-    # and one of responses, gather the batches of `chunk` steps at a time.
+    # a view of its replicas' first `take` columns.  A step gathers its
+    # batch with one take of states and one of responses.
     draws, steps = [], []
     for a in actions:
-        sizes = np.array([rows[a].size for rows in action_rows])
+        sizes = np.array([by_action[a][0].size for _, by_action, _ in by_fit])
         takes = (cfg.batch_fraction * sizes).astype(np.int64)
         offsets = np.cumsum(sizes) - sizes
-        states = [tr.states[rows[a]] for (tr, _), rows in zip(data, action_rows)]
-        responses = [y[rows[a]] for (_, y), rows in zip(data, action_rows)]
         block = np.full((_BLOCK, len(fits), n_lams, takes.max()), sizes.sum())
         draws += [_Reshuffle(substream(seed, a), n, take, offset, block[:, d, :, :take])
                   for d, ((_, seed), n, take, offset)
                   in enumerate(zip(fits, sizes.tolist(), takes.tolist(), offsets.tolist()))]
-        chunk = _gather_steps(n_replicas, takes.max(), state_dim)
         steps.append((
             _StepPlan(model.feature_layers + model.heads[a], grads,
                       np.repeat(takes, n_lams).tolist(), list(lams) * len(fits)),
             block.reshape(_BLOCK, n_replicas, -1),
-            np.concatenate(states + [np.zeros((1, state_dim))]),
-            np.concatenate(responses + [np.zeros((1, state_dim + 1))]),
-            np.empty((chunk, n_replicas, takes.max(), state_dim)),
-            np.empty((chunk, n_replicas, takes.max(), state_dim + 1)),
+            np.concatenate([states[by_action[a][0]] for states, by_action, _ in by_fit]
+                           + [np.zeros((1, state_dim))]),
+            np.concatenate([by_action[a][1] for _, by_action, _ in by_fit]
+                           + [np.zeros((1, state_dim + 1))]),
+            np.empty((n_replicas, takes.max(), state_dim)),
+            np.empty((n_replicas, takes.max(), state_dim + 1)),
             head_params[a],
         ))
 
-    # per fit: its states, each action's rows and responses, and its
-    # replicas as a stacked model of views, which follow the updates
-    by_fit = []
-    for d, ((tr, y), rows_by_action) in enumerate(zip(data, action_rows)):
-        fit = slice(d * n_lams, (d + 1) * n_lams)
-        by_fit.append((
-            tr.states,
-            {a: (rows, y[rows]) for a, rows in rows_by_action.items()},
-            AdnnModel(feature_layers=[(w[fit], b[fit]) for w, b in model.feature_layers],
-                      heads={a: [(w[fit], b[fit]) for w, b in layers]
-                             for a, layers in model.heads.items()}),
-        ))
     traces = [[] for _ in range(n_replicas)]
 
     def record_costs():
@@ -611,12 +592,9 @@ def _train_replicas(arch, cfg, fits, lams, actions_subset=None) -> list:
                 for draw in draws:
                     draw.fill(min(_BLOCK, cfg.n_max - b + 1))
             for plan, block, states, responses, s, y, head in steps:
-                k = j % len(s)
-                if k == 0:
-                    rows = block[j:j + len(s)]
-                    states.take(rows, axis=0, out=s[:len(rows)], mode="clip")
-                    responses.take(rows, axis=0, out=y[:len(rows)], mode="clip")
-                plan.gradients(s[k], y[k])
+                states.take(block[j], axis=0, out=s, mode="clip")
+                responses.take(block[j], axis=0, out=y, mode="clip")
+                plan.gradients(s, y)
                 grad *= alpha
                 feature_params -= feature_grad
                 head -= head_grad
@@ -896,7 +874,7 @@ def active_inputs(model: AdnnModel, col_tol: float = 0.05) -> list:
     Plain subgradient descent never produces exact zeros: suppressed
     columns keep wandering at the scale of (step size x penalty), around
     one to ten percent of a live column's norm, hence the relative
-    tolerance.
+    tolerance, in [0, 1): at 1 or more no column would be active.
     """
     _check_col_tol(col_tol)
     norms = np.sqrt(np.square(model.first_layer).sum(axis=0))
@@ -919,7 +897,7 @@ class PipelineConfig:
 
     ``tau`` is the screening level and ``tau_dim`` the level at which the
     residual test must fail to reject for a dimension to be accepted, both
-    in (0, 1).  ``folds`` must be at least 2, ``col_tol`` finite and at least 0,
+    in (0, 1).  ``folds`` must be at least 2, ``col_tol`` in [0, 1),
     ``n_permutations`` at least 1, ``min_stratum`` at least 2, and
     ``screen_n_max`` at least 1 or None (no cap).
     ``dims``, when given, must be nonempty ascending positive integers.

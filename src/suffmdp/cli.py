@@ -37,8 +37,8 @@ or missing key or a value of the wrong JSON kind.  They also include:
   ``pipeline``) with an empty ``grid``, which would fail only after
   screening, or with a grid cell whose penalty is negative or not finite
   (``NaN`` or ``Infinity``, whose fits diverge), a ``col_tol`` that is
-  negative or not finite (which would mark no input active), or a ``dims``
-  entry that is not a positive integer (``true`` included);
+  negative, not finite or at least 1 (which would mark no input active), or
+  a ``dims`` entry that is not a positive integer (``true`` included);
 - an experiment config that would train nothing or fail only inside a
   replicate: a count below 1 (``replicates``, a set ``threads``,
   ``n_subjects``, ``horizon``, ``n_rollouts``, ``eval_horizon``,
@@ -52,9 +52,10 @@ or missing key or a value of the wrong JSON kind.  They also include:
 A ``qlearn`` fit that diverges (non-finite parameters) is a runtime failure:
 it exits 2 and writes no Q file.
 
-All randomness flows from the seed (``--seed``, or a config file's);
-outputs carry no timestamps, so identical inputs give byte-identical
-outputs.
+All randomness flows from the seed (``--seed``, or a config file's), a
+nonnegative integer: a fractional or boolean seed is rejected, not truncated
+(see `rng`).  Outputs carry no timestamps, so identical inputs give
+byte-identical outputs.
 """
 
 from __future__ import annotations

@@ -70,7 +70,8 @@ class ExperimentConfig:
     forked worker processes that run replicates (see ``resolve_threads``).
     The counts ``n_subjects``, ``horizon``, ``replicates``, ``n_rollouts``,
     ``eval_horizon``, ``q_epochs_linear``, ``q_epochs_nn`` and a set
-    ``threads`` must be at least 1, and ``master_seed`` at least 0.
+    ``threads`` must be at least 1, and ``master_seed`` an integer (not a
+    boolean) at least 0.
     ``models``, ``noise_counts`` and ``feature_methods`` must be nonempty,
     each model a simgen g kind (a string, as each method is) and each noise
     count an integer (not a boolean) at least 0, and ``oracle_variant`` a
@@ -125,6 +126,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, numbers.Integral):
+            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.pipeline.seed != PipelineConfig.seed:

@@ -2,7 +2,9 @@
 
 Every stochastic operation in the package draws from a generator derived
 from an integer seed plus a tuple key (e.g. ``(seed, round, variable)`` or
-``(seed, t, action)``).  Streams keyed this way are independent of loop
+``(seed, t, action)``).  The seed and every key entry must be integers
+(numpy's included, booleans not), and the seed at least 0; anything else
+raises ValueError rather than being truncated to an integer.  Streams keyed this way are independent of loop
 order and of how work is split across worker processes, which is what makes
 results bit-reproducible at any worker count.
 
@@ -19,12 +21,17 @@ base seed.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = ["substream", "derive_seed"]
 
 
 def _seed_sequence(seed: int, key: tuple) -> np.random.SeedSequence:
+    for k in (seed,) + key:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"seed and key must be integers, got {k!r}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     entropy = (int(seed),) + tuple(int(k) for k in key)

@@ -397,30 +397,6 @@ class TestTrainReplicas:
             for model, ref in zip(models, reference, strict=True):
                 assert_same_model(model, ref)
 
-    @pytest.mark.parametrize("floats", [1, 150, 400], ids=["one-step", "2-steps", "6-steps"])
-    def test_fitted_bits_do_not_depend_on_the_gather_budget(self, floats, monkeypatch):
-        # 150 floats hold 2 of action 1's 66-float steps (2 replicas of 3
-        # rows, one padded, of 11 floats) and 400 hold 6, which do not divide
-        # a block of 7
-        ds = _random_dataset(5, seed=43, n=9, horizon=5, n_actions=2)
-        fits = [(ds.subset_subjects(np.arange(0, 5)), 6), (ds.subset_subjects(np.arange(5, 9)), 7)]
-        cfg = dataclasses.replace(self.CFG, n_max=40)
-        arch = Architecture(feature_dim=2, hidden_width=3, depth=2)
-        reference = _reference_train(arch, cfg, fits, [0.1])
-        monkeypatch.setattr(adnn, "_BLOCK", 7)
-        monkeypatch.setattr(adnn, "_GATHER_FLOATS", floats)
-        models = _train_replicas(arch, cfg, fits, [0.1])
-        for model, ref in zip(models, reference, strict=True):
-            assert_same_model(model, ref)
-
-    def test_gather_budget_caps_paper_scale_steps(self):
-        # a 3-fold CV of 2 penalties on 10 coordinates gathers a whole block;
-        # a 20-replica CV of 135-row batches on 64 coordinates one step,
-        # 2.8 MB, not a block of 180 MB
-        assert adnn._gather_steps(6, 4, 10) == adnn._BLOCK
-        assert adnn._gather_steps(1, 6, 10) == adnn._BLOCK
-        assert adnn._gather_steps(20, 135, 64) == 1
-
     def test_batches_of_an_epoch_are_disjoint_rows_of_the_action(self, monkeypatch):
         # every state's first coordinate is a distinct positive row id, so a
         # batch's states name its rows; the padding row is zero
@@ -915,9 +891,11 @@ class TestActiveInputs:
         m = make_model(seed=14)
         assert active_inputs(m, col_tol=0.0) == [0, 1, 2]
 
-    @pytest.mark.parametrize("col_tol", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("col_tol", [math.nan, math.inf, 1.0, 3.0],
+                             ids=["nan", "inf", "one", "three"])
     def test_non_finite_tolerance_rejected(self, col_tol):
-        # it once passed, and no input was then active
+        # it once passed, and no input was then active: no column's norm
+        # exceeds col_tol >= 1 times the largest
         with pytest.raises(ValueError, match="col_tol must be >= 0 and finite"):
             active_inputs(make_model(seed=14), col_tol)
         with pytest.raises(ValueError, match="col_tol must be >= 0 and finite"):
@@ -1155,9 +1133,9 @@ class TestPipeline:
             config_from_jsonable(ExperimentConfig, {"oracle_variant": 1})
         with pytest.raises(ValueError, match="PipelineConfig must be a JSON object"):
             config_from_jsonable(PipelineConfig, [])
-        cfg = config_from_jsonable(PipelineConfig, {"col_tol": 1, "dims": [1, 2],
+        cfg = config_from_jsonable(PipelineConfig, {"col_tol": 0, "dims": [1, 2],
                                                     "screen_n_max": None})
-        assert (cfg.col_tol, cfg.dims, cfg.screen_n_max) == (1, (1, 2), None)
+        assert (cfg.col_tol, cfg.dims, cfg.screen_n_max) == (0, (1, 2), None)
 
 
 class TestConfigChecks:

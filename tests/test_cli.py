@@ -399,12 +399,14 @@ class TestExitCodes:
         "key,value,message",
         [("col_tol", float("nan"), "col_tol must be >= 0 and finite"),
          ("col_tol", float("inf"), "col_tol must be >= 0 and finite"),
+         ("col_tol", 1.0, "col_tol must be >= 0 and finite and < 1"),
          ("dims", [True], "dims must be nonempty ascending positive integers")],
-        ids=["col-tol-nan", "col-tol-infinity", "dims-true"])
+        ids=["col-tol-nan", "col-tol-infinity", "col-tol-one", "dims-true"])
     def test_unusable_pipeline_value_gives_1_and_writes_no_model(
             self, inputs, tmp_path, key, value, message, capsys, monkeypatch):
-        # a NaN col_tol once exited 0 with a model flagged all-inputs-shrunk;
-        # dims [true] once ran screening and then exited 2 from init_layers
+        # a NaN col_tol, or one of 1, once exited 0 with a model flagged
+        # all-inputs-shrunk; dims [true] once ran screening and then exited
+        # 2 from init_layers
         def no_screening(*args, **kwargs):
             raise AssertionError("screening ran on a bad grid file")
 

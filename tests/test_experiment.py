@@ -114,15 +114,18 @@ def test_duplicate_methods_rejected(key, methods, message):
      ("eval_horizon", -1, "eval_horizon must be >= 1, got -1"),
      ("q_epochs_linear", 0, "q_epochs_linear must be >= 1, got 0"),
      ("q_epochs_nn", -2, "q_epochs_nn must be >= 1, got -2"),
-     ("master_seed", -1, "master_seed must be >= 0, got -1")],
+     ("master_seed", -1, "master_seed must be >= 0, got -1"),
+     ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+     ("master_seed", True, "master_seed must be an integer, got True")],
     ids=["no-models", "no-noise-counts", "no-feature-methods", "unknown-model",
          "negative-noise", "unknown-oracle-variant", "no-subjects", "no-horizon",
          "no-rollouts", "negative-eval-horizon", "no-linear-epochs", "negative-nn-epochs",
-         "negative-master-seed"])
+         "negative-master-seed", "fractional-master-seed", "boolean-master-seed"])
 def test_config_that_trains_nothing_or_fails_in_a_replicate_rejected(key, value, message):
     # each of these once ran: an empty list printed a header-only table, a
     # zero epoch count scored the untrained Q, and an unknown model or
-    # variant or a negative seed failed only when its replicate ran
+    # variant or a negative seed failed only when its replicate ran, and a
+    # fractional or boolean seed ran as the integer it truncates to
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**{key: value})
 
